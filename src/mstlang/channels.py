@@ -133,7 +133,7 @@ def translate_access(sigma: ChannelType) -> SessionType:
 
 
 # ---------------------------------------------------------------------------
-# Direct channel subtyping (oracle only)
+# Direct channel subtyping
 # ---------------------------------------------------------------------------
 
 
@@ -141,10 +141,12 @@ _SUBC_CACHE: dict = {}
 
 
 def subtype_channel(a: ChannelType, b: ChannelType, _assumptions=None) -> bool:
-    """Direct sub-channel relation used as an oracle for checking that the
-    translation above is monotone. Receive payloads are covariant, send
-    payloads contravariant; offers are covariant and selects contravariant
-    in their label sets."""
+    """Direct sub-channel relation. The monitor uses it to match a delegated
+    endpoint against a send's payload type and to check that the two ends of
+    a channel stay dual; the tests use it as an oracle for the monotonicity
+    of the translation above. Receive payloads are covariant, send payloads
+    contravariant; offers are covariant and selects contravariant in their
+    label sets."""
     key = (a.canon(), b.canon())
     if key[0] == key[1]:
         return True

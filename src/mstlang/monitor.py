@@ -10,6 +10,14 @@ both sides of every communication. Call traces live in one global map since
 object identifiers are configuration-unique; they move (renamed) with object
 transfer.
 
+A thread's expression is re-checked by the static expression checker,
+`typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
+from the tracked one: checking starts at the thread's root object, whose
+internal type reaches the objects opened by pending calls; each `return`
+consumes the outermost pending call; the other entries are the in-flight
+object identifiers and endpoints, consumed on use. This module holds no
+expression typing rules of its own.
+
 Monitoring always starts from the initial configuration, whose current path
 is a bare root, so every later path extends it and trace conformance is
 meaningful at each step; monitoring a run from an arbitrary intermediate
@@ -32,17 +40,24 @@ from .syntax import (
     Branch,
     EnumType,
     LinkField,
-    LinkThis,
     NullType,
     ObjectInternal,
     Path,
     RecordF,
     SessionType,
-    VariantF,
     VariantS,
     unfold,
 )
-from .typechecker import CheckContext, CheckError, consistency, resolve_signature
+from .typechecker import (
+    CONSISTENCY,
+    INTERNAL_FORM,
+    CheckContext,
+    CheckError,
+    RuntimeEnv,
+    consistency,
+    infer_expr,
+    resolve_signature,
+)
 
 
 class MonitorViolation(Exception):
@@ -135,7 +150,7 @@ def replay_trace(session: SessionType, trace) -> tuple:
     return states
 
 
-def parse_trace(text: str, program=None, cls=None) -> tuple:
+def parse_trace(text: str) -> tuple:
     """Whitespace-separated `m l m l ...` words: lowercase-initial words are
     method calls, uppercase-initial words are labels."""
     out = []
@@ -347,7 +362,8 @@ class Monitor:
         return states
 
     def _consistency_holds(self, cls_name, session, ftyping):
-        """Does `ftyping` support viewing the object as `session`?
+        """Does `ftyping` support viewing the object as `session`? Raises
+        CheckError when not.
 
         A runtime field typing can be strictly finer than anything the static
         run visited (actual labels narrow enumerations), and the consistency
@@ -360,27 +376,27 @@ class Monitor:
         key = (cls_name, session.canon(), ftyping.canon())
         hit = self._consistency_cache.get(key)
         if hit is None:
-            hit = (False, "no witness")
-            for _, witness in self.ctx.witnesses_for(cls_name, unfold(session)):
-                if subtype_any(ftyping, witness):
-                    hit = True
-                    break
-            if hit is not True:
+            witnesses = self.ctx.witnesses_for(cls_name, unfold(session))
+            if any(subtype_any(ftyping, w) for _, w in witnesses):
+                hit = True
+            else:
                 try:
                     consistency(self.ctx, self.program.cls(cls_name), session, ftyping)
                     hit = True
                 except CheckError as e:
-                    hit = (False, str(e))
+                    hit = str(e)
             self._consistency_cache[key] = hit
-        return hit
+        if hit is not True:
+            raise CheckError(CONSISTENCY, hit)
 
     def _consistent(self, cls_name, session, ftyping, thread):
-        hit = self._consistency_holds(cls_name, session, ftyping)
-        if hit is not True:
+        try:
+            self._consistency_holds(cls_name, session, ftyping)
+        except CheckError as e:
             self.fault(
                 TRACKING_FAULT,
                 thread,
-                f"fields of {cls_name} not consistent with {render_type(session)}: {hit[1]}",
+                f"fields of {cls_name} not consistent with {render_type(session)}: {e.detail}",
             )
 
     def value_type(self, env: ThreadEnv, v, thread, consume=False):
@@ -777,9 +793,21 @@ class Monitor:
                 self.fault(STATE_ILL_TYPED, i, f"environment entry {oid} has value type {t!r}")
 
     def _check_expression(self, i, th, env: ThreadEnv):
-        checker = _InternalChecker(self, dict(env.gamma), list(env.frames), i)
+        """Re-check the thread's expression with the expression checker, from
+        the root object: the pending calls lead down the current path, and
+        the other environment entries are the in-flight values."""
+        root_key = ("obj", th.path.root)
+        root = env.gamma.get(root_key)
+        values = {k: t for k, t in env.gamma.items() if k != root_key}
+        rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds)
         try:
-            checker.infer(th.expr, th.path)
+            if not isinstance(root, ObjectInternal):
+                raise CheckError(INTERNAL_FORM, f"current object {th.path.root} is not open")
+            if tuple(fr.field for fr in env.frames) != th.path.fields:
+                raise CheckError(INTERNAL_FORM, f"pending calls do not lead to {th.path}")
+            _, _, rest = infer_expr(self.ctx, self.program.cls(root.cls), th.expr, root.typing, rt)
+            if rest.frames:
+                raise CheckError(INTERNAL_FORM, "a pending call has no return")
         except CheckError as e:
             self.fault(STATE_ILL_TYPED, i, f"expression re-check failed: {e}")
 
@@ -823,396 +851,3 @@ class Monitor:
                     self.fault(
                         TRACE_INVALID, i, f"trace of {key[1]} does not reach {render_type(t)}"
                     )
-
-
-# ---------------------------------------------------------------------------
-# The expression checker extended to internal forms
-# ---------------------------------------------------------------------------
-
-
-class _ResolvedLink(LinkField):
-    """A tag in flight whose variant has already been resolved by the run:
-    behaves as ``link f`` but remembers the actual label and the full variant
-    so that parking re-widens the field and switching picks one branch."""
-
-    __slots__ = ("label", "variant")
-
-    def __init__(self, field, label, variant):
-        super().__init__(field)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "variant", variant)
-
-
-class _InternalChecker:
-    """Re-derives a typing for an in-flight expression under the tracked
-    environment: the expression checker plus object identifiers, endpoints
-    and return, with the current path threading through returns."""
-
-    def __init__(self, monitor: Monitor, gamma, frames, thread):
-        self.m = monitor
-        self.gamma = gamma
-        self.frames = frames  # oldest first
-        self.thread = thread
-        self.depth = 0
-
-    def infer(self, e, path):
-        t, path_out = self._infer(e, path)
-        return t
-
-    def _obj(self, path):
-        t = env_type_at(self.gamma, path)
-        if not isinstance(t, ObjectInternal):
-            raise CheckError("InternalForm", f"object at {path} is not open")
-        return t
-
-    def _get_F(self, path):
-        return self._obj(path).typing
-
-    def _set_F(self, path, F):
-        env_set_at(self.gamma, path, ObjectInternal(self._obj(path).cls, F))
-
-    def _infer(self, e, path):
-        ctx, program = self.m.ctx, self.m.program
-
-        if isinstance(e, sx.NullE):
-            return sx.NULL_T, path
-        if isinstance(e, sx.AccessE):
-            return translate_access(program.access_points[e.name]), path
-        if isinstance(e, sx.ObjIdE):
-            key = ("obj", e.oid)
-            if key not in self.gamma:
-                raise CheckError("InternalForm", f"unknown object {e.oid}")
-            if path.root == e.oid:
-                raise CheckError("InternalForm", f"reference to {e.oid} within itself")
-            return self.gamma.pop(key), path
-        if isinstance(e, sx.EndpointE):
-            key = ("chan", e.chan, e.polarity)
-            if key not in self.gamma:
-                raise CheckError("InternalForm", f"unknown endpoint {e.chan}{e.polarity}")
-            return self.gamma.pop(key), path
-        if isinstance(e, sx.VarE):
-            raise CheckError("UnboundVariable", f"runtime expression holds variable {e.name!r}")
-
-        if isinstance(e, sx.LabelE):
-            F = self._get_F(path)
-            if not isinstance(F, RecordF):
-                raise CheckError("VariantShapeMismatch", "label under a variant field typing")
-            self._set_F(path, VariantF(((e.label, F),)))
-            return sx.LINK_THIS, path
-
-        if isinstance(e, sx.NewE):
-            return program.cls(e.cls).session, path
-
-        if isinstance(e, sx.SwapE):
-            t, path = self._infer(e.expr, path)
-            F = self._get_F(path)
-            if isinstance(t, LinkThis):
-                if not isinstance(F, VariantF):
-                    raise CheckError("VariantShapeMismatch", "linkthis without variant")
-                from .subtyping import join_records
-
-                labels = sorted(F.labels)
-                joined = join_records([r for _, r in F.cases])
-                old = joined.get(e.field)
-                self._no_variant(old, e.field)
-                self._set_F(path, joined.set(e.field, EnumType(frozenset(labels))))
-                return old, path
-            if not isinstance(F, RecordF):
-                raise CheckError("VariantShapeMismatch", "fields hidden behind a variant typing")
-            if isinstance(t, _ResolvedLink):
-                # parking a resolved tag: widen its field back to the variant
-                old = F.get(e.field)
-                self._no_variant(old, e.field)
-                F = F.set(t.field, t.variant).set(e.field, LinkField(t.field))
-                self._set_F(path, F)
-                return old, path
-            old = F.get(e.field)
-            self._no_variant(old, e.field)
-            self._set_F(path, F.set(e.field, t))
-            return old, path
-
-        if isinstance(e, sx.CallE):
-            t, path = self._infer(e.arg, path)
-            F = self._get_F(path)
-            if isinstance(t, LinkThis):
-                from .subtyping import join_records
-
-                labels = F.labels
-                F = join_records([r for _, r in F.cases])
-                branch = self._branch_of(F.get(e.field))
-                entry = None
-                for en in branch.named(e.method):
-                    if isinstance(en.param, EnumType) and labels <= en.param.labels:
-                        entry = en
-                        break
-                if entry is None:
-                    raise CheckError("NoSuchMethod", f"{e.method!r} with labels {set(labels)}")
-            else:
-                branch = self._branch_of(F.get(e.field))
-                entry = resolve_signature(branch, e.method, t)
-            result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
-            self._set_F(path, F.set(e.field, entry.cont))
-            return result, path
-
-        if isinstance(e, sx.SelfCallE):
-            t, path = self._infer(e.arg, path)
-            obj = self._obj(path)
-            mdef = program.cls(obj.cls).method(e.method)
-            if mdef is None or mdef.annotation is None:
-                raise CheckError("MissingAnnotation", f"self-call of {e.method!r}")
-            ann = mdef.annotation
-            F = self._get_F(path)
-            if isinstance(t, LinkThis):
-                from .subtyping import join_records
-
-                if not isinstance(F, VariantF):
-                    raise CheckError("VariantShapeMismatch", "linkthis without variant")
-                F = join_records([r for _, r in F.cases])
-            elif not subtype_value(t, ann.param_type):
-                raise CheckError("ArgumentMismatch", f"argument of {e.method!r}")
-            if not subtype_any(F, ann.req):
-                raise CheckError("AnnotationMismatch", f"req of {e.method!r} unsatisfied")
-            self._set_F(path, ann.ens)
-            return ann.result, path
-
-        if isinstance(e, sx.SeqE):
-            t, path = self._infer(e.first, path)
-            if isinstance(t, LinkField):
-                raise CheckError("DiscardedLink", "discarding a tag bound to a field")
-            F = self._get_F(path)
-            if isinstance(t, LinkThis):
-                from .subtyping import join_records
-
-                self._set_F(path, join_records([r for _, r in F.cases]))
-            return self._infer(e.second, path)
-
-        if isinstance(e, sx.SwitchE):
-            return self._infer_switch(e, path)
-
-        if isinstance(e, sx.WhileE):
-            return self._infer_while(e, path)
-
-        if isinstance(e, sx.SpawnE):
-            t, path = self._infer(e.arg, path)
-            if not isinstance(t, NullType):
-                raise CheckError("ArgumentMismatch", "spawn argument must be Null")
-            u = unfold(program.cls(e.cls).session)
-            if not any(
-                en.name == e.method and isinstance(en.param, NullType)
-                and isinstance(en.result, NullType)
-                for en in u.entries
-            ):
-                raise CheckError("SpawnUnavailable", f"{e.cls}.{e.method}")
-            return sx.NULL_T, path
-
-        if isinstance(e, sx.ReturnE):
-            if self.depth >= len(self.frames):
-                raise CheckError("InternalForm", "return without a pending call")
-            frame = self.frames[self.depth]
-            self.depth += 1
-            t, path = self._infer(e.expr, path)
-            if not path.fields or path.last() != frame.field:
-                raise CheckError("InternalForm", "return path mismatch")
-            inner = self._obj(path)
-            cont_u = unfold(frame.cont)
-            if isinstance(t, LinkThis):
-                if not isinstance(inner.typing, VariantF):
-                    raise CheckError("VariantShapeMismatch", "tag without a variant field typing")
-                if isinstance(cont_u, VariantS):
-                    for l, rec_f in inner.typing.cases:
-                        if l not in cont_u.labels:
-                            raise CheckError("VariantShapeMismatch", f"tag {l} outside the variant")
-                        self._consistent(inner.cls, cont_u.case(l), rec_f)
-                    if len(inner.typing.cases) == 1:
-                        # a literal tag: the run has resolved the variant already
-                        l0, _ = inner.typing.cases[0]
-                        env_set_at(self.gamma, path, cont_u.case(l0))
-                        return _ResolvedLink(frame.field, l0, frame.cont), path.parent()
-                    env_set_at(self.gamma, path, frame.cont)
-                    return LinkField(frame.field), path.parent()
-                # enumeration result: the tag is a plain value, fields joined
-                from .subtyping import join_records
-
-                joined = join_records([r for _, r in inner.typing.cases])
-                self._consistent(inner.cls, frame.cont, joined)
-                env_set_at(self.gamma, path, frame.cont)
-                return EnumType(inner.typing.labels), path.parent()
-            if isinstance(t, LinkField):
-                raise CheckError("InternalForm", "returning a tag bound to a field")
-            if not isinstance(inner.typing, RecordF):
-                raise CheckError("VariantShapeMismatch", "returning with variant fields")
-            if isinstance(t, EnumType) and isinstance(cont_u, VariantS):
-                # an enumeration-typed body before a variant state: each label
-                # leads to the same fields (the uniform variant)
-                if not t.labels <= cont_u.labels:
-                    raise CheckError("VariantShapeMismatch", "result labels outside the variant")
-                for l in sorted(t.labels):
-                    self._consistent(inner.cls, cont_u.case(l), inner.typing)
-                env_set_at(self.gamma, path, frame.cont)
-                return LinkField(frame.field), path.parent()
-            self._consistent(inner.cls, frame.cont, inner.typing)
-            env_set_at(self.gamma, path, frame.cont)
-            return t, path.parent()
-
-        raise CheckError("InternalForm", f"no rule for {type(e).__name__}")
-
-    def _consistent(self, cls_name, session, ftyping):
-        hit = self.m._consistency_holds(cls_name, session, ftyping)
-        if hit is not True:
-            raise CheckError("ConsistencyFailure", hit[1])
-
-    def _no_variant(self, t, f):
-        if isinstance(t, SessionType) and isinstance(unfold(t), VariantS):
-            raise CheckError("SwapOnVariantField", f"field {f!r} holds a variant type")
-
-    def _branch_of(self, t):
-        if not isinstance(t, SessionType):
-            raise CheckError("NoSuchMethod", f"call on non-object type {t!r}")
-        u = unfold(t)
-        if not isinstance(u, Branch):
-            raise CheckError("NoSuchMethod", "call on a variant state")
-        return u
-
-    def _infer_switch(self, e, path):
-        from .subtyping import join_field, join_records, JoinUndefined
-
-        u, path = self._infer(e.subject, path)
-        case_labels = e.labels
-        outs = []
-
-        def run(labels, f_for):
-            for l in labels:
-                if l not in case_labels:
-                    raise CheckError("SwitchLabelCoverage", f"missing case {l!r}")
-                saved_gamma = dict(self.gamma)
-                saved_depth = self.depth
-                if f_for is not None:
-                    self._set_F(path, f_for(l))
-                t, p2 = self._infer(e.case(l), path)
-                outs.append((t, self._get_F(p2), p2))
-                self.gamma = saved_gamma
-                self.depth = saved_depth
-
-        F = self._get_F(path)
-        if isinstance(u, EnumType):
-            run([l for l, _ in e.cases if l in u.labels], None)
-        elif isinstance(u, _ResolvedLink):
-            # the run already picked the branch; its field is resolved
-            run([u.label], None)
-        elif isinstance(u, LinkThis):
-            if not isinstance(F, VariantF):
-                raise CheckError("VariantShapeMismatch", "linkthis without variant")
-            joined = join_records([r for _, r in F.cases])
-            if not F.labels <= case_labels:
-                raise CheckError("SwitchLabelCoverage", "variant labels exceed cases")
-            run([l for l, _ in e.cases if l in F.labels], lambda l: joined)
-        elif isinstance(u, LinkField):
-            target = F.get(u.field)
-            tu = unfold(target) if isinstance(target, SessionType) else None
-            if not isinstance(tu, VariantS):
-                raise CheckError("SwitchShapeMismatch", f"field {u.field!r} not a variant")
-            if not tu.labels <= case_labels:
-                raise CheckError("SwitchLabelCoverage", "variant labels exceed cases")
-            run(
-                [l for l, _ in e.cases if l in tu.labels],
-                lambda l: F.set(u.field, tu.case(l)),
-            )
-        else:
-            raise CheckError("SwitchShapeMismatch", f"switch on {u!r}")
-
-        types = [t for t, _, _ in outs]
-        first = types[0]
-        for t in types[1:]:
-            if t.canon() != first.canon() and not (
-                isinstance(t, SessionType)
-                and isinstance(first, SessionType)
-                and equivalent(t, first)
-            ):
-                raise CheckError("SwitchShapeMismatch", "branches disagree on the type")
-        try:
-            f_out = outs[0][1]
-            for _, f, _ in outs[1:]:
-                f_out = join_field(f_out, f)
-        except JoinUndefined as err:
-            raise CheckError("JoinUndefined", str(err)) from None
-        self._set_F(outs[0][2], f_out)
-        return first, outs[0][2]
-
-    def _infer_while(self, e, path):
-        """The loop clause, stabilized by widening.
-
-        A tracked entry typing can be finer than the loop's recurrent typing
-        (actual values narrow enumerations); declaratively the entry is
-        weakened before the loop rule applies. Search for a stable typing
-        above the entry by re-running the condition and body from the widened
-        candidate, a bounded number of times.
-        """
-        from .subtyping import JoinUndefined, join_field, join_records
-
-        bool_labels = frozenset({"TRUE", "FALSE"})
-        F_entry = self._get_F(path)
-        last_err = None
-        candidate = F_entry
-        for _ in range(5):
-            saved_gamma = dict(self.gamma)
-            saved_depth = self.depth
-            try:
-                exit_f, fb = self._try_loop(e, path, candidate, bool_labels)
-            except CheckError as err:
-                self.gamma = saved_gamma
-                self.depth = saved_depth
-                raise
-            self.gamma = saved_gamma
-            self.depth = saved_depth
-            if fb is None:  # stable at this candidate
-                self._set_F(path, exit_f)
-                return sx.NULL_T, path
-            last_err = CheckError(
-                "LoopInvariantMismatch", "loop body does not restore entry"
-            )
-            if not subtype_any(candidate, fb):
-                break
-            try:
-                candidate = join_field(candidate, fb)
-            except JoinUndefined:
-                break
-        raise last_err or CheckError("LoopInvariantMismatch", "loop does not stabilize")
-
-    def _try_loop(self, e, path, F_star, bool_labels):
-        """One widening attempt: returns (exit typing, None) when the body
-        restores F_star, or (None, body output) for the next candidate."""
-        from .subtyping import join_records
-
-        self._set_F(path, F_star)
-        u, _ = self._infer(e.cond, path)
-        F1 = self._get_F(path)
-        if isinstance(u, EnumType):
-            if not u.labels <= bool_labels:
-                raise CheckError("SwitchShapeMismatch", "loop condition not boolean")
-            f_body, exit_f = F1, F1
-        elif isinstance(u, LinkThis):
-            if not isinstance(F1, VariantF) or not F1.labels <= bool_labels:
-                raise CheckError("SwitchShapeMismatch", "loop condition not boolean")
-            joined = join_records([r for _, r in F1.cases])
-            f_body, exit_f = joined, joined
-        elif isinstance(u, LinkField):
-            target = F1.get(u.field)
-            tu = unfold(target) if isinstance(target, SessionType) else None
-            if not isinstance(tu, VariantS) or tu.labels != bool_labels:
-                raise CheckError("SwitchShapeMismatch", "loop condition field not TRUE/FALSE")
-            f_body = F1.set(u.field, tu.case("TRUE"))
-            exit_f = F1.set(u.field, tu.case("FALSE"))
-        else:
-            raise CheckError("SwitchShapeMismatch", f"loop on {u!r}")
-
-        self._set_F(path, f_body)
-        t, _ = self._infer(e.body, path)
-        fb = self._get_F(path)
-        if isinstance(t, LinkThis) and isinstance(fb, VariantF):
-            fb = join_records([r for _, r in fb.cases])
-            t = sx.NULL_T
-        if not isinstance(t, NullType):
-            raise CheckError("LoopInvariantMismatch", "loop body must have type Null")
-        if equivalent(fb, F_star):
-            return exit_f, None
-        return None, fb

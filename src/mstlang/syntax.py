@@ -107,8 +107,20 @@ class ChannelType(Type):
     __slots__ = ()
 
 
-def _canon_seq(items, bound, memo):
-    return tuple(t._canonical(bound, memo) for t in items)
+class Labelled:
+    """Label lookup for forms whose `cases` are (label, component) pairs."""
+
+    __slots__ = ()
+
+    @property
+    def labels(self):
+        return frozenset(l for l, _ in self.cases)
+
+    def case(self, label):
+        for l, c in self.cases:
+            if l == label:
+                return c
+        raise KeyError(label)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -199,7 +211,7 @@ EMPTY_BRANCH = Branch(())
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VariantS(SessionType):
+class VariantS(Labelled, SessionType):
     cases: tuple  # ordered (label, SessionType) pairs, labels distinct
 
     __slots__ = ("cases",)
@@ -212,16 +224,6 @@ class VariantS(SessionType):
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate variant label")
         object.__setattr__(self, "cases", cases)
-
-    @property
-    def labels(self):
-        return frozenset(l for l, _ in self.cases)
-
-    def case(self, label):
-        for l, s in self.cases:
-            if l == label:
-                return s
-        raise KeyError(label)
 
     def _canonical(self, bound, memo):
         cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
@@ -289,7 +291,7 @@ class ChanSend(ChannelType):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ChanOffer(ChannelType):
+class ChanOffer(Labelled, ChannelType):
     cases: tuple  # (label, ChannelType)
 
     __slots__ = ("cases",)
@@ -300,23 +302,13 @@ class ChanOffer(ChannelType):
             raise ValueError("offer types have at least one label")
         object.__setattr__(self, "cases", cases)
 
-    @property
-    def labels(self):
-        return frozenset(l for l, _ in self.cases)
-
-    def case(self, label):
-        for l, s in self.cases:
-            if l == label:
-                return s
-        raise KeyError(label)
-
     def _canonical(self, bound, memo):
         cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
         return ("offer", tuple(cs))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ChanSelect(ChannelType):
+class ChanSelect(Labelled, ChannelType):
     cases: tuple
 
     __slots__ = ("cases",)
@@ -326,16 +318,6 @@ class ChanSelect(ChannelType):
         if not cases:
             raise ValueError("select types have at least one label")
         object.__setattr__(self, "cases", cases)
-
-    @property
-    def labels(self):
-        return frozenset(l for l, _ in self.cases)
-
-    def case(self, label):
-        for l, s in self.cases:
-            if l == label:
-                return s
-        raise KeyError(label)
 
     def _canonical(self, bound, memo):
         cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
@@ -420,7 +402,7 @@ class RecordF(FieldTyping):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VariantF(FieldTyping):
+class VariantF(Labelled, FieldTyping):
     """Variant field typing: record per label. Nested variants are not allowed."""
 
     cases: tuple  # (label, RecordF)
@@ -435,16 +417,6 @@ class VariantF(FieldTyping):
             if isinstance(f, VariantF):
                 raise ValueError("nested variant field typings are not permitted")
         object.__setattr__(self, "cases", cases)
-
-    @property
-    def labels(self):
-        return frozenset(l for l, _ in self.cases)
-
-    def case(self, label):
-        for l, f in self.cases:
-            if l == label:
-                return f
-        raise KeyError(label)
 
     def _canonical(self, bound, memo):
         cs = sorted((l, f._canonical(bound, memo)) for l, f in self.cases)
@@ -689,20 +661,10 @@ class SeqE(Expr):
 
 
 @dataclass(frozen=True, repr=False)
-class SwitchE(Expr):
+class SwitchE(Labelled, Expr):
     subject: Expr
     cases: tuple  # (label, Expr)
     __slots__ = ("subject", "cases")
-
-    def case(self, label):
-        for l, e in self.cases:
-            if l == label:
-                return e
-        raise KeyError(label)
-
-    @property
-    def labels(self):
-        return frozenset(l for l, _ in self.cases)
 
 
 @dataclass(frozen=True, repr=False)
@@ -743,9 +705,6 @@ class EndpointE(Expr):
     chan: str
     polarity: str
     __slots__ = ("chan", "polarity")
-
-    def dual_polarity(self):
-        return "-" if self.polarity == "+" else "+"
 
 
 @dataclass(frozen=True, repr=False)
@@ -883,9 +842,6 @@ class Path:
         if not self.fields:
             raise CoreError("path has no field component")
         return self.fields[-1]
-
-    def starts_with(self, other: "Path") -> bool:
-        return self.root == other.root and self.fields[: len(other.fields)] == other.fields
 
     def __str__(self):
         return ".".join((self.root,) + self.fields)

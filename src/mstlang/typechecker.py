@@ -4,7 +4,10 @@ relating field typings to session types, and the expression checker.
 The consistency algorithm carries a set of assumed (field typing, session
 type) pairs so recursion through rec types terminates; the expression checker
 is syntax-directed, with labels eagerly given type linkthis and a singleton
-variant field typing, collapsed by join at the points of use.
+variant field typing, collapsed by join at the points of use. The same
+checker types runtime expressions, whose environment (RuntimeEnv) adds the
+in-flight object identifiers and endpoints and the pending calls; the rules
+for those forms and for `return` apply only there.
 
 check_class also records, for every branch session type it establishes
 consistent, the field typing it was established under. The runtime monitor
@@ -13,7 +16,7 @@ reuses this table as its witness when a method call opens an object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import syntax as sx
 from .channels import translate_access
@@ -31,6 +34,7 @@ from .syntax import (
     LinkField,
     LinkThis,
     NullType,
+    ObjectInternal,
     RecordF,
     SessionType,
     VariantF,
@@ -191,13 +195,70 @@ def _same_results(ts):
     )
 
 
-def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
-    """The expression checker: returns (type, field typing, parameter env).
+@dataclass(frozen=True)
+class RuntimeEnv:
+    """The value environment of a runtime expression, where a source
+    expression has its parameter binding.
 
-    F is the current field typing of the enclosing object (record, or a
-    variant immediately after a label); V is None or (name, type) for the
-    method parameter, dropped when a linear parameter is consumed.
+    `values` types the in-flight object identifiers and channel endpoints,
+    keyed ("obj", oid) or ("chan", c, polarity); they are linear, so a use
+    consumes the entry, as for a session-typed parameter. `frames` are the
+    pending calls, outermost first; each `return` consumes one. `consistent`
+    is the judgement the return rule applies to the callee's fields; it
+    raises CheckError when they do not support the continuation. A runtime
+    environment widens loop entries: a tracked typing can be finer than a
+    loop's recurrent one, since actual values narrow enumerations.
     """
+
+    values: dict
+    frames: tuple = ()
+    consistent: object = field(default=None, compare=False)
+
+    loop_widenings = 4
+
+    def take(self, key):
+        t = self.values.get(key)
+        if t is None:
+            raise CheckError(INTERNAL_FORM, f"unknown runtime value {key[1:]}")
+        rest = dict(self.values)
+        del rest[key]
+        return t, replace(self, values=rest)
+
+
+class _ResolvedLink(LinkField):
+    """Runtime form: a tag just returned by a call whose variant the run has
+    resolved. It behaves as ``link f`` but remembers the actual label and the
+    full variant, so that parking re-widens the field and switching takes the
+    one case."""
+
+    __slots__ = ("label", "variant")
+
+    def __init__(self, field, label, variant):
+        super().__init__(field)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "variant", variant)
+
+
+def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
+    """The expression checker: returns (type, field typing, value env).
+
+    F is the current field typing of the enclosing object of class `cls`
+    (record, or a variant immediately after a label). V is the value
+    environment: for a source expression None or (name, type) for the
+    method parameter, dropped when a linear parameter is consumed; for a
+    runtime expression a RuntimeEnv, with F the typing of the thread's root
+    object, which reaches the objects opened by pending calls.
+    """
+    while isinstance(e, sx.SeqE):
+        t, F, V = infer_expr(ctx, cls, e.first, F, V)
+        if isinstance(t, LinkField):
+            raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
+        if isinstance(t, LinkThis):
+            if not isinstance(F, VariantF):
+                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
+            F = _collapse(F)
+        e = e.second
+
     if isinstance(e, sx.NullE):
         return sx.NULL_T, F, V
 
@@ -208,7 +269,7 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
         return translate_access(proto), F, V
 
     if isinstance(e, sx.VarE):
-        if V is None or V[0] != e.name:
+        if not isinstance(V, tuple) or V[0] != e.name:
             raise CheckError(UNBOUND_VARIABLE, f"unbound variable {e.name!r}")
         name, t = V
         v_out = None if isinstance(t, SessionType) else V
@@ -236,15 +297,14 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
             if _is_variant_session(old):
                 raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
             return old, joined.set(e.field, EnumType(frozenset(labels))), v1
-        if isinstance(t, LinkField):
-            # parking a tag in a field; the tagged field keeps its variant
-            old = _field_type(f1, e.field)
-            if _is_variant_session(old):
-                raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
-            return old, f1.set(e.field, t), v1
         old = _field_type(f1, e.field)
         if _is_variant_session(old):
             raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
+        if isinstance(t, _ResolvedLink):
+            # parking a resolved tag re-widens its field to the variant
+            f1 = f1.set(t.field, t.variant)
+            t = LinkField(t.field)
+        # a parked tag (link f) leaves the tagged field's variant in place
         return old, f1.set(e.field, t), v1
 
     if isinstance(e, sx.CallE):
@@ -294,16 +354,6 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
                 )
         return ann.result, ann.ens, v1
 
-    if isinstance(e, sx.SeqE):
-        t, f1, v1 = infer_expr(ctx, cls, e.first, F, V)
-        if isinstance(t, LinkField):
-            raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
-        if isinstance(t, LinkThis):
-            if not isinstance(f1, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
-            f1 = _collapse(f1)
-        return infer_expr(ctx, cls, e.second, f1, v1)
-
     if isinstance(e, sx.SwitchE):
         return _infer_switch(ctx, cls, e, F, V)
 
@@ -331,6 +381,16 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
             )
         return sx.NULL_T, f1, v1
 
+    if isinstance(V, RuntimeEnv):
+        if isinstance(e, sx.ObjIdE):
+            t, v1 = V.take(("obj", e.oid))
+            return t, F, v1
+        if isinstance(e, sx.EndpointE):
+            t, v1 = V.take(("chan", e.chan, e.polarity))
+            return t, F, v1
+        if isinstance(e, sx.ReturnE):
+            return _infer_return(ctx, e, F, V)
+
     raise CheckError(INTERNAL_FORM, f"internal form {type(e).__name__} in a source program")
 
 
@@ -357,17 +417,6 @@ def _resolve_enum_overload(branch: Branch, method: str, labels) -> sx.MethodSig:
 def _infer_switch(ctx, cls, e, F, V):
     u, f1, v1 = infer_expr(ctx, cls, e.subject, F, V)
     case_labels = e.labels
-    results = []
-
-    def run_cases(labels, env_for):
-        for l in labels:
-            try:
-                body = e.case(l)
-            except KeyError:
-                raise CheckError(
-                    SWITCH_COVERAGE, f"switch lacks case {l!r} required by the subject type"
-                ) from None
-            results.append(infer_expr(ctx, cls, body, env_for(l), v1))
 
     if isinstance(u, EnumType):
         if not u.labels <= case_labels:
@@ -375,14 +424,17 @@ def _infer_switch(ctx, cls, e, F, V):
                 SWITCH_COVERAGE,
                 f"subject labels {set(u.labels)} exceed switch cases {set(case_labels)}",
             )
-        run_cases([l for l, _ in e.cases if l in u.labels], lambda l: f1)
+        cases = [(l, f1) for l, _ in e.cases if l in u.labels]
+    elif isinstance(u, _ResolvedLink):
+        # the run has picked the case already; its field holds that component
+        cases = [(u.label, f1)]
     elif isinstance(u, LinkThis):
         if not isinstance(f1, VariantF):
             raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
         if not f1.labels <= case_labels:
             raise CheckError(SWITCH_COVERAGE, "variant labels exceed switch cases")
         joined = _collapse(f1)
-        run_cases([l for l, _ in e.cases if l in f1.labels], lambda l: joined)
+        cases = [(l, joined) for l, _ in e.cases if l in f1.labels]
     elif isinstance(u, LinkField):
         fld = u.field
         target = _field_type(f1, fld)
@@ -391,12 +443,19 @@ def _infer_switch(ctx, cls, e, F, V):
             raise CheckError(SWITCH_SHAPE, f"field {fld!r} is not of variant type")
         if not tu.labels <= case_labels:
             raise CheckError(SWITCH_COVERAGE, "variant labels exceed switch cases")
-        run_cases(
-            [l for l, _ in e.cases if l in tu.labels],
-            lambda l: f1.set(fld, tu.case(l)),
-        )
+        cases = [(l, f1.set(fld, tu.case(l))) for l, _ in e.cases if l in tu.labels]
     else:
         raise CheckError(SWITCH_SHAPE, f"cannot switch on type {u!r}")
+
+    results = []
+    for l, f_case in cases:
+        try:
+            body = e.case(l)
+        except KeyError:
+            raise CheckError(
+                SWITCH_COVERAGE, f"switch lacks case {l!r} required by the subject type"
+            ) from None
+        results.append(infer_expr(ctx, cls, body, f_case, v1))
 
     types = [t for t, _, _ in results]
     if not _same_results(types):
@@ -414,11 +473,15 @@ def _infer_switch(ctx, cls, e, F, V):
 
 
 def _infer_while(ctx, cls, e, F, V):
-    bool_labels = frozenset({TRUE, FALSE})
-    u, f1, v1 = infer_expr(ctx, cls, e.cond, F, V)
-
-    def check_body(f_start):
-        tb, fb, vb = infer_expr(ctx, cls, e.body, f_start, v1)
+    """The loop rule: the body must restore the entry typing. A runtime
+    environment first weakens a finer entry typing, joining it with what the
+    body leaves, a bounded number of times."""
+    widenings = V.loop_widenings if isinstance(V, RuntimeEnv) else 0
+    entry = F
+    while True:
+        u, f1, v1 = infer_expr(ctx, cls, e.cond, entry, V)
+        f_body, f_exit = _loop_split(u, f1)
+        tb, fb, vb = infer_expr(ctx, cls, e.body, f_body, v1)
         if isinstance(tb, LinkThis):
             if not isinstance(fb, VariantF):
                 raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
@@ -426,22 +489,34 @@ def _infer_while(ctx, cls, e, F, V):
             tb = sx.NULL_T
         if not isinstance(tb, NullType):
             raise CheckError(LOOP_INVARIANT, "loop body must have type Null")
-        if not (equivalent(fb, F) and vb == V):
+        if equivalent(fb, entry) and vb == V:
+            return sx.NULL_T, f_exit, v1
+        widened = None
+        if widenings and subtype_any(entry, fb):
+            try:
+                widened = join_field(entry, fb)
+            except JoinUndefined:
+                pass
+        if widened is None:
             raise CheckError(
                 LOOP_INVARIANT, "loop body does not restore the field typing of entry"
             )
+        widenings -= 1
+        entry = widened
 
+
+def _loop_split(u, f1):
+    """Field typings for the body and for the exit, given the condition's type."""
+    bool_labels = frozenset({TRUE, FALSE})
     if isinstance(u, EnumType):
         if not u.labels <= bool_labels:
             raise CheckError(SWITCH_SHAPE, "loop condition is not boolean")
-        check_body(f1)
-        return sx.NULL_T, f1, v1
+        return f1, f1
     if isinstance(u, LinkThis):
         if not isinstance(f1, VariantF) or not f1.labels <= bool_labels:
             raise CheckError(SWITCH_SHAPE, "loop condition is not boolean")
         joined = _collapse(f1)
-        check_body(joined)
-        return sx.NULL_T, joined, v1
+        return joined, joined
     if isinstance(u, LinkField):
         fld = u.field
         target = _field_type(f1, fld)
@@ -450,9 +525,59 @@ def _infer_while(ctx, cls, e, F, V):
             raise CheckError(
                 SWITCH_SHAPE, f"field {fld!r} must have a TRUE/FALSE variant type"
             )
-        check_body(f1.set(fld, tu.case(TRUE)))
-        return sx.NULL_T, f1.set(fld, tu.case(FALSE)), v1
+        return f1.set(fld, tu.case(TRUE)), f1.set(fld, tu.case(FALSE))
     raise CheckError(SWITCH_SHAPE, f"cannot loop on condition type {u!r}")
+
+
+def _infer_return(ctx, e, F, V):
+    """Runtime `return e`: e runs in the object the outermost pending call
+    opened, a field of the current object. Its fields must support the
+    call's continuation, which the field holds afterwards; a returned tag
+    selects within a variant continuation."""
+    if not V.frames:
+        raise CheckError(INTERNAL_FORM, "return without a pending call")
+    frame = V.frames[0]
+    callee = _field_type(F, frame.field)
+    if not isinstance(callee, ObjectInternal):
+        raise CheckError(INTERNAL_FORM, f"field {frame.field!r} holds no open object")
+    t, fc, V = infer_expr(
+        ctx, ctx.program.cls(callee.cls), e.expr, callee.typing, replace(V, frames=V.frames[1:])
+    )
+    cont_u = unfold(frame.cont)
+    if isinstance(t, LinkThis):
+        if not isinstance(fc, VariantF):
+            raise CheckError(VARIANT_SHAPE_MISMATCH, "tag without a variant field typing")
+        if not isinstance(cont_u, VariantS):
+            # an enumeration result: the tag is a plain value, fields joined
+            V.consistent(callee.cls, frame.cont, _collapse(fc))
+            return EnumType(fc.labels), F.set(frame.field, frame.cont), V
+        for l, rec in fc.cases:
+            if l not in cont_u.labels:
+                raise CheckError(VARIANT_SHAPE_MISMATCH, f"tag {l} outside the variant")
+            V.consistent(callee.cls, cont_u.case(l), rec)
+        if len(fc.cases) == 1:
+            # a literal tag: the run has resolved the variant already
+            ((label, _),) = fc.cases
+            return (
+                _ResolvedLink(frame.field, label, frame.cont),
+                F.set(frame.field, cont_u.case(label)),
+                V,
+            )
+        return LinkField(frame.field), F.set(frame.field, frame.cont), V
+    if isinstance(t, LinkField):
+        raise CheckError(INTERNAL_FORM, "returning a tag bound to a field")
+    if not isinstance(fc, RecordF):
+        raise CheckError(VARIANT_SHAPE_MISMATCH, "returning with variant fields")
+    if isinstance(t, EnumType) and isinstance(cont_u, VariantS):
+        # an enumeration-typed body before a variant state: each label
+        # leads to the same fields (the uniform variant)
+        if not t.labels <= cont_u.labels:
+            raise CheckError(VARIANT_SHAPE_MISMATCH, "result labels outside the variant")
+        for l in sorted(t.labels):
+            V.consistent(callee.cls, cont_u.case(l), fc)
+        return LinkField(frame.field), F.set(frame.field, frame.cont), V
+    V.consistent(callee.cls, frame.cont, fc)
+    return t, F.set(frame.field, frame.cont), V
 
 
 # ---------------------------------------------------------------------------

@@ -112,3 +112,13 @@ def test_parse_error_exit_65(tmp_path, capsys):
     bad = tmp_path / "bad.mst"
     bad.write_text("class { nope }")
     assert main(["check", str(bad)]) == 65
+
+
+def test_run_unchecked_verify_states_exit_4(tmp_path, capsys):
+    from test_monitor import TAG_ARG_SELF_CALL
+
+    path = tmp_path / "tag_arg.mst"
+    path.write_text(TAG_ARG_SELF_CALL)
+    code, out, _ = run(["run", "--unchecked", "--verify-states", str(path)], capsys)
+    assert code == 4
+    assert out.startswith("VIOLATION StateIllTyped step=0 thread=t0")

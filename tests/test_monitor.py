@@ -382,3 +382,35 @@ def test_duplicate_endpoint_across_threads_detected():
     with pytest.raises(MonitorViolation) as err:
         mon.check_state(bad)
     assert err.value.kind in ("LinearityViolation", "StateIllTyped")
+
+
+# Runtime states the checker's source rules reject: a self-call whose tag
+# argument lies outside the annotation's parameter type, and an unknown class.
+TAG_ARG_SELF_CALL = (
+    "class M { session {Null go(Null): {}} k; go(x) { step(B) } "
+    "req Null k ens Null k  Null step({A} y) { null } } main M.go;"
+)
+UNKNOWN_CLASS = "class M { session {Null go(Null): {}} k; go(x) { k = new Nope(); null } } main M.go;"
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        (TAG_ARG_SELF_CALL, "ArgumentMismatch in go: argument of 'step' mismatches annotation"),
+        (UNKNOWN_CLASS, "UnknownClass in go: unknown class 'Nope'"),
+    ],
+    ids=["tag-argument", "unknown-class"],
+)
+def test_state_rejected_by_source_rule_is_ill_typed(text, verdict):
+    from mstlang.parser import parse_program
+    from mstlang.typechecker import check_program
+
+    prog = parse_program(text)
+    report, ctx = check_program(prog)
+    assert report.lines() == [f"CLASS M ERR {verdict}"]
+    mon = Monitor(prog, ctx)
+    with pytest.raises(MonitorViolation) as err:
+        mon.start(Interpreter(prog).initial_config())
+    assert err.value.kind == "StateIllTyped"
+    assert err.value.step == 0
+    assert verdict.split(" in go: ")[1] in err.value.detail
