@@ -1,7 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success / AllTerminated; 1 check failure or invalid trace;
-2 blocked run; 3 step limit; 4 monitor violation; 64 usage; 65 parse error.
+Exit codes: 0 success / AllTerminated; 1 check failure, invalid trace, or
+no runnable main under `run --unchecked`; 2 blocked run; 3 step limit;
+4 monitor violation; 64 usage; 65 parse error; 70 runtime fault, a state no
+checked program reaches (say an undeclared class or method under
+`run --unchecked`).
 """
 
 from __future__ import annotations
@@ -11,16 +14,18 @@ import sys
 
 from . import parser as psr
 from .channels import dual, translate_channel
-from .interpreter import Interpreter, format_event
+from .interpreter import Interpreter, MainMissing, RuntimeFault, format_event
 from .monitor import Monitor, MonitorViolation, TypeErrorTransition, parse_trace, replay_trace
 from .render import render_type
 from .subtyping import equivalent, subtype_session
+from .syntax import CoreError
 from .typechecker import check_program
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
 CHECK_EXIT = 1
 VIOLATION_EXIT = 4
+RUNTIME_FAULT_EXIT = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,6 +133,12 @@ def cmd_run(args) -> int:
     except MonitorViolation as v:
         print(str(v))
         return VIOLATION_EXIT
+    except MainMissing as e:
+        print(f"error: {e}", file=sys.stderr)
+        return CHECK_EXIT
+    except (RuntimeFault, CoreError) as e:
+        print(f"runtime fault: {e}", file=sys.stderr)
+        return RUNTIME_FAULT_EXIT
     print(outcome.describe())
     return outcome.exit_code
 

@@ -1,14 +1,17 @@
 """Runtime monitoring: maintains typing environments across reductions,
-re-checks every reached state against them, and validates per-object call
-traces against the session-type transition system.
+re-checks every reached state against them, and checks that each object's
+calls and returned labels are a path in its class session's transition
+system.
 
 Per thread the monitor keeps an environment mapping the heap roots (and any
 in-flight endpoints) to types; objects currently executing a method appear
 as nested internal types along the current path. A global channel
 environment maps endpoints to channel session types, advanced in lockstep on
-both sides of every communication. Call traces live in one global map since
-object identifiers are configuration-unique; they move (renamed) with object
-transfer.
+both sides of every communication. Protocol progress lives in one global map
+from object identifiers (configuration-unique) to the session states the
+object's calls and returned labels have reached, stepped through `lts_step`
+as each call or labelled return happens; entries move (renamed) with object
+transfer. The calls themselves are not kept.
 
 A thread's expression is re-checked by the static expression checker,
 `typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
@@ -132,21 +135,39 @@ def lts_step(s: SessionType, action) -> tuple:
     return (s,)
 
 
+def _fire(states, action) -> tuple:
+    """Successor states of one trace element from a set of states: forks over
+    the states and drops those that cannot fire; raises when none is left."""
+    nxt = []
+    last_err = None
+    for st in states:
+        try:
+            nxt.extend(lts_step(st, action))
+        except TypeErrorTransition as e:
+            last_err = e
+    if not nxt:
+        raise last_err or TypeErrorTransition(f"{action} from no reachable state")
+    return tuple(nxt)
+
+
+def _called(session: SessionType, method: str) -> tuple:
+    """Reached states of a root whose method has just been called with
+    null; () when the session cannot fire the call."""
+    try:
+        return _fire((session,), TraceCall(method, sx.NULL_T.canon()))
+    except TypeErrorTransition:
+        return ()
+
+
 def replay_trace(session: SessionType, trace) -> tuple:
     """All states reachable after the trace; raises at the first element
     that no current state can fire."""
     states = (session,)
     for pos, action in enumerate(trace, start=1):
-        nxt = []
-        last_err = None
-        for st in states:
-            try:
-                nxt.extend(lts_step(st, action))
-            except TypeErrorTransition as e:
-                last_err = e
-        if not nxt:
-            raise TypeErrorTransition(f"at position {pos}: {last_err}")
-        states = tuple(nxt)
+        try:
+            states = _fire(states, action)
+        except TypeErrorTransition as e:
+            raise TypeErrorTransition(f"at position {pos}: {e}") from None
     return states
 
 
@@ -160,50 +181,6 @@ def parse_trace(text: str) -> tuple:
         else:
             out.append(TraceCall(word))
     return tuple(out)
-
-
-def extend_traces(tr: dict, ev: StepEvent, before, resolved_param=None) -> dict:
-    """New call-trace map after one step: calls append the method to the
-    callee's trace, returns of labels append the label to the returning
-    object's trace, fresh objects start empty, object transfer renames."""
-    if ev.rule == "Call":
-        out = dict(tr)
-        out[ev.oid] = tr.get(ev.oid, ()) + (TraceCall(ev.method, resolved_param),)
-        return out
-    if ev.rule == "Return" and isinstance(ev.value, sx.LabelE):
-        th = before.threads[ev.threads[0]]
-        oid = th.heap.resolve_id(th.path)
-        out = dict(tr)
-        out[oid] = tr.get(oid, ()) + (TraceLabel(ev.value.label),)
-        return out
-    if ev.rule == "New":
-        out = dict(tr)
-        out[ev.oid] = ()
-        return out
-    if ev.rule == "Spawn":
-        # a spawned root starts as if its method had just been called
-        out = dict(tr)
-        out[ev.oid] = (TraceCall(ev.method, sx.NULL_T.canon()),)
-        return out
-    if ev.rule == "ComObj":
-        phi = dict(ev.phi)
-        return {phi.get(o, o): t for o, t in tr.items()}
-    return tr
-
-
-def traces_valid(program: sx.Program, tr: dict, conf) -> tuple:
-    """(True, None) when every object's trace replays from its class session;
-    otherwise (False, detail of the first offender)."""
-    for th in conf.threads:
-        for oid, rec in th.heap.entries:
-            decl = program.classes.get(rec.cls)
-            if decl is None:
-                return False, f"object {oid} has unknown class {rec.cls}"
-            try:
-                replay_trace(decl.session, tr.get(oid, ()))
-            except TypeErrorTransition as e:
-                return False, f"object {oid} ({rec.cls}): {e}"
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +258,8 @@ def env_set_field(gamma, path: Path, f: str, new_type) -> None:
 
 
 class Monitor:
-    """Tracks environments and traces; call on_step after every reduction."""
+    """Tracks environments and reached session states; call on_step after
+    every reduction."""
 
     def __init__(self, program, ctx: CheckContext, verify_states=True, verify_traces=True):
         self.program = program
@@ -291,10 +269,9 @@ class Monitor:
         self.envs = []  # ThreadEnv per thread
         self.theta = {}  # (chan, polarity) -> ChannelType
         self.theta_owner = {}  # (chan, polarity) -> thread index
-        self.traces = {}
         self.step_no = 0
         self._consistency_cache = {}
-        self._reached = {}  # oid -> tuple of session states after its trace
+        self._reached = {}  # oid -> session states its calls reached; () when stuck
 
     # -- setup ----------------------------------------------------------------
 
@@ -304,8 +281,7 @@ class Monitor:
         env = ThreadEnv()
         env.gamma[("obj", "top")] = ObjectInternal(cname, decl.initial_field_typing())
         self.envs = [env]
-        self.traces = {"top": (TraceCall(mname, sx.NULL_T.canon()),)}
-        self._reached = {}
+        self._reached = {"top": _called(decl.session, mname)}
         if self.verify_states:
             self.check_state(conf)
         if self.verify_traces:
@@ -316,49 +292,37 @@ class Monitor:
     def fault(self, kind, thread, detail):
         raise MonitorViolation(kind, self.step_no, thread, detail)
 
-    def _extend(self, ev, before, resolved_param=None):
-        """Extend traces and advance the cached per-object reached states."""
-        old = self.traces
-        self.traces = extend_traces(old, ev, before, resolved_param)
-        if ev.rule == "Call":
-            self._advance(ev.threads[0], ev.oid, TraceCall(ev.method, resolved_param))
-        elif ev.rule == "Return" and isinstance(ev.value, sx.LabelE):
+    def _extend(self, ev, before, param):
+        """Advance the per-object reached states over one step: calls and
+        returned labels step the object's states, fresh objects start at
+        their class session, object transfer renames."""
+        rule = ev.rule
+        if rule == "Call":
+            self._advance(ev.threads[0], ev.oid, TraceCall(ev.method, param))
+        elif rule == "Return" and isinstance(ev.value, sx.LabelE):
             th = before.threads[ev.threads[0]]
-            oid = th.heap.resolve_id(th.path)
-            self._advance(ev.threads[0], oid, TraceLabel(ev.value.label))
-        elif ev.rule == "New":
+            self._advance(ev.threads[0], th.heap.resolve_id(th.path), TraceLabel(ev.value.label))
+        elif rule == "New":
             self._reached[ev.oid] = (self.program.cls(ev.cls).session,)
-        elif ev.rule == "Spawn":
-            self._reached[ev.oid] = None  # filled lazily
-        elif ev.rule == "ComObj":
+        elif rule == "Spawn":
+            self._reached[ev.oid] = _called(self.program.cls(ev.cls).session, ev.method)
+        elif rule == "ComObj":
             phi = dict(ev.phi)
             self._reached = {phi.get(o, o): s for o, s in self._reached.items()}
 
     def _advance(self, thread, oid, action):
-        states = self._reached.get(oid)
-        if states is None:
-            return  # computed lazily on demand
-        nxt = []
-        for st in states:
-            try:
-                nxt.extend(lts_step(st, action))
-            except TypeErrorTransition:
-                pass
-        if not nxt:
+        try:
+            self._reached[oid] = _fire(self._reached.get(oid, ()), action)
+        except TypeErrorTransition:
+            self._reached[oid] = ()
             if self.verify_traces:
                 self.fault(TRACE_INVALID, thread, f"object {oid}: trace cannot fire {action}")
-            self._reached[oid] = None
-            return
-        self._reached[oid] = tuple(nxt)
 
-    def _reached_states(self, oid, cls_name):
+    def _reached_states(self, oid):
         states = self._reached.get(oid)
-        if states is None:
-            decl = self.program.classes.get(cls_name)
-            if decl is None:
-                raise TypeErrorTransition(f"unknown class {cls_name}")
-            states = replay_trace(decl.session, self.traces.get(oid, ()))
-            self._reached[oid] = states
+        if not states:
+            why = "no record of its calls" if states is None else "its calls reach no session state"
+            raise TypeErrorTransition(why)
         return states
 
     def _consistency_holds(self, cls_name, session, ftyping):
@@ -434,19 +398,16 @@ class Monitor:
 
     def track(self, before, ev: StepEvent, after):
         rule = ev.rule
-        if rule in ("While", "Switch", "SelfCall"):
-            if rule == "Switch":
-                env = self.envs[ev.threads[0]]
-                env.active_link = None  # a switched tag was resolved earlier
-            self._extend(ev, before)
-            return
-        handler = getattr(self, f"_track_{rule.lower()}")
-        handler(before, ev, after)
+        param = None  # the resolved parameter type of a call
+        if rule == "Switch":
+            self.envs[ev.threads[0]].active_link = None  # a switched tag was resolved earlier
+        elif rule not in ("While", "SelfCall"):
+            param = getattr(self, f"_track_{rule.lower()}")(before, ev, after)
+        self._extend(ev, before, param)
 
     def _track_new(self, before, ev, after):
         env = self.envs[ev.threads[0]]
         env.gamma[("obj", ev.oid)] = self.program.cls(ev.cls).session
-        self._extend(ev, before)
 
     def _track_seq(self, before, ev, after):
         i = ev.threads[0]
@@ -458,7 +419,6 @@ class Monitor:
             env.gamma.pop(("chan", v.chan, v.polarity), None)
         elif isinstance(v, sx.LabelE) and env.active_link is not None:
             self.fault(TRACKING_FAULT, i, "a tag bound to a field was discarded")
-        self._extend(ev, before)
 
     def _track_swap(self, before, ev, after):
         i = ev.threads[0]
@@ -494,7 +454,6 @@ class Monitor:
             env.active_link = ActiveLink(path, old_type.field, target)
 
         env_set_field(env.gamma, path, f, t_in)
-        self._extend(ev, before)
 
     def _track_call(self, before, ev, after):
         i = ev.threads[0]
@@ -520,7 +479,7 @@ class Monitor:
         witness = self._opening_witness(callee, branch, th.heap, i)
         env.frames.append(Frame(f, callee.cls, entry.cont))
         env_set_field(env.gamma, path, f, ObjectInternal(callee.cls, witness))
-        self._extend(ev, before, resolved_param=entry.param.canon())
+        return entry.param.canon()
 
     def _opening_witness(self, callee, branch, heap, thread):
         candidates = self.ctx.witnesses_for(callee.cls, branch)
@@ -536,7 +495,7 @@ class Monitor:
     def _record_conforms(self, rec, ftyping, heap) -> bool:
         """Does a heap record inhabit a record field typing? Fields of variant
         session type are resolved through their sibling tag first (the actual
-        session type), then objects are checked by replaying their traces."""
+        session type), then objects are checked by their reached session states."""
         if not isinstance(ftyping, RecordF):
             return False
         if set(rec.field_names) != set(ftyping.fields):
@@ -579,9 +538,8 @@ class Monitor:
             if isinstance(v, sx.ObjIdE):
                 if not heap.has(v.oid):
                     return False
-                child = heap.record(v.oid)
                 try:
-                    reached = self._reached_states(v.oid, child.cls)
+                    reached = self._reached_states(v.oid)
                 except TypeErrorTransition:
                     return False
                 return any(subtype_session(r, t) for r in reached)
@@ -620,7 +578,6 @@ class Monitor:
         else:
             self._consistent(frame.cls, frame.cont, inner.typing, i)
             env_set_at(env.gamma, path, frame.cont)
-        self._extend(ev, before)
 
     def _track_spawn(self, before, ev, after):
         if not isinstance(ev.arg, sx.NullE):
@@ -629,7 +586,6 @@ class Monitor:
         env = ThreadEnv()
         env.gamma[("obj", ev.oid)] = ObjectInternal(ev.cls, decl.initial_field_typing())
         self.envs.append(env)
-        self._extend(ev, before)
 
     def _track_init(self, before, ev, after):
         i, j = ev.threads
@@ -640,7 +596,6 @@ class Monitor:
         self.theta_owner[(ev.chan, "-")] = j
         self.envs[i].gamma[("chan", ev.chan, "+")] = translate_channel(sigma)
         self.envs[j].gamma[("chan", ev.chan, "-")] = translate_channel(dual(sigma))
-        self._extend(ev, before)
 
     def _com_sides(self, before, ev):
         """Sender/receiver thread indices, fields and endpoint polarities."""
@@ -713,7 +668,6 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, j, f"receive on channel of type {render_type(sig_r)}")
         self.theta[key_r] = new_r
-        self._extend(ev, before)
 
     def _track_comobj(self, before, ev, after):
         i, j, th_s, th_r, f_s, f_r, pol = self._com_sides(before, ev)
@@ -739,7 +693,6 @@ class Monitor:
         self.theta[key_r] = sig_r.cont
         env_set_field(env_s.gamma, th_s.path, f_s, translate_channel(sig_s.cont))
         env_set_field(env_r.gamma, th_r.path, f_r, translate_channel(sig_r.cont))
-        self._extend(ev, before)
 
     # -- state checking ---------------------------------------------------------
 
@@ -823,11 +776,11 @@ class Monitor:
                 self.fault(DUALITY, self.theta_owner.get((c, "+"), 0), f"channel {c} endpoints not dual")
 
     def check_traces(self, conf):
-        # every heap object's trace replays from its class's session
+        # every heap object's calls have reached a state of its class session
         for i, th in enumerate(conf.threads):
             for oid, rec in th.heap.entries:
                 try:
-                    self._reached_states(oid, rec.cls)
+                    self._reached_states(oid)
                 except TypeErrorTransition as e:
                     self.fault(TRACE_INVALID, i, f"object {oid} ({rec.cls}): {e}")
         # consistency with the tracked environments: a session-typed root's
@@ -842,9 +795,8 @@ class Monitor:
                     continue  # resolved through the tag holder, checked elsewhere
                 if not th.heap.has(key[1]):
                     continue  # cross-thread shape errors are reported by check_state
-                rec = th.heap.record(key[1])
                 try:
-                    reached = self._reached_states(key[1], rec.cls)
+                    reached = self._reached_states(key[1])
                 except TypeErrorTransition as e:
                     self.fault(TRACE_INVALID, i, str(e))
                 if not any(subtype_session(r, t) for r in reached):

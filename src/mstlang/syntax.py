@@ -59,11 +59,11 @@ class Type:
     def canon(self):
         c = getattr(self, "_canon", None)
         if c is None:
-            c = self._canonical((), {})
+            c = self._canonical(())
             object.__setattr__(self, "_canon", c)
         return c
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -72,10 +72,6 @@ class Type:
         if not isinstance(other, Type):
             return NotImplemented
         return self.canon() == other.canon()
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash(self.canon())
@@ -127,7 +123,7 @@ class Labelled:
 class NullType(ValueType):
     __slots__ = ()
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return ("null",)
 
 
@@ -145,7 +141,7 @@ class EnumType(ValueType):
             raise ValueError("enumerated types have at least one label")
         object.__setattr__(self, "labels", frozenset(self.labels))
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return ("enum", tuple(sorted(self.labels)))
 
 
@@ -153,7 +149,7 @@ class EnumType(ValueType):
 class LinkThis(ValueType):
     __slots__ = ()
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return ("linkthis",)
 
 
@@ -168,7 +164,7 @@ class LinkField(ValueType):
 
     __slots__ = ("field",)
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return ("link", self.field)
 
 
@@ -181,12 +177,12 @@ class MethodSig:
     result: ValueType
     cont: SessionType
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return (
             self.name,
-            self.param._canonical(bound, memo),
-            self.result._canonical(bound, memo),
-            self.cont._canonical(bound, memo),
+            self.param._canonical(bound),
+            self.result._canonical(bound),
+            self.cont._canonical(bound),
         )
 
 
@@ -199,8 +195,8 @@ class Branch(SessionType):
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    def _canonical(self, bound, memo):
-        ents = sorted(e._canonical(bound, memo) for e in self.entries)
+    def _canonical(self, bound):
+        ents = sorted(e._canonical(bound) for e in self.entries)
         return ("branch", tuple(ents))
 
     def named(self, name):
@@ -225,8 +221,8 @@ class VariantS(Labelled, SessionType):
             raise ValueError("duplicate variant label")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound, memo):
-        cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
+    def _canonical(self, bound):
+        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
         return ("variant", tuple(cs))
 
 
@@ -237,8 +233,8 @@ class RecS(SessionType):
 
     __slots__ = ("var", "body")
 
-    def _canonical(self, bound, memo):
-        return ("rec", self.body._canonical(bound + (("s", self.var),), memo))
+    def _canonical(self, bound):
+        return ("rec", self.body._canonical(bound + (("s", self.var),)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -247,7 +243,7 @@ class VarS(SessionType):
 
     __slots__ = ("name",)
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         for i in range(len(bound) - 1, -1, -1):
             if bound[i] == ("s", self.name):
                 return ("var", len(bound) - 1 - i)
@@ -261,7 +257,7 @@ class VarS(SessionType):
 class ChanEnd(ChannelType):
     __slots__ = ()
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         return ("end",)
 
 
@@ -275,8 +271,8 @@ class ChanRecv(ChannelType):
 
     __slots__ = ("payload", "cont")
 
-    def _canonical(self, bound, memo):
-        return ("recv", self.payload._canonical(bound, memo), self.cont._canonical(bound, memo))
+    def _canonical(self, bound):
+        return ("recv", self.payload._canonical(bound), self.cont._canonical(bound))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -286,8 +282,8 @@ class ChanSend(ChannelType):
 
     __slots__ = ("payload", "cont")
 
-    def _canonical(self, bound, memo):
-        return ("send", self.payload._canonical(bound, memo), self.cont._canonical(bound, memo))
+    def _canonical(self, bound):
+        return ("send", self.payload._canonical(bound), self.cont._canonical(bound))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -302,8 +298,8 @@ class ChanOffer(Labelled, ChannelType):
             raise ValueError("offer types have at least one label")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound, memo):
-        cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
+    def _canonical(self, bound):
+        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
         return ("offer", tuple(cs))
 
 
@@ -319,8 +315,8 @@ class ChanSelect(Labelled, ChannelType):
             raise ValueError("select types have at least one label")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound, memo):
-        cs = sorted((l, s._canonical(bound, memo)) for l, s in self.cases)
+    def _canonical(self, bound):
+        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
         return ("select", tuple(cs))
 
 
@@ -331,8 +327,8 @@ class RecC(ChannelType):
 
     __slots__ = ("var", "body")
 
-    def _canonical(self, bound, memo):
-        return ("recc", self.body._canonical(bound + (("c", self.var),), memo))
+    def _canonical(self, bound):
+        return ("recc", self.body._canonical(bound + (("c", self.var),)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -341,7 +337,7 @@ class VarC(ChannelType):
 
     __slots__ = ("name",)
 
-    def _canonical(self, bound, memo):
+    def _canonical(self, bound):
         for i in range(len(bound) - 1, -1, -1):
             if bound[i] == ("c", self.name):
                 return ("var", len(bound) - 1 - i)
@@ -356,8 +352,8 @@ class AccessPointType(Type):
 
     __slots__ = ("protocol",)
 
-    def _canonical(self, bound, memo):
-        return ("access", self.protocol._canonical(bound, memo))
+    def _canonical(self, bound):
+        return ("access", self.protocol._canonical(bound))
 
 
 # Field typings --------------------------------------------------------------
@@ -396,8 +392,8 @@ class RecordF(FieldTyping):
     def fields(self):
         return tuple(n for n, _ in self.items)
 
-    def _canonical(self, bound, memo):
-        its = sorted((n, t._canonical(bound, memo)) for n, t in self.items)
+    def _canonical(self, bound):
+        its = sorted((n, t._canonical(bound)) for n, t in self.items)
         return ("record", tuple(its))
 
 
@@ -418,8 +414,8 @@ class VariantF(Labelled, FieldTyping):
                 raise ValueError("nested variant field typings are not permitted")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound, memo):
-        cs = sorted((l, f._canonical(bound, memo)) for l, f in self.cases)
+    def _canonical(self, bound):
+        cs = sorted((l, f._canonical(bound)) for l, f in self.cases)
         return ("variantf", tuple(cs))
 
 
@@ -432,8 +428,8 @@ class ObjectInternal(Type):
 
     __slots__ = ("cls", "typing")
 
-    def _canonical(self, bound, memo):
-        return ("object", self.cls, self.typing._canonical(bound, memo))
+    def _canonical(self, bound):
+        return ("object", self.cls, self.typing._canonical(bound))
 
 
 def null_record(fields: Iterable[str]) -> RecordF:
@@ -721,6 +717,16 @@ def is_value(e: Expr) -> bool:
 
 def subst_expr(e: Expr, var: str, value: Expr) -> Expr:
     """Replace the method parameter `var` by a value throughout a body."""
+    if isinstance(e, SeqE):
+        # the right spine of a statement sequence is walked with a loop
+        firsts = []
+        while isinstance(e, SeqE):
+            firsts.append(subst_expr(e.first, var, value))
+            e = e.second
+        out = subst_expr(e, var, value)
+        for first in reversed(firsts):
+            out = SeqE(first, out)
+        return out
     if isinstance(e, VarE):
         return value if e.name == var else e
     if isinstance(e, SwapE):
@@ -729,8 +735,6 @@ def subst_expr(e: Expr, var: str, value: Expr) -> Expr:
         return CallE(e.field, e.method, subst_expr(e.arg, var, value))
     if isinstance(e, SelfCallE):
         return SelfCallE(e.method, subst_expr(e.arg, var, value))
-    if isinstance(e, SeqE):
-        return SeqE(subst_expr(e.first, var, value), subst_expr(e.second, var, value))
     if isinstance(e, SwitchE):
         return SwitchE(
             subst_expr(e.subject, var, value),
@@ -999,6 +1003,9 @@ def endpoints_of(e: Expr) -> set:
     out = set()
 
     def walk(x):
+        while isinstance(x, SeqE):  # the right spine of a sequence, with a loop
+            walk(x.first)
+            x = x.second
         if isinstance(x, EndpointE):
             out.add((x.chan, x.polarity))
         elif isinstance(x, (SwapE, ReturnE)):
@@ -1009,9 +1016,6 @@ def endpoints_of(e: Expr) -> set:
             walk(x.arg)
         elif isinstance(x, SpawnE):
             walk(x.arg)
-        elif isinstance(x, SeqE):
-            walk(x.first)
-            walk(x.second)
         elif isinstance(x, SwitchE):
             walk(x.subject)
             for _, b in x.cases:

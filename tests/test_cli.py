@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import CORPUS
 from mstlang.cli import main
 
@@ -122,3 +124,25 @@ def test_run_unchecked_verify_states_exit_4(tmp_path, capsys):
     code, out, _ = run(["run", "--unchecked", "--verify-states", str(path)], capsys)
     assert code == 4
     assert out.startswith("VIOLATION StateIllTyped step=0 thread=t0")
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("class M { session {Null go(Null): {}} k; go(x) { k = new Nope(); null } } main M.go;",
+         "runtime fault: undeclared class 'Nope'\n"),
+        ("class M { session {Null go(Null): {}} k; go(x) { k = new M(); k.zap(null) } } main M.go;",
+         "runtime fault: class M has no method 'zap'\n"),
+    ],
+    ids=["undeclared-class", "undefined-method"],
+)
+def test_run_unchecked_runtime_fault_exit_70(tmp_path, capsys, text, detail):
+    path = tmp_path / "fault.mst"
+    path.write_text(text)
+    code, out, err = run(["run", "--unchecked", str(path)], capsys)
+    assert (code, out, err) == (70, "", detail)
+
+
+def test_run_unchecked_main_missing_exit_1(capsys):
+    code, out, err = run(["run", "--unchecked", str(CORPUS / "algexample.mst")], capsys)
+    assert (code, out, err) == (1, "", "error: program has no main designation\n")

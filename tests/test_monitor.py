@@ -9,11 +9,9 @@ from mstlang.monitor import (
     TraceCall,
     TraceLabel,
     TypeErrorTransition,
-    extend_traces,
     lts_step,
     parse_trace,
     replay_trace,
-    traces_valid,
 )
 from mstlang.parser import parse_session_type as pt
 from mstlang.subtyping import equivalent
@@ -70,45 +68,62 @@ def test_replay_file_traces(file_prog):
     assert "position 3" in str(err.value)
 
 
-def test_extend_traces_clauses():
-    prog, report, ctx = load_checked("reduction_ex.mst")
-    interp = Interpreter(prog)
-    conf = interp.initial_config()
-    tr = {"top": (TraceCall("run"),)}
-    seen_new = seen_call = seen_return = False
-    while True:
-        step = interp.step(conf)
-        if step is None:
-            break
-        before = conf
-        conf, ev = step
-        tr2 = extend_traces(tr, ev, before)
-        if ev.rule == "New":
-            assert tr2[ev.oid] == ()
-            seen_new = True
-        elif ev.rule == "Call":
-            assert tr2[ev.oid][-1] == TraceCall(ev.method, None)
-            seen_call = True
-        elif ev.rule == "Return" and isinstance(ev.value, LabelE):
-            oid = before.threads[0].heap.resolve_id(before.threads[0].path)
-            assert tr2[oid][-1] == TraceLabel(ev.value.label)
-            seen_return = True
-        elif ev.rule == "Return":
-            assert tr2 == tr
-        tr = tr2
-    assert seen_new and seen_call and seen_return
-    ok, detail = traces_valid(prog, tr, conf)
-    assert ok, detail
+def _successors(states, action):
+    return tuple(nxt for st in states for nxt in lts_step(st, action))
 
 
-def test_traces_valid_reports_offender(file_prog):
-    prog = file_prog
+def test_reached_state_clauses():
+    # New seeds the class session; calls, returned labels and spawns step the
+    # reached states; object transfer renames them; nothing else touches them
+    seen = set()
+    for name in ["reduction_ex.mst", "progs/p05_transfer.mst"]:
+        prog, report, ctx = load_checked(name)
+        interp = Interpreter(prog)
+        mon = Monitor(prog, ctx)
+        conf = interp.initial_config()
+        mon.start(conf)
+        cname, mname = prog.main
+        assert mon._reached == {"top": lts_step(prog.classes[cname].session, TraceCall(mname))}
+        step_no = 0
+        while (step := interp.step(conf)) is not None:
+            step_no += 1
+            before, old = conf, dict(mon._reached)
+            conf, ev = step
+            mon.on_step(step_no, before, ev, conf)
+            new = mon._reached
+            if ev.rule == "New":
+                assert new == {**old, ev.oid: (prog.classes[ev.cls].session,)}
+            elif ev.rule == "Call":
+                assert new == {**old, ev.oid: _successors(old[ev.oid], TraceCall(ev.method))}
+            elif ev.rule == "Return" and isinstance(ev.value, LabelE):
+                th = before.threads[ev.threads[0]]
+                oid = th.heap.resolve_id(th.path)
+                assert new == {**old, oid: _successors(old[oid], TraceLabel(ev.value.label))}
+            elif ev.rule == "Spawn":
+                cls = prog.classes[ev.cls]
+                assert new == {**old, ev.oid: lts_step(cls.session, TraceCall(ev.method))}
+            elif ev.rule == "ComObj":
+                phi = dict(ev.phi)
+                assert set(phi) <= set(old) and not set(phi.values()) & set(old)
+                assert new == {phi.get(o, o): s for o, s in old.items()}
+            else:
+                assert new == old
+                continue
+            seen.add(ev.rule)
+        assert all(mon._reached[oid] for th in conf.threads for oid in th.heap.ids)
+    assert seen == {"New", "Call", "Return", "Spawn", "ComObj"}
+
+
+def test_check_traces_reports_object_without_record():
+    prog, report, ctx = load_checked("file.mst")
     from mstlang.syntax import Configuration, Heap, ObjectRecord, Path, Thread, NULL_E
 
     heap = Heap().add("o", ObjectRecord("File", (("state", NULL_E),)))
     conf = Configuration(threads=(Thread(heap, Path("o"), NULL_E),))
-    ok, detail = traces_valid(prog, {"o": (TraceCall("read"),)}, conf)
-    assert not ok and "o" in detail
+    with pytest.raises(MonitorViolation) as err:
+        Monitor(prog, ctx).check_traces(conf)
+    assert err.value.kind == "TraceInvalid"
+    assert err.value.detail.startswith("object o (File): ")
 
 
 # -- tracked environments -------------------------------------------------------
@@ -257,10 +272,9 @@ def test_trace_violation_detected_on_bad_trace():
         before = conf
         conf, ev = interp.step(conf)
         mon.on_step(i + 1, before, ev, conf)
-    # corrupt the recorded trace of the file object
+    # corrupt the recorded progress of the file object: no state reached
     target = next(oid for th in conf.threads for oid, rec in th.heap.entries if rec.cls == "File")
-    mon.traces[target] = (TraceCall("read", None),)
-    mon._reached.pop(target, None)
+    mon._reached[target] = ()
     with pytest.raises(MonitorViolation) as err:
         mon.check_traces(conf)
     assert err.value.kind == "TraceInvalid"
