@@ -4,7 +4,9 @@ Exit codes: 0 success / AllTerminated; 1 check failure, invalid trace, or
 no runnable main under `run --unchecked`; 2 blocked run; 3 step limit;
 4 monitor violation; 64 usage; 65 parse error; 70 runtime fault, a state no
 checked program reaches (say an undeclared class or method under
-`run --unchecked`).
+`run --unchecked`), or internal error: any other exception, in every
+subcommand, is reported as one `internal error: <Type>: <message>` line on
+stderr (say the `RecursionError` of a body too long for the parser).
 """
 
 from __future__ import annotations
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
             code = cmd_trace(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return RUNTIME_FAULT_EXIT
     return code
 
 

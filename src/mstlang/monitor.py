@@ -1,5 +1,5 @@
 """Runtime monitoring: maintains typing environments across reductions,
-re-checks every reached state against them, and checks that each object's
+re-checks the reached states against them, and checks that each object's
 calls and returned labels are a path in its class session's transition
 system.
 
@@ -12,6 +12,17 @@ from object identifiers (configuration-unique) to the session states the
 object's calls and returned labels have reached, stepped through `lts_step`
 as each call or labelled return happens; entries move (renamed) with object
 transfer. The calls themselves are not kept.
+
+`start` checks every thread and channel of the initial configuration; after
+each step only the threads that took part in it (and a spawned one) and the
+channel it communicated on are re-checked. That is exact, not a sample: an
+untouched thread's heap, path, expression and environment are unchanged, and
+the channel types and reached states it depends on change only for the
+step's channel, whose two ends the linearity check pins to the two touched
+threads, and for objects of touched threads. Its verdict would repeat the one
+it already passed. The cross-thread checks (an object or endpoint in two
+threads) compare per-thread object ids and endpoints kept from earlier steps
+and recomputed for the touched threads only.
 
 A thread's expression is re-checked by the static expression checker,
 `typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
@@ -272,6 +283,8 @@ class Monitor:
         self.step_no = 0
         self._consistency_cache = {}
         self._reached = {}  # oid -> session states its calls reached; () when stuck
+        self._ids = {}  # thread -> its heap's object ids, as of its last step
+        self._eps = {}  # thread -> endpoints in its heap and expression, likewise
 
     # -- setup ----------------------------------------------------------------
 
@@ -282,10 +295,19 @@ class Monitor:
         env.gamma[("obj", "top")] = ObjectInternal(cname, decl.initial_field_typing())
         self.envs = [env]
         self._reached = {"top": _called(decl.session, mname)}
+        self._recheck(conf)
+
+    def _recheck(self, conf, threads=None, chans=None):
+        """Check the given threads (ascending) and channels, every one when
+        None."""
+        if threads is None:
+            threads = range(len(conf.threads))
         if self.verify_states:
-            self.check_state(conf)
+            self.check_state(conf, threads, chans)
+        else:
+            self._keep_shape(conf, threads)  # read by the third-party check
         if self.verify_traces:
-            self.check_traces(conf)
+            self.check_traces(conf, threads)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -391,10 +413,8 @@ class Monitor:
     def on_step(self, step_no, before, ev: StepEvent, after):
         self.step_no = step_no
         self.track(before, ev, after)
-        if self.verify_states:
-            self.check_state(after)
-        if self.verify_traces:
-            self.check_traces(after)
+        spawned = (ev.new_thread,) if ev.rule == "Spawn" else ()
+        self._recheck(after, sorted(ev.threads + spawned), (ev.chan,) if ev.chan else ())
 
     def track(self, before, ev: StepEvent, after):
         rule = ev.rule
@@ -607,11 +627,8 @@ class Monitor:
         return i, j, th_s, th_r, redex_s.field, redex_r.field, ep_s.polarity
 
     def _check_third_party(self, conf, chan, i, j):
-        for k, th in enumerate(conf.threads):
-            if k in (i, j):
-                continue
-            eps = {c for c, _ in sx.heap_endpoints(th.heap) | sx.endpoints_of(th.expr)}
-            if chan in eps:
+        for k in range(len(conf.threads)):
+            if k not in (i, j) and ((chan, "+") in self._eps[k] or (chan, "-") in self._eps[k]):
                 self.fault(LINEARITY, k, f"channel {chan} occurs in a third thread")
 
     def _track_combase(self, before, ev, after):
@@ -696,30 +713,42 @@ class Monitor:
 
     # -- state checking ---------------------------------------------------------
 
-    def check_state(self, conf):
-        self._check_global_shape(conf)
-        for i, th in enumerate(conf.threads):
-            env = self.envs[i]
+    def check_state(self, conf, threads=None, chans=None):
+        """Check the given threads (ascending) and the duality of the given
+        channels, every one when None; the others passed at an earlier step
+        and have not changed since."""
+        if threads is None:
+            threads = range(len(conf.threads))
+        self._keep_shape(conf, threads)
+        self._check_global_shape(conf, threads)
+        for i in threads:
+            th, env = conf.threads[i], self.envs[i]
             self._check_heap_agreement(i, th, env)
             self._check_expression(i, th, env)
-        self._check_duality()
+        self._check_duality(chans)
 
-    def _check_global_shape(self, conf):
-        seen = {}
-        for i, th in enumerate(conf.threads):
-            if not th.heap.is_complete():
+    def _keep_shape(self, conf, threads):
+        for i in threads:
+            th = conf.threads[i]
+            self._ids[i] = th.heap.ids
+            self._eps[i] = sx.heap_endpoints(th.heap) | sx.endpoints_of(th.expr)
+
+    def _check_global_shape(self, conf, threads):
+        seen = set()
+        for i in range(len(conf.threads)):
+            if i in threads and not conf.threads[i].heap.is_complete():
                 self.fault(STATE_ILL_TYPED, i, "incomplete heap")
-            for oid in th.heap.ids:
+            for oid in self._ids[i]:
                 if oid in seen:
                     self.fault(STATE_ILL_TYPED, i, f"object {oid} lives in two threads")
-                seen[oid] = i
+                seen.add(oid)
         # at most one occurrence of each endpoint polarity across the system
-        eps = {}
-        for i, th in enumerate(conf.threads):
-            for c, p in sx.heap_endpoints(th.heap) | sx.endpoints_of(th.expr):
-                if (c, p) in eps:
+        seen = set()
+        for i in range(len(conf.threads)):
+            for c, p in self._eps[i]:
+                if (c, p) in seen:
                     self.fault(LINEARITY, i, f"endpoint {c}{p} occurs twice")
-                eps[(c, p)] = i
+                seen.add((c, p))
 
     def _check_heap_agreement(self, i, th, env: ThreadEnv):
         roots = set(th.heap.roots())
@@ -764,20 +793,25 @@ class Monitor:
         except CheckError as e:
             self.fault(STATE_ILL_TYPED, i, f"expression re-check failed: {e}")
 
-    def _check_duality(self):
-        for (c, p), sigma in self.theta.items():
-            if p != "+":
-                continue
-            other = self.theta.get((c, "-"))
-            if other is None:
+    def _check_duality(self, chans):
+        if chans is None:
+            chans = [c for c, p in self.theta if p == "+"]
+        for c in chans:
+            sigma, other = self.theta.get((c, "+")), self.theta.get((c, "-"))
+            if sigma is None or other is None:
                 continue
             want = dual(sigma)
             if not (subtype_channel(want, other) and subtype_channel(other, want)):
                 self.fault(DUALITY, self.theta_owner.get((c, "+"), 0), f"channel {c} endpoints not dual")
 
-    def check_traces(self, conf):
+    def check_traces(self, conf, threads=None):
+        """Check the objects and tracked roots of the given threads
+        (ascending), every thread when None."""
+        if threads is None:
+            threads = range(len(conf.threads))
         # every heap object's calls have reached a state of its class session
-        for i, th in enumerate(conf.threads):
+        for i in threads:
+            th = conf.threads[i]
             for oid, rec in th.heap.entries:
                 try:
                     self._reached_states(oid)
@@ -785,8 +819,8 @@ class Monitor:
                     self.fault(TRACE_INVALID, i, f"object {oid} ({rec.cls}): {e}")
         # consistency with the tracked environments: a session-typed root's
         # trace must lead to (a subtype of) its tracked state
-        for i, th in enumerate(conf.threads):
-            env = self.envs[i]
+        for i in threads:
+            th, env = conf.threads[i], self.envs[i]
             for key, t in env.gamma.items():
                 if key[0] != "obj" or not isinstance(t, SessionType):
                     continue

@@ -146,3 +146,13 @@ def test_run_unchecked_runtime_fault_exit_70(tmp_path, capsys, text, detail):
 def test_run_unchecked_main_missing_exit_1(capsys):
     code, out, err = run(["run", "--unchecked", str(CORPUS / "algexample.mst")], capsys)
     assert (code, out, err) == (1, "", "error: program has no main designation\n")
+
+
+def test_internal_error_exit_70(tmp_path, capsys):
+    # a straight-line body deeper than the parser's recursion allows
+    body = " ".join(["f = null;"] * 1000)
+    path = tmp_path / "long.mst"
+    path.write_text(f"class L {{ session {{Null go(Null): {{}}}} f; go(x) {{ {body} null }} }} main L.go;")
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out) == (70, "")
+    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1

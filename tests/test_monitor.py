@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from conftest import load_checked
+from conftest import DEADLOCKS, RUNNABLE, load_checked
 from mstlang.channels import dual
 from mstlang.interpreter import Interpreter
 from mstlang.monitor import (
@@ -13,14 +15,19 @@ from mstlang.monitor import (
     parse_trace,
     replay_trace,
 )
+from mstlang.parser import parse_channel_type, parse_program
 from mstlang.parser import parse_session_type as pt
 from mstlang.subtyping import equivalent
 from mstlang.syntax import (
+    EndpointE,
     LabelE,
     ObjectInternal,
+    Thread,
     VariantS,
     unfold,
 )
+from mstlang.typechecker import check_program
+from progen import generate
 
 
 def monitored_run(name, limit=2000, seed=None, states=True, traces=True):
@@ -293,7 +300,7 @@ def test_unchecked_program_raises_tracking_fault():
     }
     main M.go;
     """
-    from mstlang.parser import parse_program
+    from mstlang.parser import parse_channel_type, parse_program
     from mstlang.typechecker import check_program
 
     prog = parse_program(text)
@@ -416,7 +423,7 @@ UNKNOWN_CLASS = "class M { session {Null go(Null): {}} k; go(x) { k = new Nope()
     ids=["tag-argument", "unknown-class"],
 )
 def test_state_rejected_by_source_rule_is_ill_typed(text, verdict):
-    from mstlang.parser import parse_program
+    from mstlang.parser import parse_channel_type, parse_program
     from mstlang.typechecker import check_program
 
     prog = parse_program(text)
@@ -428,3 +435,159 @@ def test_state_rejected_by_source_rule_is_ill_typed(text, verdict):
     assert err.value.kind == "StateIllTyped"
     assert err.value.step == 0
     assert verdict.split(" in go: ")[1] in err.value.detail
+
+
+# -- re-checking only what a step touched ------------------------------------
+
+
+class FullRecheckMonitor(Monitor):
+    """Reference: re-checks every thread and channel after every step."""
+
+    def on_step(self, step_no, before, ev, after):
+        self.step_no = step_no
+        self.track(before, ev, after)
+        self._recheck(after)
+
+
+def run_outcome(monitor_cls, prog, ctx, seed, limit, states, traces):
+    # a copy of the checker's witness table per run: the monitor's
+    # consistency checks add to it, and that can change a later run's verdict
+    ctx = replace(ctx, witnesses={k: list(v) for k, v in ctx.witnesses.items()})
+    interp = Interpreter(prog)
+    mon = monitor_cls(prog, ctx, verify_states=states, verify_traces=traces)
+    try:
+        mon.start(interp.initial_config())
+        outcome, events, _ = interp.run(limit, seed=seed, observer=mon.on_step)
+    except MonitorViolation as v:
+        return ("violation", v.kind, v.step, v.thread, v.detail)
+    except Exception as e:  # interpreter faults of checker-rejected programs
+        return ("fault", type(e).__name__, str(e))
+    return (outcome.kind, len(events))
+
+
+FLAG_SETS = [(True, True), (True, False), (False, True)]
+
+
+def assert_same_outcomes(prog, ctx, limit):
+    outcomes = []
+    for seed in (None, 1, 2):
+        for states, traces in FLAG_SETS:
+            full = run_outcome(FullRecheckMonitor, prog, ctx, seed, limit, states, traces)
+            delta = run_outcome(Monitor, prog, ctx, seed, limit, states, traces)
+            assert delta == full, (seed, states, traces)
+            outcomes.append(delta)
+    return outcomes
+
+
+def test_delta_recheck_matches_full_recheck_on_corpus():
+    for name in RUNNABLE + DEADLOCKS:
+        prog, _, ctx = load_checked(name)
+        for outcome in assert_same_outcomes(prog, ctx, 200):
+            assert outcome[0] in ("terminated", "blocked", "limit"), (name, outcome)
+
+
+def test_delta_recheck_matches_full_recheck_on_generated_programs():
+    verdicts = set()
+    violations = 0
+    for n in range(80):
+        prog = parse_program(generate(n))
+        report, ctx = check_program(prog)
+        verdicts.add(report.ok)
+        outcomes = assert_same_outcomes(prog, ctx, 60)
+        violations += sum(o[0] == "violation" for o in outcomes)
+    assert verdicts == {True, False} and violations > 0
+
+
+def test_linearity_checked_through_the_delta():
+    # a thread-local step whose result hands one thread an endpoint that an
+    # untouched thread still holds: only the kept endpoint sets can see it
+    prog, report, ctx = load_checked("progs/p09_two_pairs.mst")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    step_no, chan = 0, None
+    while True:
+        step_no += 1
+        before = conf
+        conf, ev = interp.step(before)
+        if chan is not None and len(ev.threads) == 1 and ev.threads[0] != holder:
+            break
+        mon.on_step(step_no, before, ev, conf)
+        if ev.rule == "Init":
+            chan, holder = ev.chan, ev.threads[1]  # the requester holds chan-
+    i = ev.threads[0]
+    th = conf.threads[i]
+    rec = th.heap.record(th.path.root)
+    bad_rec = rec.set(rec.field_names[0], EndpointE(chan, "-"))
+    bad = conf.with_thread(i, Thread(th.heap.replace(th.path.root, bad_rec), th.path, th.expr))
+    with pytest.raises(MonitorViolation) as err:
+        mon.on_step(step_no, before, ev, bad)
+    assert (err.value.kind, err.value.step, err.value.thread, err.value.detail) == (
+        "LinearityViolation", step_no, max(i, holder), f"endpoint {chan}- occurs twice"
+    )
+
+
+def test_duality_checked_on_the_step_channel():
+    # the receiver's channel type is planted so that the communication
+    # leaves it one action longer than the sender's: each thread still
+    # agrees with its own endpoint, only the channel's duality fails
+    prog, report, ctx = load_checked("progs/p09_two_pairs.mst")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    step_no = 0
+    while True:
+        step_no += 1
+        before = conf
+        conf, ev = interp.step(before)
+        if ev.rule == "ComBase":
+            break
+        mon.on_step(step_no, before, ev, conf)
+    _, receiver = ev.threads
+    pol = next(p for (c, p), owner in mon.theta_owner.items() if c == ev.chan and owner == receiver)
+    mon.theta[(ev.chan, pol)] = parse_channel_type("?{PING}.!{PING}.End")
+    with pytest.raises(MonitorViolation) as err:
+        mon.on_step(step_no, before, ev, conf)
+    assert (err.value.kind, err.value.step, err.value.detail) == (
+        "DualityViolation", step_no, f"channel {ev.chan} endpoints not dual"
+    )
+
+
+def spawned_workers(k):
+    """A boot method spawns k workers, each looping forever."""
+    spawns = " ".join("spawn Work.work(null);" for _ in range(k))
+    return (
+        "class Loop { session L where L = {{TRUE, FALSE} more(Null): <TRUE: L, FALSE: {}>} "
+        "more(x) { TRUE } } "
+        "class Work { session {Null work(Null): {}} c; "
+        "work(x) { c = new Loop(); while (c.more(null)) { null; } } } "
+        f"class Boot {{ session {{Null go(Null): {{}}}} go(x) {{ {spawns} }} }} main Boot.go;"
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_expression_rechecks_per_step_independent_of_thread_count(seed):
+    for k in (1, 8):
+        prog = parse_program(spawned_workers(k))
+        report, ctx = check_program(prog)
+        assert report.ok, report.lines()
+        mon = Monitor(prog, ctx)
+        per_step = [0]  # the entry for start
+        check = mon._check_expression
+
+        def counted(*args):
+            per_step[-1] += 1
+            return check(*args)
+
+        def observer(*step):
+            per_step.append(0)
+            mon.on_step(*step)
+
+        mon._check_expression = counted
+        interp = Interpreter(prog)
+        mon.start(interp.initial_config())
+        outcome, _, conf = interp.run(200, seed=seed, observer=observer)
+        assert outcome.kind == "limit" and len(conf.threads) == k + 1
+        assert per_step[0] == 1 and max(per_step[1:]) <= 2, k
