@@ -18,24 +18,17 @@ from .syntax import (
     SessionType,
     VarC,
     VarS,
-    unfold,
 )
-
-
-_DUAL_CACHE: dict = {}
+from .subtyping import coinductive, subtype_value
 
 
 def dual(sigma: ChannelType) -> ChannelType:
     """The other endpoint's view: send/receive and offer/select exchanged,
     payloads unchanged. An involution."""
-    key = sigma.canon()
-    hit = _DUAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _dual(sigma)
-    if len(_DUAL_CACHE) > 20_000:
-        _DUAL_CACHE.clear()
-    _DUAL_CACHE[key] = out
+    memo = sigma.memo()
+    out = memo.get("dual")
+    if out is None:
+        out = memo["dual"] = _dual(sigma)
     return out
 
 
@@ -65,25 +58,19 @@ def translate_payload(t):
     return t
 
 
-_TRANSLATE_CACHE: dict = {}
-
-
 def translate_channel(sigma: ChannelType) -> SessionType:
     """Class session type of an endpoint of type sigma.
 
     end is the empty branch; ?T.S becomes a receive returning T; !T.S a send
     taking T; an offer is a receive whose result selects a variant; a select
     is a family of send overloads, one singleton parameter type per label.
-    Results are memoized so equal channel types share one translation.
+    The result is memoised on sigma and keeps sigma's bound variable names
+    and case order.
     """
-    key = sigma.canon()
-    hit = _TRANSLATE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _translate_channel(sigma)
-    if len(_TRANSLATE_CACHE) > 20_000:
-        _TRANSLATE_CACHE.clear()
-    _TRANSLATE_CACHE[key] = out
+    memo = sigma.memo()
+    out = memo.get("translate")
+    if out is None:
+        out = memo["translate"] = _translate_channel(sigma)
     return out
 
 
@@ -137,39 +124,21 @@ def translate_access(sigma: ChannelType) -> SessionType:
 # ---------------------------------------------------------------------------
 
 
-_SUBC_CACHE: dict = {}
-
-
-def subtype_channel(a: ChannelType, b: ChannelType, _assumptions=None) -> bool:
+def subtype_channel(a: ChannelType, b: ChannelType) -> bool:
     """Direct sub-channel relation. The monitor uses it to match a delegated
     endpoint against a send's payload type and to check that the two ends of
     a channel stay dual; the tests use it as an oracle for the monotonicity
     of the translation above. Receive payloads are covariant, send payloads
     contravariant; offers are covariant and selects contravariant in their
     label sets."""
-    key = (a.canon(), b.canon())
-    if key[0] == key[1]:
-        return True
-    if _assumptions is None:
-        hit = _SUBC_CACHE.get(key)
-        if hit is None:
-            hit = _subtype_channel(a, b, frozenset(), key)
-            if len(_SUBC_CACHE) > 50_000:
-                _SUBC_CACHE.clear()
-            _SUBC_CACHE[key] = hit
-        return hit
-    return _subtype_channel(a, b, _assumptions, key)
+    return _subtype_channel(a, b, frozenset())
 
 
-def _subtype_channel(a, b, _assumptions, key=None):
-    if key is None:
-        key = (a.canon(), b.canon())
-        if key[0] == key[1]:
-            return True
-    if key in _assumptions:
-        return True
-    assumptions = _assumptions | {key}
-    au, bu = unfold(a), unfold(b)
+def _subtype_channel(a, b, assumptions):
+    return coinductive(_subtype_unfolded, a, b, assumptions)
+
+
+def _subtype_unfolded(au, bu, assumptions):
     if isinstance(au, ChanEnd) and isinstance(bu, ChanEnd):
         return True
     if isinstance(au, ChanRecv) and isinstance(bu, ChanRecv):
@@ -192,8 +161,6 @@ def _subtype_channel(a, b, _assumptions, key=None):
 
 
 def _payload_sub(p, q, assumptions):
-    from .subtyping import subtype_value
-
     if isinstance(p, ChannelType) and isinstance(q, ChannelType):
         return _subtype_channel(p, q, assumptions)
     if isinstance(p, ChannelType) or isinstance(q, ChannelType):

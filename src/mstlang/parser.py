@@ -227,20 +227,26 @@ class _P:
         self.expect("<")
         t = self.peek()
         if t.kind == "ident" and _is_upper(t.text) and self.at(":", 1):
-            cases = []
-            while True:
-                label = self.uident("variant label")
-                self.expect(":")
-                cases.append((label, self.raw_session()))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            cases = self.raw_cases("variant label", self.raw_session)
             self.expect(">")
-            return ("variant", tuple(cases))
+            return ("variant", cases)
         proto = self.raw_channel()
         self.expect(">")
         return ("access", proto)
+
+    def raw_cases(self, what, item):
+        """`L1: x1, ..., Ln: xn` with distinct labels, each x read by `item`."""
+        cases = []
+        while True:
+            t = self.peek()
+            label = self.uident(what)
+            if any(l == label for l, _ in cases):
+                raise ParseError(f"repeated label {label!r}", t.line, t.col)
+            self.expect(":")
+            cases.append((label, item()))
+            if not self.at(","):
+                return tuple(cases)
+            self.next()
 
     def raw_channel(self):
         t = self.peek()
@@ -256,17 +262,9 @@ class _P:
         if self.at("&") or self.at("+"):
             op = self.next().text
             self.expect("{")
-            cases = []
-            while True:
-                label = self.uident("label")
-                self.expect(":")
-                cases.append((label, self.raw_channel()))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            cases = self.raw_cases("label", self.raw_channel)
             self.expect("}")
-            return ("offer" if op == "&" else "select", tuple(cases))
+            return ("offer" if op == "&" else "select", cases)
         if self.at("rec"):
             self.next()
             var = self.uident("type variable")

@@ -5,7 +5,8 @@ The sub-session check follows the standard assumption-set construction for
 coinductively defined relations: a pair is assumed before its components are
 checked, so cycles through rec types terminate. Assumption keys are the
 canonical forms of both sides, which are alpha-normalized, making membership
-sound for recursive types.
+sound for recursive types. `coinductive` is that construction once, for
+this relation and for channel subtyping.
 """
 
 from __future__ import annotations
@@ -36,44 +37,40 @@ class JoinUndefined(Exception):
 # ---------------------------------------------------------------------------
 
 
-_SUB_CACHE: dict = {}
-
-
-def subtype_session(s: SessionType, t: SessionType, assumptions=None) -> bool:
-    """Largest sub-session relation: branches contravariant in the method set
-    and signature-compatible pointwise; variants covariant in the label set.
-
-    `assumptions` holds the pairs on the current proof path (coinduction);
-    it is extended per path, never shared across siblings, so a failed branch
-    cannot leak unproven assumptions into another one.
-    """
+def coinductive(step, s, t, assumptions) -> bool:
+    """Decide the pair (s, t) of a coinductive relation on types, whose
+    `step(unfold(s), unfold(t), assumptions)` relates the components with the
+    pair assumed. `assumptions` holds the canonical pairs on the current proof
+    path; it is extended per path, never shared across siblings, so a failed
+    branch cannot leak unproven assumptions into another one. A verdict is
+    memoised on `s`, keyed by `step` and the canonical form of `t`, only when
+    its proof closed with no assumptions; it is read at any depth."""
     key = (s.canon(), t.canon())
     if key[0] == key[1]:
         return True
-    cached = _SUB_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if assumptions is None:
-        result = _subtype_session(s, t, frozenset(), key)
-        if len(_SUB_CACHE) > 50_000:
-            _SUB_CACHE.clear()
-        _SUB_CACHE[key] = result
+    memo = s.memo()
+    result = memo.get((step, key[1]))
+    if result is not None:
         return result
-    return _subtype_session(s, t, assumptions, key)
-
-
-def _subtype_session(s, t, assumptions, key=None):
-    if key is None:
-        key = (s.canon(), t.canon())
-        if key[0] == key[1]:
-            return True
-        cached = _SUB_CACHE.get(key)
-        if cached is not None:
-            return cached
     if key in assumptions:
         return True
-    assumptions = assumptions | {key}
-    su, tu = unfold(s), unfold(t)
+    result = step(unfold(s), unfold(t), assumptions | {key})
+    if not assumptions:
+        memo[(step, key[1])] = result
+    return result
+
+
+def subtype_session(s: SessionType, t: SessionType) -> bool:
+    """Largest sub-session relation: branches contravariant in the method set
+    and signature-compatible pointwise; variants covariant in the label set."""
+    return _subtype_session(s, t, frozenset())
+
+
+def _subtype_session(s, t, assumptions):
+    return coinductive(_subtype_unfolded, s, t, assumptions)
+
+
+def _subtype_unfolded(su, tu, assumptions):
     if isinstance(su, Branch) and isinstance(tu, Branch):
         for sig_t in tu.entries:
             sig_s = _match_entry(su, sig_t)

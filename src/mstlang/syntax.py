@@ -7,6 +7,9 @@ Branch entries keep their source order but compare as sets keyed by
 (method name, parameter type); variants compare as label-keyed maps.
 Recursive types compare up to alpha-renaming of their bound variables.
 All values here are immutable; heap/configuration updates build new values.
+A pure function of a type (unfolding, duality, translation, subtyping) keeps
+its result on the node it was applied to (`Type.memo()`), so a result depends
+only on its arguments, never on what the process computed before.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class Type:
     order, variant case order and mu-variable names are irrelevant.
     """
 
-    __slots__ = ("_canon",)
+    __slots__ = ("_canon", "_memo")
 
     def canon(self):
         c = getattr(self, "_canon", None)
@@ -62,6 +65,14 @@ class Type:
             c = self._canonical(())
             object.__setattr__(self, "_canon", c)
         return c
+
+    def memo(self) -> dict:
+        """Results of pure functions of this node, created on first use."""
+        m = getattr(self, "_memo", None)
+        if m is None:
+            m = {}
+            object.__setattr__(self, "_memo", m)
+        return m
 
     def _canonical(self, bound):
         raise NotImplementedError
@@ -117,6 +128,12 @@ class Labelled:
             if l == label:
                 return c
         raise KeyError(label)
+
+
+def _distinct_labels(cases):
+    labels = [l for l, _ in cases]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate label in {labels}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -216,9 +233,7 @@ class VariantS(Labelled, SessionType):
         cases = tuple(self.cases)
         if not cases:
             raise ValueError("variant types have at least one case")
-        labels = [l for l, _ in cases]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate variant label")
+        _distinct_labels(cases)
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
@@ -296,6 +311,7 @@ class ChanOffer(Labelled, ChannelType):
         cases = tuple(self.cases)
         if not cases:
             raise ValueError("offer types have at least one label")
+        _distinct_labels(cases)
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
@@ -313,6 +329,7 @@ class ChanSelect(Labelled, ChannelType):
         cases = tuple(self.cases)
         if not cases:
             raise ValueError("select types have at least one label")
+        _distinct_labels(cases)
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
@@ -509,30 +526,21 @@ def subst_channel(body: ChannelType, var: str, repl: ChannelType) -> ChannelType
     return _subst(body, var, repl, "c")
 
 
-_UNFOLD_CACHE: dict = {}
-
-
 def unfold(t):
     """Remove top-level rec binders by iterated substitution.
 
     Requires the input to be closed and contractive, which guarantees
     termination; the result is never a rec at the top.
     """
-    key = id(t)
-    cached = _UNFOLD_CACHE.get(key)
-    if cached is not None and cached[0] is t:
-        return cached[1]
-    out = t
-    while True:
-        if isinstance(out, RecS):
-            out = subst_session(out.body, out.var, out)
-        elif isinstance(out, RecC):
-            out = subst_channel(out.body, out.var, out)
-        else:
-            break
-    if len(_UNFOLD_CACHE) > 100_000:
-        _UNFOLD_CACHE.clear()
-    _UNFOLD_CACHE[key] = (t, out)
+    if not isinstance(t, (RecS, RecC)):
+        return t
+    memo = t.memo()
+    out = memo.get("unfold")
+    if out is None:
+        out = t
+        while isinstance(out, (RecS, RecC)):
+            out = _subst(out.body, out.var, out, "s" if isinstance(out, RecS) else "c")
+        memo["unfold"] = out
     return out
 
 
@@ -911,14 +919,15 @@ class Heap:
     def children(self, oid) -> tuple:
         return tuple(v.oid for _, v in self.record(oid).fields if isinstance(v, ObjIdE))
 
+    def _referenced(self) -> set:
+        """Ids held in some field of some record, in one pass over the heap."""
+        return {v.oid for _, r in self.entries for _, v in r.fields if isinstance(v, ObjIdE)}
+
     def is_complete(self) -> bool:
-        ids = set(self.ids)
-        return all(set(self.children(o)) <= ids for o in self.ids)
+        return self._referenced() <= set(self.ids)
 
     def roots(self) -> tuple:
-        referenced = set()
-        for o in self.ids:
-            referenced.update(self.children(o))
+        referenced = self._referenced()
         return tuple(o for o in self.ids if o not in referenced)
 
     def descendants(self, oid) -> tuple:

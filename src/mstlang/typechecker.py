@@ -10,8 +10,9 @@ in-flight object identifiers and endpoints and the pending calls; the rules
 for those forms and for `return` apply only there.
 
 check_class also records, for every branch session type it establishes
-consistent, the field typing it was established under. The runtime monitor
-reuses this table as its witness when a method call opens an object.
+consistent, the field typing it was established under; a consistency proof
+that fails records nothing. The runtime monitor reuses this table as its
+witness when a method call opens an object.
 """
 
 from __future__ import annotations
@@ -585,13 +586,20 @@ def _infer_return(ctx, e, F, V):
 # ---------------------------------------------------------------------------
 
 
-def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=None, _steps=None):
+def consistency(
+    ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=None, _steps=None, _found=None
+):
     """Establish that an object of this class with fields `ftyping` can be
-    viewed as `session`; returns the extended assumption set."""
+    viewed as `session`; returns the extended assumption set. The branch
+    witnesses a top-level call establishes enter `ctx.witnesses` only when
+    the whole call succeeds, so a failed attempt leaves the table as it was."""
     if delta is None:
         delta = set()
     if _steps is None:
         _steps = [0]
+    top = _found is None
+    if top:
+        _found = []
     key = (ftyping.canon(), session.canon())
     if key in delta:
         return delta
@@ -602,14 +610,13 @@ def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=No
     if isinstance(session, sx.RecS):
         delta.add(key)
         unfolded = sx.subst_session(session.body, session.var, session)
-        return consistency(ctx, cls, unfolded, ftyping, delta, _steps)
-
-    if isinstance(session, Branch):
+        consistency(ctx, cls, unfolded, ftyping, delta, _steps, _found)
+    elif isinstance(session, Branch):
         if not isinstance(ftyping, RecordF):
             raise CheckError(
                 VARIANT_SHAPE_MISMATCH, f"state {session!r} needs a record field typing"
             )
-        ctx.record_witness(cls.name, session, ftyping)
+        _found.append((session, ftyping))
         for entry in session.entries:
             mdef = cls.method(entry.name)
             if mdef is None:
@@ -626,10 +633,8 @@ def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=No
                 if err.method is None:
                     err.method = entry.name
                 raise
-            _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps)
-        return delta
-
-    if isinstance(session, VariantS):
+            _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found)
+    elif isinstance(session, VariantS):
         if not isinstance(ftyping, VariantF):
             raise CheckError(
                 VARIANT_SHAPE_MISMATCH, f"variant state {session!r} needs a variant field typing"
@@ -640,22 +645,25 @@ def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=No
                 f"field typing labels {set(ftyping.labels)} exceed state labels",
             )
         for l, rec in ftyping.cases:
-            consistency(ctx, cls, session.case(l), rec, delta, _steps)
-        return delta
+            consistency(ctx, cls, session.case(l), rec, delta, _steps, _found)
+    else:
+        raise CheckError(CONSISTENCY, f"cannot relate field typing to {session!r}")
+    if top:
+        for branch, f in _found:
+            ctx.record_witness(cls.name, branch, f)
+    return delta
 
-    raise CheckError(CONSISTENCY, f"cannot relate field typing to {session!r}")
 
-
-def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps):
+def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found):
     name = entry.name
     if _result_subtype(t, entry.result):
-        consistency(ctx, cls, entry.cont, f_out, delta, _steps)
+        consistency(ctx, cls, entry.cont, f_out, delta, _steps, _found)
         return
     if isinstance(t, EnumType) and isinstance(entry.result, LinkThis):
         if not isinstance(f_out, RecordF):
             raise CheckError(VARIANT_SHAPE_MISMATCH, "enumeration with variant fields", method=name)
         uniform = VariantF(tuple((l, f_out) for l in sorted(t.labels)))
-        consistency(ctx, cls, entry.cont, uniform, delta, _steps)
+        consistency(ctx, cls, entry.cont, uniform, delta, _steps, _found)
         return
     if isinstance(t, LinkThis) and isinstance(entry.result, EnumType):
         if not isinstance(f_out, VariantF) or not f_out.labels <= entry.result.labels:
@@ -668,7 +676,7 @@ def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps):
             joined = join_records([r for _, r in f_out.cases])
         except JoinUndefined as err:
             raise CheckError(JOIN_UNDEFINED, str(err), method=name) from None
-        consistency(ctx, cls, entry.cont, joined, delta, _steps)
+        consistency(ctx, cls, entry.cont, joined, delta, _steps, _found)
         return
     raise CheckError(
         RESULT_TYPE_MISMATCH,

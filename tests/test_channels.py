@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from gen import gen_channel, widen_channel
 from mstlang.channels import dual, subtype_channel, translate_access, translate_channel
 from mstlang.parser import parse_channel_type as pc, parse_session_type as pt
+from mstlang.render import render_type
 from mstlang.subtyping import equivalent, subtype_session
 from mstlang.syntax import (
     Branch,
@@ -32,6 +35,26 @@ def test_dual_involution_random():
     for _ in range(400):
         c = gen_channel(rng, 6)
         assert dual(dual(c)) == c
+
+
+@pytest.mark.parametrize(
+    "first, sigma, dual_text, translation_text",
+    [
+        ("rec Y.!{A}.Y", "rec X.!{A}.X", "rec X.?{A}.X", "rec X.{Null send({A}): X}"),
+        ("+{B: End, A: End}", "+{A: End, B: End}", "&{A: End, B: End}",
+         "{Null send({A}): {}, Null send({B}): {}}"),
+        ("&{B: End, A: End}", "&{A: End, B: End}", "+{A: End, B: End}",
+         "{linkthis receive(Null): <A: {}, B: {}>}"),
+    ],
+    ids=["alpha-variant", "reordered-select", "reordered-offer"],
+)
+def test_dual_and_translation_render_their_own_argument(first, sigma, dual_text, translation_text):
+    # an equal type computed first must not lend its names or case order
+    dual(pc(first))
+    translate_channel(pc(first))
+    sigma = pc(sigma)
+    assert render_type(dual(sigma)) == dual_text
+    assert render_type(translate_channel(sigma)) == translation_text
 
 
 def test_translate_end_is_empty_branch():

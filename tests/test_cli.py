@@ -116,6 +116,31 @@ def test_parse_error_exit_65(tmp_path, capsys):
     assert main(["check", str(bad)]) == 65
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["check", "FILE"], "1:43"),
+        (["subtype", "OK", "<A: {}, A: {}>", "{}"], "1:9"),
+        (["check", "ACCESS"], "1:19"),
+        (["dual", "+{A: End, A: End}"], "1:11"),
+        (["translate", "&{A: End, A: ?{B}.End}"], "1:11"),
+    ],
+    ids=["check-variant", "subtype-variant", "check-offer", "dual-select", "translate-offer"],
+)
+def test_repeated_label_is_a_parse_error(tmp_path, capsys, argv, where):
+    files = {
+        "FILE": "class M { session {Null go(Null): <A: {}, A: {}>} go(x) { null } }",
+        "OK": "class M { session {Null go(Null): {}} go(x) { null } }",
+        "ACCESS": "access <&{A: End, A: End}> srv;",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.mst").write_text(text)
+    argv = [str(tmp_path / f"{a}.mst") if a in files else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (65, "")
+    assert err == f"parse error: {where}: repeated label 'A'\n"
+
+
 def test_run_unchecked_verify_states_exit_4(tmp_path, capsys):
     from test_monitor import TAG_ARG_SELF_CALL
 

@@ -486,6 +486,24 @@ def test_delta_recheck_matches_full_recheck_on_corpus():
             assert outcome[0] in ("terminated", "blocked", "limit"), (name, outcome)
 
 
+def test_monitored_runs_on_one_context_agree():
+    # a checker-rejected program whose monitored run attempts consistency
+    # proofs that fail; they must leave no witness for a later run to use
+    prog = parse_program(generate(10))
+    report, ctx = check_program(prog)
+    assert not report.ok
+    outcomes = []
+    for _ in range(2):
+        interp = Interpreter(prog)
+        mon = Monitor(prog, ctx, verify_states=True, verify_traces=True)
+        with pytest.raises(MonitorViolation) as info:
+            mon.start(interp.initial_config())
+            interp.run(60, seed=1, observer=mon.on_step)
+        v = info.value
+        outcomes.append((v.kind, v.step, v.thread, v.detail))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_delta_recheck_matches_full_recheck_on_generated_programs():
     verdicts = set()
     violations = 0

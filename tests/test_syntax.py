@@ -6,6 +6,9 @@ from gen import gen_channel, gen_session
 from mstlang.parser import parse_session_type
 from mstlang.syntax import (
     Branch,
+    CHAN_END,
+    ChanOffer,
+    ChanSelect,
     Heap,
     IncompleteHeap,
     MethodSig,
@@ -21,6 +24,7 @@ from mstlang.syntax import (
     LabelE,
     RecS,
     VarS,
+    VariantS,
     is_contractive,
     unfold,
 )
@@ -40,6 +44,21 @@ def test_unfold_single_rec():
     u = unfold(s)
     assert isinstance(u, Branch)
     assert u.entries[0].cont == s
+
+
+def test_unfold_memoised_on_the_node():
+    s = RecS("X", branch1(VarS("X")))
+    assert unfold(s) is unfold(s)
+    # an alpha-variant keeps its own binder in its own unfolding
+    assert unfold(RecS("Y", branch1(VarS("Y")))).entries[0].cont.var == "Y"
+
+
+@pytest.mark.parametrize(
+    "form, component", [(VariantS, Branch(())), (ChanOffer, CHAN_END), (ChanSelect, CHAN_END)]
+)
+def test_repeated_label_rejected(form, component):
+    with pytest.raises(ValueError):
+        form((("A", component), ("B", component), ("A", component)))
 
 
 def test_unfold_nested_recs():
@@ -152,6 +171,22 @@ def test_rename_identity_and_not_injective():
     assert h.rename({}) == h
     with pytest.raises(NotInjective):
         h.rename({"o": "x", "p": "x"})
+
+
+def test_roots_and_completeness_read_no_record(monkeypatch):
+    # one pass over the entries, not a record lookup per object
+    n = 200
+    heap = Heap(tuple(
+        (f"o{i}", ObjectRecord("C", (("f", ObjIdE(f"o{i + 1}") if i + 1 < n else NULL_E),)))
+        for i in range(n)
+    ))
+    calls = []
+    record = Heap.record
+    monkeypatch.setattr(Heap, "record", lambda self, oid: calls.append(oid) or record(self, oid))
+    assert heap.roots() == ("o0",)
+    assert heap.is_complete()
+    assert not Heap(heap.entries[:-1]).is_complete()
+    assert calls == []
 
 
 def test_descendants_first_visit_order():

@@ -357,3 +357,17 @@ def test_consistency_matches_bruteforce(text, cls, accept):
         algo = False
     assert algo == accept
     assert (key in alive) == accept
+
+
+def test_failed_consistency_records_no_witness():
+    # both branch states are visited before `b`'s body fails
+    prog = parse_program(
+        "class K { session {Null a(Null): {{A} b(Null): {}}} a(x) { null } b(x) { null } }"
+    )
+    ctx = CheckContext(prog)
+    decl = prog.classes["K"]
+    with pytest.raises(CheckError):
+        consistency(ctx, decl, decl.session, decl.initial_field_typing())
+    assert ctx.witnesses == {}
+    report, ctx = check_program(prog)
+    assert not report.verdict("K").ok and ctx.witnesses == {}
