@@ -2,11 +2,12 @@
 
 Exit codes: 0 success / AllTerminated; 1 check failure, invalid trace, or
 no runnable main under `run --unchecked`; 2 blocked run; 3 step limit;
-4 monitor violation; 64 usage; 65 parse error; 70 runtime fault, a state no
-checked program reaches (say an undeclared class or method under
-`run --unchecked`), or internal error: any other exception, in every
-subcommand, is reported as one `internal error: <Type>: <message>` line on
-stderr (say the `RecursionError` of a body too long for the parser).
+4 monitor violation; 64 usage; 65 parse error; 66 an input file not readable
+as UTF-8 text; 70 runtime fault, a state no checked program reaches (say an
+undeclared class or method under `run --unchecked`), or internal error: any
+other exception, in every subcommand, is reported as one `internal error:
+<Type>: <message>` line on stderr (say the `RecursionError` of an expression
+nested about 1,000 deep).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .typechecker import check_program
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
+NOINPUT_EXIT = 66
 CHECK_EXIT = 1
 VIOLATION_EXIT = 4
 RUNTIME_FAULT_EXIT = 70
@@ -85,6 +87,9 @@ def _load(files):
     except psr.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         raise SystemExit(PARSE_EXIT)
+    except OSError as e:
+        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        raise SystemExit(NOINPUT_EXIT)
 
 
 def _load_text_type(parse, text, program):

@@ -50,7 +50,6 @@ class StepEvent:
     chan: str = ""
     phi: tuple = ()
     new_thread: int = -1
-    target: object = None
 
     def describe(self) -> str:
         bits = []

@@ -16,6 +16,7 @@ Sugar applied while parsing:
 
 from __future__ import annotations
 
+import errno
 import re
 from dataclasses import dataclass
 
@@ -234,14 +235,19 @@ class _P:
         self.expect(">")
         return ("access", proto)
 
+    def fresh_label(self, what, cases):
+        """A label that names none of `cases`, (label, x) pairs read so far."""
+        t = self.peek()
+        label = self.uident(what)
+        if any(l == label for l, _ in cases):
+            raise ParseError(f"repeated label {label!r}", t.line, t.col)
+        return label
+
     def raw_cases(self, what, item):
         """`L1: x1, ..., Ln: xn` with distinct labels, each x read by `item`."""
         cases = []
         while True:
-            t = self.peek()
-            label = self.uident(what)
-            if any(l == label for l, _ in cases):
-                raise ParseError(f"repeated label {label!r}", t.line, t.col)
+            label = self.fresh_label(what, cases)
             self.expect(":")
             cases.append((label, item()))
             if not self.at(","):
@@ -306,10 +312,7 @@ class _P:
             if self.at("case"):
                 break
             parts.append(self.stmt())
-        expr = parts[-1]
-        for p in reversed(parts[:-1]):
-            expr = sx.SeqE(p, expr)
-        return expr
+        return sx.seq(parts)
 
     def stmt(self):
         if self.at("while"):
@@ -361,7 +364,7 @@ class _P:
             while not self.at("}"):
                 if self.at("case"):
                     self.next()
-                label = self.uident("case label")
+                label = self.fresh_label("case label", cases)
                 self.expect(":")
                 cases.append((label, self.stmts()))
             self.expect("}")
@@ -769,32 +772,20 @@ def _resolve_bodies(program: sx.Program):
 
 
 def _resolve_expr(e, param, cls, program):
-    rec = lambda x: _resolve_expr(x, param, cls, program)
-    if isinstance(e, sx.VarE):
-        if e.name == param:
-            return e
-        if e.name in cls.fields:
-            return sx.SwapE(e.name, sx.NULL_E)
-        if e.name in program.access_points:
-            return sx.AccessE(e.name)
-        raise ParseError(f"class {cls.name}: unbound name {e.name!r}")
-    if isinstance(e, sx.SwapE):
-        if e.field == param:
-            raise ParseError(f"class {cls.name}: cannot assign to parameter {e.field!r}")
-        return sx.SwapE(e.field, rec(e.expr))
-    if isinstance(e, sx.CallE):
-        return sx.CallE(e.field, e.method, rec(e.arg))
-    if isinstance(e, sx.SelfCallE):
-        return sx.SelfCallE(e.method, rec(e.arg))
-    if isinstance(e, sx.SeqE):
-        return sx.SeqE(rec(e.first), rec(e.second))
-    if isinstance(e, sx.SwitchE):
-        return sx.SwitchE(rec(e.subject), tuple((l, rec(b)) for l, b in e.cases))
-    if isinstance(e, sx.WhileE):
-        return sx.WhileE(rec(e.cond), rec(e.body))
-    if isinstance(e, sx.SpawnE):
-        return sx.SpawnE(e.cls, e.method, rec(e.arg))
-    return e
+    def resolve(x):
+        if isinstance(x, sx.SwapE):
+            if x.field == param:
+                raise ParseError(f"class {cls.name}: cannot assign to parameter {x.field!r}")
+            return None
+        if x.name == param:
+            return x
+        if x.name in cls.fields:
+            return sx.SwapE(x.name, sx.NULL_E)
+        if x.name in program.access_points:
+            return sx.AccessE(x.name)
+        raise ParseError(f"class {cls.name}: unbound name {x.name!r}")
+
+    return sx.map_expr(e, resolve, (sx.VarE, sx.SwapE))
 
 
 # ---------------------------------------------------------------------------
@@ -849,18 +840,22 @@ def _expect_eof(p):
 
 
 def parse_file(path) -> sx.Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read(), filename=str(path))
+    return parse_files([path])
 
 
 def parse_files(paths) -> sx.Program:
     """Parse several .mst files as one program.
 
     Declarations (including access points) are shared across all files given
-    to a single invocation, so the sources are resolved together.
+    to a single invocation, so the sources are resolved together. A file that
+    cannot be read as UTF-8 text raises OSError naming it.
     """
     texts = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            texts.append(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                texts.append(fh.read())
+        except UnicodeDecodeError as e:
+            reason = f"not UTF-8 text ({e.reason} at byte {e.start})"
+            raise OSError(errno.EILSEQ, reason, str(path)) from None
     return parse_program("\n".join(texts), filename="+".join(str(p) for p in paths))

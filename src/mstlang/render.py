@@ -81,7 +81,7 @@ def render_expr(e) -> str:
     if isinstance(e, sx.SelfCallE):
         return f"{e.method}({render_expr(e.arg)})"
     if isinstance(e, sx.SeqE):
-        return f"{_seq_part(e.first)}; {render_expr(e.second)}"
+        return "; ".join(_seq_part(s) for s in sx.statements(e))
     if isinstance(e, sx.SwitchE):
         cases = " ".join(f"{l}: {render_expr(b)};" for l, b in e.cases)
         return f"switch ({render_expr(e.subject)}) {{ {cases} }}"

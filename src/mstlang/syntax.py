@@ -522,10 +522,6 @@ def subst_session(body: SessionType, var: str, repl: SessionType) -> SessionType
     return _subst(body, var, repl, "s")
 
 
-def subst_channel(body: ChannelType, var: str, repl: ChannelType) -> ChannelType:
-    return _subst(body, var, repl, "c")
-
-
 def unfold(t):
     """Remove top-level rec binders by iterated substitution.
 
@@ -723,38 +719,57 @@ def is_value(e: Expr) -> bool:
     return isinstance(e, (NullE, LabelE, ObjIdE, EndpointE, AccessE))
 
 
+def statements(e: Expr) -> list:
+    """The statements of a sequence, read along its right spine; a single
+    statement for anything else."""
+    out = []
+    while isinstance(e, SeqE):
+        out.append(e.first)
+        e = e.second
+    out.append(e)
+    return out
+
+
+def seq(stmts) -> Expr:
+    """The right-nested sequence of one or more statements."""
+    it = reversed(stmts)
+    e = next(it)
+    for s in it:
+        e = SeqE(s, e)
+    return e
+
+
+def map_expr(e: Expr, fn, at=VarE) -> Expr:
+    """Rebuild the source expression e with fn(x) in place of each
+    subexpression x of type `at`. Where fn returns None, the walk goes on
+    into x."""
+    if isinstance(e, at):
+        out = fn(e)
+        if out is not None:
+            return out
+    t = type(e)  # compared by identity: the hot path of every call and spawn
+    if t is SeqE:
+        return seq([map_expr(s, fn, at) for s in statements(e)])
+    if t is SwapE:
+        return SwapE(e.field, map_expr(e.expr, fn, at))
+    if t is CallE:
+        return CallE(e.field, e.method, map_expr(e.arg, fn, at))
+    if t is SelfCallE:
+        return SelfCallE(e.method, map_expr(e.arg, fn, at))
+    if t is SwitchE:
+        return SwitchE(
+            map_expr(e.subject, fn, at), tuple((l, map_expr(b, fn, at)) for l, b in e.cases)
+        )
+    if t is WhileE:
+        return WhileE(map_expr(e.cond, fn, at), map_expr(e.body, fn, at))
+    if t is SpawnE:
+        return SpawnE(e.cls, e.method, map_expr(e.arg, fn, at))
+    return e
+
+
 def subst_expr(e: Expr, var: str, value: Expr) -> Expr:
     """Replace the method parameter `var` by a value throughout a body."""
-    if isinstance(e, SeqE):
-        # the right spine of a statement sequence is walked with a loop
-        firsts = []
-        while isinstance(e, SeqE):
-            firsts.append(subst_expr(e.first, var, value))
-            e = e.second
-        out = subst_expr(e, var, value)
-        for first in reversed(firsts):
-            out = SeqE(first, out)
-        return out
-    if isinstance(e, VarE):
-        return value if e.name == var else e
-    if isinstance(e, SwapE):
-        return SwapE(e.field, subst_expr(e.expr, var, value))
-    if isinstance(e, CallE):
-        return CallE(e.field, e.method, subst_expr(e.arg, var, value))
-    if isinstance(e, SelfCallE):
-        return SelfCallE(e.method, subst_expr(e.arg, var, value))
-    if isinstance(e, SwitchE):
-        return SwitchE(
-            subst_expr(e.subject, var, value),
-            tuple((l, subst_expr(b, var, value)) for l, b in e.cases),
-        )
-    if isinstance(e, WhileE):
-        return WhileE(subst_expr(e.cond, var, value), subst_expr(e.body, var, value))
-    if isinstance(e, SpawnE):
-        return SpawnE(e.cls, e.method, subst_expr(e.arg, var, value))
-    if isinstance(e, ReturnE):
-        return ReturnE(subst_expr(e.expr, var, value))
-    return e
+    return map_expr(e, lambda v: value if v.name == var else v)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,18 +1027,14 @@ def endpoints_of(e: Expr) -> set:
     out = set()
 
     def walk(x):
-        while isinstance(x, SeqE):  # the right spine of a sequence, with a loop
-            walk(x.first)
-            x = x.second
-        if isinstance(x, EndpointE):
+        if isinstance(x, SeqE):
+            for s in statements(x):
+                walk(s)
+        elif isinstance(x, EndpointE):
             out.add((x.chan, x.polarity))
         elif isinstance(x, (SwapE, ReturnE)):
             walk(x.expr)
-        elif isinstance(x, CallE):
-            walk(x.arg)
-        elif isinstance(x, SelfCallE):
-            walk(x.arg)
-        elif isinstance(x, SpawnE):
+        elif isinstance(x, (CallE, SelfCallE, SpawnE)):
             walk(x.arg)
         elif isinstance(x, SwitchE):
             walk(x.subject)

@@ -71,6 +71,9 @@ MAIN_MISSING = "MainMissing"
 MAIN_UNAVAILABLE = "MainUnavailable"
 CONSISTENCY = "ConsistencyFailure"
 
+# steps one top-level consistency proof may take before DEPTH_LIMIT
+MAX_CONSISTENCY_STEPS = 10_000
+
 
 class CheckError(Exception):
     def __init__(self, code, detail, method=None):
@@ -121,7 +124,6 @@ class CheckContext:
     program: sx.Program
     # (class name, canon of branch session) -> list of (session, field typing)
     witnesses: dict = field(default_factory=dict)
-    max_steps: int = 10_000
 
     def record_witness(self, cls_name, session, ftyping):
         key = (cls_name, session.canon())
@@ -159,6 +161,8 @@ def resolve_signature(branch: Branch, method: str, arg_type) -> sx.MethodSig:
 
 def _collapse(f_typing):
     """Join the cases of a variant field typing into a single record."""
+    if not isinstance(f_typing, VariantF):
+        raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
     try:
         return join_records([r for _, r in f_typing.cases])
     except JoinUndefined as e:
@@ -250,15 +254,15 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
     runtime expression a RuntimeEnv, with F the typing of the thread's root
     object, which reaches the objects opened by pending calls.
     """
-    while isinstance(e, sx.SeqE):
-        t, F, V = infer_expr(ctx, cls, e.first, F, V)
-        if isinstance(t, LinkField):
-            raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
-        if isinstance(t, LinkThis):
-            if not isinstance(F, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
-            F = _collapse(F)
-        e = e.second
+    if isinstance(e, sx.SeqE):
+        stmts = sx.statements(e)
+        e = stmts.pop()
+        for s in stmts:
+            t, F, V = infer_expr(ctx, cls, s, F, V)
+            if isinstance(t, LinkField):
+                raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
+            if isinstance(t, LinkThis):
+                F = _collapse(F)
 
     if isinstance(e, sx.NullE):
         return sx.NULL_T, F, V
@@ -290,14 +294,11 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
     if isinstance(e, sx.SwapE):
         t, f1, v1 = infer_expr(ctx, cls, e.expr, F, V)
         if isinstance(t, LinkThis):
-            if not isinstance(f1, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
-            labels = sorted(f1.labels)
             joined = _collapse(f1)
             old = _field_type(joined, e.field)
             if _is_variant_session(old):
                 raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
-            return old, joined.set(e.field, EnumType(frozenset(labels))), v1
+            return old, joined.set(e.field, EnumType(f1.labels)), v1
         old = _field_type(f1, e.field)
         if _is_variant_session(old):
             raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
@@ -311,12 +312,9 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
     if isinstance(e, sx.CallE):
         t, f1, v1 = infer_expr(ctx, cls, e.arg, F, V)
         if isinstance(t, LinkThis):
-            if not isinstance(f1, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
-            labels = f1.labels
             joined = _collapse(f1)
             branch = _branch_of(_field_type(joined, e.field), f"field {e.field!r}")
-            entry = _resolve_enum_overload(branch, e.method, labels)
+            entry = _resolve_enum_overload(branch, e.method, f1.labels)
             result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
             return result, joined.set(e.field, entry.cont), v1
         if isinstance(t, LinkField):
@@ -337,11 +335,9 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
             )
         ann = mdef.annotation
         if isinstance(t, LinkThis):
-            if not isinstance(f1, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
+            joined = _collapse(f1)
             if not isinstance(ann.param_type, EnumType) or not f1.labels <= ann.param_type.labels:
                 raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
-            joined = _collapse(f1)
             if not subtype_any(joined, ann.req):
                 raise CheckError(
                     ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
@@ -484,8 +480,6 @@ def _infer_while(ctx, cls, e, F, V):
         f_body, f_exit = _loop_split(u, f1)
         tb, fb, vb = infer_expr(ctx, cls, e.body, f_body, v1)
         if isinstance(tb, LinkThis):
-            if not isinstance(fb, VariantF):
-                raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
             fb = _collapse(fb)
             tb = sx.NULL_T
         if not isinstance(tb, NullType):
@@ -604,8 +598,8 @@ def consistency(
     if key in delta:
         return delta
     _steps[0] += 1
-    if _steps[0] > ctx.max_steps:
-        raise CheckError(DEPTH_LIMIT, f"consistency exceeded {ctx.max_steps} steps")
+    if _steps[0] > MAX_CONSISTENCY_STEPS:
+        raise CheckError(DEPTH_LIMIT, f"consistency exceeded {MAX_CONSISTENCY_STEPS} steps")
 
     if isinstance(session, sx.RecS):
         delta.add(key)
@@ -737,10 +731,10 @@ def _check_annotated(ctx, cls, mdef):
     )
 
 
-def check_program(program: sx.Program, max_steps: int = 10_000):
+def check_program(program: sx.Program):
     """Check every class; validate the main designation. Returns the report
     and the context (whose witness table the monitor consumes)."""
-    ctx = CheckContext(program, max_steps=max_steps)
+    ctx = CheckContext(program)
     report = CheckReport()
     for cls in program.classes.values():
         report.classes.append(check_class(ctx, cls))

@@ -124,14 +124,20 @@ def test_parse_error_exit_65(tmp_path, capsys):
         (["check", "ACCESS"], "1:19"),
         (["dual", "+{A: End, A: End}"], "1:11"),
         (["translate", "&{A: End, A: ?{B}.End}"], "1:11"),
+        (["check", "SWITCH"], "1:72"),
     ],
-    ids=["check-variant", "subtype-variant", "check-offer", "dual-select", "translate-offer"],
+    ids=[
+        "check-variant", "subtype-variant", "check-offer", "dual-select", "translate-offer",
+        "check-switch",
+    ],
 )
 def test_repeated_label_is_a_parse_error(tmp_path, capsys, argv, where):
     files = {
         "FILE": "class M { session {Null go(Null): <A: {}, A: {}>} go(x) { null } }",
         "OK": "class M { session {Null go(Null): {}} go(x) { null } }",
         "ACCESS": "access <&{A: End, A: End}> srv;",
+        "SWITCH": "class M { session {Null go(Null): {}} f; go(x) { switch (A) { A: null; "
+        "A: f = new M(); } } }",
     }
     for name, text in files.items():
         (tmp_path / f"{name}.mst").write_text(text)
@@ -174,10 +180,29 @@ def test_run_unchecked_main_missing_exit_1(capsys):
 
 
 def test_internal_error_exit_70(tmp_path, capsys):
-    # a straight-line body deeper than the parser's recursion allows
-    body = " ".join(["f = null;"] * 1000)
-    path = tmp_path / "long.mst"
-    path.write_text(f"class L {{ session {{Null go(Null): {{}}}} f; go(x) {{ {body} null }} }} main L.go;")
+    # an argument nested deeper than the parser's recursion allows
+    arg = "f.go(" * 1000 + "null" + ")" * 1000
+    path = tmp_path / "deep.mst"
+    path.write_text(f"class L {{ session {{Null go(Null): {{}}}} f; go(x) {{ {arg} }} }} main L.go;")
     code, out, err = run(["check", str(path)], capsys)
     assert (code, out) == (70, "")
     assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_long_body_checks(tmp_path, capsys):
+    # no walker recurses per statement, so body length is not bounded by recursion
+    body = " ".join(["f = null;"] * 1000)
+    path = tmp_path / "long.mst"
+    path.write_text(f"class L {{ session {{Null go(Null): {{}}}} f; go(x) {{ {body} null }} }} main L.go;")
+    assert run(["check", str(path)], capsys) == (0, "CLASS L OK\nok\n", "")
+
+
+def test_unreadable_input_exit_66(tmp_path, capsys):
+    missing = tmp_path / "missing.mst"
+    code, out, err = run(["check", str(missing)], capsys)
+    assert (code, out, err) == (66, "", f"error: cannot read {missing}: No such file or directory\n")
+    binary = tmp_path / "binary.mst"
+    binary.write_bytes(b"class \xff\xfe M {}")
+    code, out, err = run(["check", str(binary)], capsys)
+    assert (code, out) == (66, "")
+    assert err == f"error: cannot read {binary}: not UTF-8 text (invalid start byte at byte 6)\n"

@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import pytest
 
 from conftest import RUNNABLE, load, load_checked
 from mstlang.interpreter import Interpreter, MainMissing, decompose, format_event
 from mstlang.monitor import Monitor
 from mstlang.parser import parse_program
-from mstlang.syntax import NULL_E, Path, SeqE, SwapE, SwitchE, VarE, is_value
+from mstlang.syntax import NULL_E, Path, SeqE, SwitchE, is_value
 from mstlang.typechecker import check_program
 
 
@@ -183,21 +181,18 @@ def test_classify_only_on_stuck():
 
 
 def test_long_body_checks_and_runs():
-    # 3000 statements, built as an AST since the parser's nesting limit is
-    # lower: substitution, stepping and monitoring must not recurse per statement
-    prog = parse_program("class M { session {Null go(Null): {}} f; go(x) { x } } main M.go;")
-    body = VarE("x")
-    for _ in range(3000):
-        body = SeqE(SwapE("f", NULL_E), body)
-    decl = prog.classes["M"]
-    decl = replace(decl, methods={"go": replace(decl.methods["go"], body=body)})
-    prog = replace(prog, classes={"M": decl})
+    # parsing, resolution, checking, substitution, stepping and monitoring
+    # must not recurse per statement
+    body = " ".join(["f = null;"] * 10_000)
+    prog = parse_program(
+        f"class M {{ session {{Null go(Null): {{}}}} f; go(x) {{ {body} x }} }} main M.go;"
+    )
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
     interp = Interpreter(prog)
     assert isinstance(interp.initial_config().threads[0].expr, SeqE)
-    outcome, events, _ = interp.run(10_000)
-    assert outcome.kind == "terminated" and len(events) == 6000
+    outcome, events, _ = interp.run(100_000)
+    assert outcome.kind == "terminated" and len(events) == 30_000
     mon = Monitor(prog, ctx)
     mon.start(interp.initial_config())
     outcome, events, _ = interp.run(50, observer=mon.on_step)
