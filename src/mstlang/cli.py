@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / AllTerminated; 1 check failure, invalid trace, or
 no runnable main under `run --unchecked`; 2 blocked run; 3 step limit;
-4 monitor violation; 64 usage; 65 parse error; 66 an input file not readable
+4 monitor violation; 64 usage (a negative `--steps` too; `--steps 0` takes
+no step); 65 parse error, at `line:col` within its file, prefixed with the
+file's path when several files are given; 66 an input file not readable
 as UTF-8 text; 70 runtime fault, a state no checked program reaches (say an
 undeclared class or method under `run --unchecked`), or internal error: any
 other exception, in every subcommand, is reported as one `internal error:
@@ -39,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _step_count(text):
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = -1
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"expected a step count of 0 or more, found {text!r}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mst", description="Session-typed object language tool")
     sub = p.add_subparsers(dest="command", required=True)
@@ -49,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="execute a program")
     r.add_argument("files", nargs="+")
-    r.add_argument("--steps", type=int, default=100_000)
+    r.add_argument("--steps", type=_step_count, default=100_000)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--trace", action="store_true", help="print the event log")
     r.add_argument("--verify-states", action="store_true")

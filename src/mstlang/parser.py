@@ -24,12 +24,18 @@ from . import syntax as sx
 
 
 class ParseError(Exception):
+    """A parse error, at `line`:`col` of source `file` when those are known."""
+
     def __init__(self, msg, line=None, col=None):
-        if line is not None:
-            msg = f"{line}:{col}: {msg}"
         super().__init__(msg)
+        self.msg = msg
         self.line = line
         self.col = col
+        self.file = None
+
+    def __str__(self):
+        where = ":".join(str(x) for x in (self.file, self.line, self.col) if x is not None)
+        return f"{where}: {self.msg}" if where else self.msg
 
 
 class UnboundStateName(ParseError):
@@ -235,19 +241,18 @@ class _P:
         self.expect(">")
         return ("access", proto)
 
-    def fresh_label(self, what, cases):
-        """A label that names none of `cases`, (label, x) pairs read so far."""
-        t = self.peek()
-        label = self.uident(what)
-        if any(l == label for l, _ in cases):
-            raise ParseError(f"repeated label {label!r}", t.line, t.col)
-        return label
+    def fresh(self, name, taken, noun):
+        """`name`, the token just read, unless it is one of `taken`."""
+        if name in taken:
+            t = self.toks[self.i - 1]
+            raise ParseError(f"repeated {noun} {name!r}", t.line, t.col)
+        return name
 
     def raw_cases(self, what, item):
         """`L1: x1, ..., Ln: xn` with distinct labels, each x read by `item`."""
         cases = []
         while True:
-            label = self.fresh_label(what, cases)
+            label = self.fresh(self.uident(what), [l for l, _ in cases], "label")
             self.expect(":")
             cases.append((label, item()))
             if not self.at(","):
@@ -364,7 +369,7 @@ class _P:
             while not self.at("}"):
                 if self.at("case"):
                     self.next()
-                label = self.fresh_label("case label", cases)
+                label = self.fresh(self.uident("case label"), [l for l, _ in cases], "label")
                 self.expect(":")
                 cases.append((label, self.stmts()))
             self.expect("}")
@@ -419,6 +424,9 @@ class _Resolver:
             for result, name, param, cont in entries:
                 r = self.vtype(result, stack, bound)
                 p = self.vtype(param, stack, bound)
+                # a repeated (name, parameter) pair would make every call ambiguous
+                if any(q.name == name and q.param.canon() == p.canon() for q in sigs):
+                    raise ParseError(f"repeated signature {name}({p!r}) in a branch")
                 # surface enum result + variant continuation means linkthis
                 if isinstance(r, sx.EnumType) and self._variant_like(cont):
                     r = sx.LINK_THIS
@@ -542,53 +550,69 @@ class _RawClass:
     methods: list  # (annot raw or None, name, param name, body, token)
 
 
-def parse_program(text: str, filename: str = "<string>") -> sx.Program:
-    p = _P(tokenize(text))
+def parse_program(text: str, filename: str | None = None) -> sx.Program:
+    """Parse one source text; a parse error's position names `filename`,
+    when one is given."""
+    return _parse_sources([(text, filename)])
+
+
+def _parse_sources(sources) -> sx.Program:
+    """Parse (text, filename) sources as one program: each text is read on
+    its own, so a parse error's position is within its file, and the
+    declarations of all of them are resolved together."""
     raw_classes = []
     raw_accesses = []  # (name, raw channel)
     raw_type_aliases = {}
     raw_chan_aliases = {}
     main = None
 
-    while p.peek().kind != "eof":
-        if p.at("class"):
-            raw_classes.append(_parse_class(p))
-        elif p.at("access"):
-            p.next()
-            p.expect("<")
-            proto = p.raw_channel()
-            p.expect(">")
-            name = p.lident("access point name")
-            p.expect(";")
-            raw_accesses.append((name, proto))
-        elif p.at("type"):
-            p.next()
-            name = p.uident("type alias name")
-            p.expect("=")
-            if name in raw_type_aliases:
-                raise ParseError(f"duplicate type alias {name!r}")
-            raw_type_aliases[name] = p.raw_session()
-            if p.at(";"):
-                p.next()
-        elif p.at("chantype"):
-            p.next()
-            name = p.uident("channel type alias name")
-            p.expect("=")
-            if name in raw_chan_aliases:
-                raise ParseError(f"duplicate channel type alias {name!r}")
-            raw_chan_aliases[name] = p.raw_channel()
-            if p.at(";"):
-                p.next()
-        elif p.peek().kind == "ident" and p.peek().text == "main":
-            p.next()
-            cls = p.uident("class name")
-            p.expect(".")
-            m = p.lident("method name")
-            p.expect(";")
-            main = (cls, m)
-        else:
-            t = p.peek()
-            raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
+    for text, filename in sources:
+        try:
+            p = _P(tokenize(text))
+            while p.peek().kind != "eof":
+                if p.at("class"):
+                    raw_classes.append(_parse_class(p))
+                elif p.at("access"):
+                    p.next()
+                    p.expect("<")
+                    proto = p.raw_channel()
+                    p.expect(">")
+                    name = p.lident("access point name")
+                    p.expect(";")
+                    raw_accesses.append((name, proto))
+                elif p.at("type"):
+                    p.next()
+                    name = p.uident("type alias name")
+                    p.expect("=")
+                    if name in raw_type_aliases:
+                        raise ParseError(f"duplicate type alias {name!r}")
+                    raw_type_aliases[name] = p.raw_session()
+                    if p.at(";"):
+                        p.next()
+                elif p.at("chantype"):
+                    p.next()
+                    name = p.uident("channel type alias name")
+                    p.expect("=")
+                    if name in raw_chan_aliases:
+                        raise ParseError(f"duplicate channel type alias {name!r}")
+                    raw_chan_aliases[name] = p.raw_channel()
+                    if p.at(";"):
+                        p.next()
+                elif p.peek().kind == "ident" and p.peek().text == "main":
+                    t = p.next()
+                    if main is not None:
+                        raise ParseError("repeated main designation", t.line, t.col)
+                    cls = p.uident("class name")
+                    p.expect(".")
+                    m = p.lident("method name")
+                    p.expect(";")
+                    main = (cls, m)
+                else:
+                    t = p.peek()
+                    raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
+        except ParseError as err:
+            err.file = filename
+            raise
 
     # Class states share the namespace with file-level aliases; class-local
     # names shadow the aliases.
@@ -692,10 +716,11 @@ def _parse_class(p: _P) -> _RawClass:
         if p.at("req"):
             methods.append(_parse_annotated_method(p))
         elif t.kind == "ident" and not _is_upper(t.text) and p.peek(1).text in (";", ","):
-            fields.append(p.lident("field name"))
-            while p.at(","):
+            while True:
+                fields.append(p.fresh(p.lident("field name"), fields, "field"))
+                if not p.at(","):
+                    break
                 p.next()
-                fields.append(p.lident("field name"))
             p.expect(";")
         elif t.kind == "ident" and not _is_upper(t.text) and p.at("(", 1):
             mname = p.lident("method name")
@@ -739,7 +764,7 @@ def _parse_field_binds(p: _P):
     binds = []
     while True:
         t = p.raw_vtype()
-        f = p.lident("field name")
+        f = p.fresh(p.lident("field name"), [f for f, _ in binds], "field")
         binds.append((f, t))
         if p.at(","):
             p.next()
@@ -847,15 +872,17 @@ def parse_files(paths) -> sx.Program:
     """Parse several .mst files as one program.
 
     Declarations (including access points) are shared across all files given
-    to a single invocation, so the sources are resolved together. A file that
-    cannot be read as UTF-8 text raises OSError naming it.
+    to a single invocation, so the sources are resolved together. A parse
+    error's position is within its file, and names the file when there are
+    several. A file that cannot be read as UTF-8 text raises OSError naming it.
     """
-    texts = []
+    sources = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
+                text = fh.read()
         except UnicodeDecodeError as e:
             reason = f"not UTF-8 text ({e.reason} at byte {e.start})"
             raise OSError(errno.EILSEQ, reason, str(path)) from None
-    return parse_program("\n".join(texts), filename="+".join(str(p) for p in paths))
+        sources.append((text, str(path) if len(paths) > 1 else None))
+    return _parse_sources(sources)

@@ -6,7 +6,9 @@ coinductively defined relations: a pair is assumed before its components are
 checked, so cycles through rec types terminate. Assumption keys are the
 canonical forms of both sides, which are alpha-normalized, making membership
 sound for recursive types. `coinductive` is that construction once, for
-this relation and for channel subtyping.
+this relation and for channel subtyping. `serving_entry` is the one
+overload resolution: sub-session matching and the checker's call rule both
+ask it which entry of a branch serves a call.
 """
 
 from __future__ import annotations
@@ -73,10 +75,8 @@ def _subtype_session(s, t, assumptions):
 def _subtype_unfolded(su, tu, assumptions):
     if isinstance(su, Branch) and isinstance(tu, Branch):
         for sig_t in tu.entries:
-            sig_s = _match_entry(su, sig_t)
-            if sig_s is None:
-                return False
-            if not _compatible_signature(sig_s, sig_t, assumptions):
+            sig_s, _ = serving_entry(su, sig_t.name, sig_t.param, assumptions)
+            if sig_s is None or not _compatible_signature(sig_s, sig_t, assumptions):
                 return False
         return True
     if isinstance(su, VariantS) and isinstance(tu, VariantS):
@@ -86,34 +86,29 @@ def _subtype_unfolded(su, tu, assumptions):
     return False
 
 
-def _match_entry(branch: Branch, sig_t: MethodSig):
-    """Entry of the subtype branch that serves an entry of the supertype.
+def serving_entry(branch: Branch, name: str, arg, assumptions=frozenset()):
+    """The entry of `branch` that serves a call of `name` with an argument of
+    type `arg`: among the entries named `name` whose parameter accepts `arg`
+    (parameters are contravariant), the one with the least parameter.
 
-    Overloads are disambiguated by parameter type: among the entries named m
-    whose parameter is a supertype of the requested parameter (parameters are
-    contravariant), the one with the least parameter wins; ambiguity means no
-    match.
+    Returns (entry, accepting), the accepting entries in branch order; entry
+    is None when none accepts `arg` or no least parameter is unique.
+    Parameters are compared under `assumptions`, those of the sub-session
+    proof the match is part of (empty for a call).
     """
-    named = branch.named(sig_t.name)
-    if len(named) == 1:
-        return named[0]
-    candidates = [e for e in named if subtype_value(sig_t.param, e.param)]
-    if not candidates:
-        return None
-    least = []
-    for e in candidates:
-        if all(subtype_value(e.param, other.param) for other in candidates):
-            least.append(e)
-    if len(least) == 1:
-        return least[0]
-    return None
+    accepting = [e for e in branch.named(name) if _compatible_value(arg, e.param, assumptions)]
+    if len(accepting) == 1:
+        return accepting[0], accepting
+    least = [
+        e
+        for e in accepting
+        if all(_compatible_value(e.param, other.param, assumptions) for other in accepting)
+    ]
+    return (least[0] if len(least) == 1 else None), accepting
 
 
 def _compatible_signature(sig: MethodSig, sig_t: MethodSig, assumptions) -> bool:
-    # contravariant parameter
-    if not _compatible_value(sig_t.param, sig.param, assumptions):
-        return False
-    # covariant result and continuation
+    """Covariant result and continuation; the parameter was matched already."""
     if _compatible_value(sig.result, sig_t.result, assumptions) and _subtype_session(
         sig.cont, sig_t.cont, assumptions
     ):

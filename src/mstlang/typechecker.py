@@ -26,6 +26,7 @@ from .subtyping import (
     equivalent,
     join_field,
     join_records,
+    serving_entry,
     subtype_any,
     subtype_value,
 )
@@ -136,27 +137,25 @@ class CheckContext:
 
 
 def resolve_signature(branch: Branch, method: str, arg_type) -> sx.MethodSig:
-    """Unique entry for the method applicable to the argument type; several
-    applicable overloads are disambiguated by the least parameter type."""
-    named = branch.named(method)
-    if not named:
-        raise CheckError(NO_SUCH_METHOD, f"no method {method!r} in {branch!r}")
-    applicable = [e for e in named if subtype_value(arg_type, e.param)]
-    if not applicable:
-        raise CheckError(
-            NO_SUCH_METHOD,
-            f"no overload of {method!r} accepts argument type {arg_type!r}",
-        )
-    if len(applicable) == 1:
-        return applicable[0]
-    least = [
-        e
-        for e in applicable
-        if all(subtype_value(e.param, other.param) for other in applicable)
-    ]
-    if len(least) != 1:
+    """The entry that serves a call of `method` with an argument of
+    `arg_type` (`serving_entry`), or a CheckError saying why none does."""
+    entry, accepting = serving_entry(branch, method, arg_type)
+    if entry is not None:
+        return entry
+    if accepting:
         raise CheckError(AMBIGUOUS_OVERLOAD, f"ambiguous overloads of {method!r}")
-    return least[0]
+    if not branch.named(method):
+        raise CheckError(NO_SUCH_METHOD, f"no method {method!r} in {branch!r}")
+    raise CheckError(
+        NO_SUCH_METHOD, f"no overload of {method!r} accepts argument type {arg_type!r}"
+    )
+
+
+def _null_entry(session, method):
+    """The entry of a class session's initial branch that serves a call of
+    `method` with a Null argument, or None."""
+    u = unfold(session)
+    return serving_entry(u, method, sx.NULL_T)[0] if isinstance(u, Branch) else None
 
 
 def _collapse(f_typing):
@@ -314,7 +313,7 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
         if isinstance(t, LinkThis):
             joined = _collapse(f1)
             branch = _branch_of(_field_type(joined, e.field), f"field {e.field!r}")
-            entry = _resolve_enum_overload(branch, e.method, f1.labels)
+            entry = resolve_signature(branch, e.method, EnumType(f1.labels))
             result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
             return result, joined.set(e.field, entry.cont), v1
         if isinstance(t, LinkField):
@@ -364,14 +363,8 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
         decl = ctx.program.classes.get(e.cls)
         if decl is None:
             raise CheckError(UNKNOWN_CLASS, f"unknown class {e.cls!r}")
-        u = unfold(decl.session)
-        ok = isinstance(u, Branch) and any(
-            en.name == e.method
-            and isinstance(en.param, NullType)
-            and isinstance(en.result, NullType)
-            for en in u.entries
-        )
-        if not ok:
+        entry = _null_entry(decl.session, e.method)
+        if entry is None or not isinstance(entry.result, NullType):
             raise CheckError(
                 SPAWN_UNAVAILABLE,
                 f"Null {e.method}(Null) is not available in {e.cls}.session",
@@ -389,26 +382,6 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
             return _infer_return(ctx, e, F, V)
 
     raise CheckError(INTERNAL_FORM, f"internal form {type(e).__name__} in a source program")
-
-
-def _resolve_enum_overload(branch: Branch, method: str, labels) -> sx.MethodSig:
-    """Overload resolution when the argument is a tag of a variant typing:
-    the parameter must be an enumeration covering all the variant's labels."""
-    named = [
-        en
-        for en in branch.named(method)
-        if isinstance(en.param, EnumType) and labels <= en.param.labels
-    ]
-    if not named:
-        raise CheckError(NO_SUCH_METHOD, f"no overload of {method!r} accepts labels {set(labels)}")
-    if len(named) == 1:
-        return named[0]
-    least = [
-        en for en in named if all(en.param.labels <= other.param.labels for other in named)
-    ]
-    if len(least) != 1:
-        raise CheckError(AMBIGUOUS_OVERLOAD, f"ambiguous overloads of {method!r}")
-    return least[0]
 
 
 def _infer_switch(ctx, cls, e, F, V):
@@ -745,13 +718,8 @@ def check_program(program: sx.Program):
         decl = program.classes.get(cname)
         if decl is None:
             report.program_errors.append(f"{MAIN_UNAVAILABLE}: unknown main class {cname!r}")
-        else:
-            u = unfold(decl.session)
-            ok = isinstance(u, Branch) and any(
-                e.name == mname and isinstance(e.param, NullType) for e in u.entries
+        elif _null_entry(decl.session, mname) is None or decl.method(mname) is None:
+            report.program_errors.append(
+                f"{MAIN_UNAVAILABLE}: {mname!r} is not immediately available on {cname!r}"
             )
-            if not ok or decl.method(mname) is None:
-                report.program_errors.append(
-                    f"{MAIN_UNAVAILABLE}: {mname!r} is not immediately available on {cname!r}"
-                )
     return report, ctx

@@ -147,6 +147,57 @@ def test_repeated_label_is_a_parse_error(tmp_path, capsys, argv, where):
     assert err == f"parse error: {where}: repeated label 'A'\n"
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("class M { session {Null go(Null): {}, Null go(Null): {}} go(x) { null } }",
+         "repeated signature go(Null) in a branch"),
+        ("class M { session {Null go({A, B}): {}, Null go({B, A}): {}} go(x) { null } }",
+         "repeated signature go({A, B}) in a branch"),
+        ("class M { session {Null go(Null): {}} f, g; f; go(x) { null } }",
+         "1:45: repeated field 'f'"),
+        ("class M { session {Null go(Null): {}} f; req Null f, {X} f ens Null f Null h() "
+         "{ null } go(x) { null } }",
+         "1:58: repeated field 'f'"),
+        ("class M { session {Null go(Null): {}} go(x) { null } }\nmain M.go;\nmain M.go;",
+         "3:1: repeated main designation"),
+    ],
+    ids=["signature", "signature-canonical", "class-field", "annotation-field", "main"],
+)
+def test_repeated_declaration_is_a_parse_error(tmp_path, capsys, text, error):
+    path = tmp_path / "dup.mst"
+    path.write_text(text)
+    assert run(["check", str(path)], capsys) == (65, "", f"parse error: {error}\n")
+
+
+def test_parse_error_position_within_its_file(tmp_path, capsys):
+    a = tmp_path / "a.mst"
+    b = tmp_path / "b.mst"
+    a.write_text("class A { session {} }\n")
+    b.write_text("class B { session {} }\n  ?\n")
+    assert run(["check", str(a), str(b)], capsys) == (
+        65, "", f"parse error: {b}:2:3: expected a declaration, found '?'\n"
+    )
+    assert run(["check", str(b)], capsys) == (65, "", "parse error: 2:3: expected a declaration, found '?'\n")
+
+
+def test_negative_step_count_is_a_usage_error(capsys):
+    f = str(CORPUS / "file.mst")
+    code, out, err = run(["run", f, "--steps", "-5"], capsys)
+    assert (code, out) == (64, "")
+    assert err.endswith("error: argument --steps: expected a step count of 0 or more, found '-5'\n")
+    assert run(["run", f, "--steps", "0"], capsys) == (3, "StepLimit\n", "")
+
+
+def test_overload_match_inside_a_recursive_proof(capsys):
+    # at the parent commit both exited 70 with RecursionError
+    f = str(CORPUS / "file.mst")
+    s = "rec X.{Null m(X): X, Null m({A}): X, Null n(Null): X}"
+    t = "rec Y.{Null m(Y): Y, Null m({A}): Y}"
+    assert run(["subtype", f, s, t], capsys) == (0, "no\n", "")
+    assert run(["equiv", f, s, t], capsys) == (0, "no\n", "")
+
+
 def test_run_unchecked_verify_states_exit_4(tmp_path, capsys):
     from test_monitor import TAG_ARG_SELF_CALL
 

@@ -244,3 +244,13 @@ def test_join_branch_with_linkthis_entry():
     assert equivalent(cont.case("GO"), pt("{Null n(Null): {}}"))
     assert equivalent(cont.case("STOP"), pt("{}"))
     assert subtype_session(a, j) and subtype_session(b, j)
+
+
+def test_overload_match_keeps_the_proofs_assumptions():
+    # matching m(Y) compares Y with the overloads' parameters inside the proof
+    # of the pair itself; Y lacks n, so no overload of m accepts it
+    s = pt("rec X.{Null m(X): X, Null m({A}): X, Null n(Null): X}")
+    t = pt("rec Y.{Null m(Y): Y, Null m({A}): Y}")
+    assert not subtype_session(s, t)
+    assert not equivalent(s, t)
+    assert subtype_session(s, pt("rec Y.{Null m({A}): Y, Null n(Null): Y}"))

@@ -176,6 +176,31 @@ def test_resolve_signature_overloads(remote1):
         resolve_signature(branch, "missing", NULL_T)
 
 
+def test_resolve_signature_ambiguous_without_a_least_parameter():
+    branch = unfold(parser.parse_session_type("{Null m({A, B}): {}, Null m({A, C}): {}}"))
+    with pytest.raises(CheckError) as err:
+        resolve_signature(branch, "m", EnumType(frozenset({"A"})))
+    assert err.value.code == "AmbiguousOverload"
+    assert resolve_signature(branch, "m", EnumType(frozenset({"B"}))).param == EnumType(
+        frozenset({"A", "B"})
+    )
+
+
+def test_tag_argument_without_accepting_overload():
+    text = """
+    class L { session {Null m({A}): {}} m(x) { null } }
+    class C {
+      session {Null go(Null): {}}
+      f;
+      go(x) { f = new L(); f.m(B); null }
+    }
+    """
+    report, _ = check_program(parse_program(text))
+    v = report.verdict("C")
+    assert (v.code, v.method) == ("NoSuchMethod", "go")
+    assert v.detail == "no overload of 'm' accepts argument type {B}"
+
+
 def test_empty_session_class_accepted():
     prog = parse_program("class C { session {} }")
     report, _ = check_program(prog)
