@@ -106,7 +106,16 @@ def _translate_channel(sigma: ChannelType) -> SessionType:
 
 def translate_access(sigma: ChannelType) -> SessionType:
     """Class session type of an access point: request and accept are always
-    available; request yields the dual endpoint, accept the declared one."""
+    available; request yields the dual endpoint, accept the declared one.
+    The result is memoised on sigma, so each protocol has one such node."""
+    memo = sigma.memo()
+    out = memo.get("access")
+    if out is None:
+        out = memo["access"] = _translate_access(sigma)
+    return out
+
+
+def _translate_access(sigma: ChannelType) -> SessionType:
     var = "_AP"
     return RecS(
         var,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import errno
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import syntax as sx
@@ -548,6 +549,22 @@ class _RawClass:
     states: dict
     fields: list
     methods: list  # (annot raw or None, name, param name, body, token)
+    where: tuple = (None, None)  # (file, first token) of the declaration
+
+
+@contextmanager
+def _located(where):
+    """Fill in what a ParseError raised while resolving a declaration lacks:
+    the position of the declaration's first token, and its file."""
+    try:
+        yield
+    except ParseError as err:
+        filename, tok = where
+        if err.line is None:
+            err.line, err.col = tok.line, tok.col
+        if err.file is None:
+            err.file = filename
+        raise
 
 
 def parse_program(text: str, filename: str | None = None) -> sx.Program:
@@ -561,17 +578,22 @@ def _parse_sources(sources) -> sx.Program:
     its own, so a parse error's position is within its file, and the
     declarations of all of them are resolved together."""
     raw_classes = []
-    raw_accesses = []  # (name, raw channel)
+    raw_accesses = []  # (name, raw channel, where)
     raw_type_aliases = {}
     raw_chan_aliases = {}
+    alias_where = {}  # ("type" or "chantype", name) -> where
     main = None
 
     for text, filename in sources:
         try:
             p = _P(tokenize(text))
             while p.peek().kind != "eof":
+                t = p.peek()
+                where = (filename, t)
                 if p.at("class"):
-                    raw_classes.append(_parse_class(p))
+                    rc = _parse_class(p)
+                    rc.where = where
+                    raw_classes.append(rc)
                 elif p.at("access"):
                     p.next()
                     p.expect("<")
@@ -579,14 +601,15 @@ def _parse_sources(sources) -> sx.Program:
                     p.expect(">")
                     name = p.lident("access point name")
                     p.expect(";")
-                    raw_accesses.append((name, proto))
+                    raw_accesses.append((name, proto, where))
                 elif p.at("type"):
                     p.next()
                     name = p.uident("type alias name")
                     p.expect("=")
                     if name in raw_type_aliases:
-                        raise ParseError(f"duplicate type alias {name!r}")
+                        raise ParseError(f"duplicate type alias {name!r}", t.line, t.col)
                     raw_type_aliases[name] = p.raw_session()
+                    alias_where[("type", name)] = where
                     if p.at(";"):
                         p.next()
                 elif p.at("chantype"):
@@ -594,12 +617,13 @@ def _parse_sources(sources) -> sx.Program:
                     name = p.uident("channel type alias name")
                     p.expect("=")
                     if name in raw_chan_aliases:
-                        raise ParseError(f"duplicate channel type alias {name!r}")
+                        raise ParseError(f"duplicate channel type alias {name!r}", t.line, t.col)
                     raw_chan_aliases[name] = p.raw_channel()
+                    alias_where[("chantype", name)] = where
                     if p.at(";"):
                         p.next()
-                elif p.peek().kind == "ident" and p.peek().text == "main":
-                    t = p.next()
+                elif t.kind == "ident" and t.text == "main":
+                    p.next()
                     if main is not None:
                         raise ParseError("repeated main designation", t.line, t.col)
                     cls = p.uident("class name")
@@ -608,7 +632,6 @@ def _parse_sources(sources) -> sx.Program:
                     p.expect(";")
                     main = (cls, m)
                 else:
-                    t = p.peek()
                     raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
         except ParseError as err:
             err.file = filename
@@ -618,27 +641,65 @@ def _parse_sources(sources) -> sx.Program:
     # names shadow the aliases.
     classes = {}
     for rc in raw_classes:
-        if rc.name in classes:
-            raise DuplicateClass(f"class {rc.name!r} declared more than once")
-        session_defs = dict(raw_type_aliases)
-        session_defs.update(rc.states)
-        resolver = _Resolver(session_defs, raw_chan_aliases)
-        session = resolver.session(rc.session)
-        _check_session_wf(session, f"class {rc.name}")
-        if not isinstance(sx.unfold(session), sx.Branch):
-            raise ParseError(f"class {rc.name}: declared session must unfold to a branch")
-        states = {}
-        for sname in rc.states:
-            st = resolver.session(("name", sname))
-            _check_session_wf(st, f"{rc.name}.{sname}")
-            states[sname] = st
-        methods = {}
-        for annot_raw, mname, pname, body, tok in rc.methods:
-            if mname in methods:
-                raise ParseError(f"duplicate method {mname!r} in class {rc.name}", tok.line, tok.col)
-            annot = None
-            if annot_raw is not None:
-                req_raw, ens_raw, result_raw, ptype_raw = annot_raw
+        with _located(rc.where):
+            classes[rc.name] = _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases)
+
+    top_resolver = _Resolver(dict(raw_type_aliases), raw_chan_aliases)
+    session_aliases = {}
+    for name in raw_type_aliases:
+        with _located(alias_where[("type", name)]):
+            s = top_resolver.session(("name", name))
+            _check_session_wf(s, f"type {name}")
+        session_aliases[name] = s
+    channel_aliases = {}
+    for name in raw_chan_aliases:
+        with _located(alias_where[("chantype", name)]):
+            c = top_resolver.channel(("cname", name))
+            _check_session_wf(c, f"chantype {name}")
+        channel_aliases[name] = c
+    access_points = {}
+    for name, proto, where in raw_accesses:
+        with _located(where):
+            if name in access_points:
+                raise ParseError(f"duplicate access point {name!r}")
+            c = top_resolver.channel(proto)
+            _check_session_wf(c, f"access point {name}")
+        access_points[name] = c
+
+    program = sx.Program(
+        classes=classes,
+        access_points=access_points,
+        session_aliases=session_aliases,
+        channel_aliases=channel_aliases,
+        main=main,
+    )
+    _resolve_bodies(program, raw_classes)
+    return program
+
+
+def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassDecl:
+    if rc.name in classes:
+        raise DuplicateClass(f"class {rc.name!r} declared more than once")
+    session_defs = dict(raw_type_aliases)
+    session_defs.update(rc.states)
+    resolver = _Resolver(session_defs, raw_chan_aliases)
+    session = resolver.session(rc.session)
+    _check_session_wf(session, f"class {rc.name}")
+    if not isinstance(sx.unfold(session), sx.Branch):
+        raise ParseError(f"class {rc.name}: declared session must unfold to a branch")
+    states = {}
+    for sname in rc.states:
+        st = resolver.session(("name", sname))
+        _check_session_wf(st, f"{rc.name}.{sname}")
+        states[sname] = st
+    methods = {}
+    for annot_raw, mname, pname, body, tok in rc.methods:
+        if mname in methods:
+            raise ParseError(f"duplicate method {mname!r} in class {rc.name}", tok.line, tok.col)
+        annot = None
+        if annot_raw is not None:
+            req_raw, ens_raw, result_raw, ptype_raw = annot_raw
+            with _located((rc.where[0], tok)):
                 req = _resolve_record(resolver, req_raw, rc.fields, rc.name)
                 ens = _resolve_record(resolver, ens_raw, rc.fields, rc.name)
                 if isinstance(ens, sx.VariantF):
@@ -649,43 +710,14 @@ def _parse_sources(sources) -> sx.Program:
                     result=resolver.vtype(result_raw),
                     param_type=resolver.vtype(ptype_raw),
                 )
-            methods[mname] = sx.MethodDef(mname, pname, body, annot)
-        classes[rc.name] = sx.ClassDecl(
-            name=rc.name,
-            session=session,
-            fields=tuple(rc.fields),
-            methods=methods,
-            states=states,
-        )
-
-    top_resolver = _Resolver(dict(raw_type_aliases), raw_chan_aliases)
-    session_aliases = {}
-    for name in raw_type_aliases:
-        s = top_resolver.session(("name", name))
-        _check_session_wf(s, f"type {name}")
-        session_aliases[name] = s
-    channel_aliases = {}
-    for name in raw_chan_aliases:
-        c = top_resolver.channel(("cname", name))
-        _check_session_wf(c, f"chantype {name}")
-        channel_aliases[name] = c
-    access_points = {}
-    for name, proto in raw_accesses:
-        if name in access_points:
-            raise ParseError(f"duplicate access point {name!r}")
-        c = top_resolver.channel(proto)
-        _check_session_wf(c, f"access point {name}")
-        access_points[name] = c
-
-    program = sx.Program(
-        classes=classes,
-        access_points=access_points,
-        session_aliases=session_aliases,
-        channel_aliases=channel_aliases,
-        main=main,
+        methods[mname] = sx.MethodDef(mname, pname, body, annot)
+    return sx.ClassDecl(
+        name=rc.name,
+        session=session,
+        fields=tuple(rc.fields),
+        methods=methods,
+        states=states,
     )
-    _resolve_bodies(program)
-    return program
 
 
 def _parse_class(p: _P) -> _RawClass:
@@ -785,15 +817,15 @@ def _resolve_record(resolver, binds, fields, cls_name):
     return sx.RecordF(tuple((f, typed[f]) for f in fields))
 
 
-def _resolve_bodies(program: sx.Program):
+def _resolve_bodies(program: sx.Program, raw_classes):
     """Rewrite bare identifiers to parameter refs, field reads or access names."""
-    for cls in program.classes.values():
-        resolved = {}
-        for m in cls.methods.values():
-            body = _resolve_expr(m.body, m.param, cls, program)
-            resolved[m.name] = sx.MethodDef(m.name, m.param, body, m.annotation)
-        cls.methods.clear()
-        cls.methods.update(resolved)
+    for rc in raw_classes:
+        cls = program.classes[rc.name]
+        for _, mname, _, _, tok in rc.methods:
+            m = cls.methods[mname]
+            with _located((rc.where[0], tok)):
+                body = _resolve_expr(m.body, m.param, cls, program)
+            cls.methods[mname] = sx.MethodDef(m.name, m.param, body, m.annotation)
 
 
 def _resolve_expr(e, param, cls, program):

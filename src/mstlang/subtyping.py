@@ -197,7 +197,10 @@ def meet_value(t, u):
 
 def join_session(s: SessionType, t: SessionType, _memo=None) -> SessionType:
     """Join of session types: method-set intersection for branches with
-    parameter meets and result/continuation joins; label union for variants."""
+    parameter meets and result/continuation joins; label union for variants.
+    A branch join has one entry per (method name, met parameter), joined from
+    the entries that serve that parameter on each side; a parameter that
+    either side cannot serve unambiguously is left out."""
     if _memo is None:
         _memo = {}
     key = (s.canon(), t.canon())
@@ -211,14 +214,10 @@ def join_session(s: SessionType, t: SessionType, _memo=None) -> SessionType:
     su, tu = unfold(s), unfold(t)
     if isinstance(su, Branch) and isinstance(tu, Branch):
         entries = []
-        for e in su.entries:
-            for e2 in tu.entries:
-                if e.name != e2.name:
-                    continue
-                try:
-                    param = meet_value(e.param, e2.param)
-                except JoinUndefined:
-                    continue
+        for method, param in _met_parameters(su, tu):
+            e, _ = serving_entry(su, method, param)
+            e2, _ = serving_entry(tu, method, param)
+            if e is not None and e2 is not None:
                 entries.append(_join_entry(e, e2, param, _memo))
         body = Branch(tuple(entries))
     elif isinstance(su, VariantS) and isinstance(tu, VariantS):
@@ -238,6 +237,19 @@ def join_session(s: SessionType, t: SessionType, _memo=None) -> SessionType:
     if state["used"]:
         return sx.RecS(name, body)
     return body
+
+
+def _met_parameters(su, tu):
+    """The distinct (method name, parameter) pairs at which an entry of one
+    branch meets a same-name entry of the other, in order of first meeting."""
+    met = {}
+    for e in su.entries:
+        for e2 in tu.named(e.name):
+            try:
+                met.setdefault((e.name, meet_value(e.param, e2.param)))
+            except JoinUndefined:
+                pass
+    return list(met)
 
 
 def _join_entry(e, e2, param, memo):

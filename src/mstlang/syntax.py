@@ -10,6 +10,8 @@ All values here are immutable; heap/configuration updates build new values.
 A pure function of a type (unfolding, duality, translation, subtyping) keeps
 its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
+A node's canonical form is composed from the forms already stored on its
+children wherever no `rec` binder is open, so a fresh node costs one level.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class Type:
     """Base class for all type forms.
 
     Equality and hashing go through a canonical form so that branch entry
-    order, variant case order and mu-variable names are irrelevant.
+    order, variant case order and mu-variable names are irrelevant. The form
+    is computed once per node and built from its children's stored forms
+    outside `rec` binders (`_form`).
     """
 
     __slots__ = ("_canon", "_memo")
@@ -91,6 +95,13 @@ class Type:
         from .render import render_type
 
         return render_type(self)
+
+
+def _form(t, bound):
+    """Canonical form of child `t` of a node whose form is being built: the
+    form stored on `t` when no `rec` binder is open, else a walk under
+    `bound`, since de Bruijn indices depend on the enclosing binders."""
+    return t._canonical(bound) if bound else t.canon()
 
 
 class SessionType(Type):
@@ -197,9 +208,9 @@ class MethodSig:
     def _canonical(self, bound):
         return (
             self.name,
-            self.param._canonical(bound),
-            self.result._canonical(bound),
-            self.cont._canonical(bound),
+            _form(self.param, bound),
+            _form(self.result, bound),
+            _form(self.cont, bound),
         )
 
 
@@ -237,7 +248,7 @@ class VariantS(Labelled, SessionType):
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
-        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
+        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
         return ("variant", tuple(cs))
 
 
@@ -287,7 +298,7 @@ class ChanRecv(ChannelType):
     __slots__ = ("payload", "cont")
 
     def _canonical(self, bound):
-        return ("recv", self.payload._canonical(bound), self.cont._canonical(bound))
+        return ("recv", _form(self.payload, bound), _form(self.cont, bound))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -298,7 +309,7 @@ class ChanSend(ChannelType):
     __slots__ = ("payload", "cont")
 
     def _canonical(self, bound):
-        return ("send", self.payload._canonical(bound), self.cont._canonical(bound))
+        return ("send", _form(self.payload, bound), _form(self.cont, bound))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -315,7 +326,7 @@ class ChanOffer(Labelled, ChannelType):
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
-        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
+        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
         return ("offer", tuple(cs))
 
 
@@ -333,7 +344,7 @@ class ChanSelect(Labelled, ChannelType):
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
-        cs = sorted((l, s._canonical(bound)) for l, s in self.cases)
+        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
         return ("select", tuple(cs))
 
 
@@ -370,7 +381,7 @@ class AccessPointType(Type):
     __slots__ = ("protocol",)
 
     def _canonical(self, bound):
-        return ("access", self.protocol._canonical(bound))
+        return ("access", _form(self.protocol, bound))
 
 
 # Field typings --------------------------------------------------------------
@@ -410,7 +421,7 @@ class RecordF(FieldTyping):
         return tuple(n for n, _ in self.items)
 
     def _canonical(self, bound):
-        its = sorted((n, t._canonical(bound)) for n, t in self.items)
+        its = sorted((n, _form(t, bound)) for n, t in self.items)
         return ("record", tuple(its))
 
 
@@ -432,7 +443,7 @@ class VariantF(Labelled, FieldTyping):
         object.__setattr__(self, "cases", cases)
 
     def _canonical(self, bound):
-        cs = sorted((l, f._canonical(bound)) for l, f in self.cases)
+        cs = sorted((l, _form(f, bound)) for l, f in self.cases)
         return ("variantf", tuple(cs))
 
 
@@ -446,7 +457,7 @@ class ObjectInternal(Type):
     __slots__ = ("cls", "typing")
 
     def _canonical(self, bound):
-        return ("object", self.cls, self.typing._canonical(bound))
+        return ("object", self.cls, _form(self.typing, bound))
 
 
 def null_record(fields: Iterable[str]) -> RecordF:

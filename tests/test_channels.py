@@ -98,6 +98,11 @@ def test_translate_access_shape():
     assert equivalent(t, expected)
 
 
+def test_translate_access_one_node_per_protocol():
+    sigma = pc("rec X.?{A}.!{B}.X")
+    assert translate_access(sigma) is translate_access(sigma)
+
+
 def test_access_request_and_accept_sides(remote1):
     sigma = remote1.channel_aliases["FileReadCh"]
     t = unfold(translate_access(sigma))

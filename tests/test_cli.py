@@ -151,9 +151,9 @@ def test_repeated_label_is_a_parse_error(tmp_path, capsys, argv, where):
     "text, error",
     [
         ("class M { session {Null go(Null): {}, Null go(Null): {}} go(x) { null } }",
-         "repeated signature go(Null) in a branch"),
+         "1:1: repeated signature go(Null) in a branch"),
         ("class M { session {Null go({A, B}): {}, Null go({B, A}): {}} go(x) { null } }",
-         "repeated signature go({A, B}) in a branch"),
+         "1:1: repeated signature go({A, B}) in a branch"),
         ("class M { session {Null go(Null): {}} f, g; f; go(x) { null } }",
          "1:45: repeated field 'f'"),
         ("class M { session {Null go(Null): {}} f; req Null f, {X} f ens Null f Null h() "
@@ -179,6 +179,29 @@ def test_parse_error_position_within_its_file(tmp_path, capsys):
         65, "", f"parse error: {b}:2:3: expected a declaration, found '?'\n"
     )
     assert run(["check", str(b)], capsys) == (65, "", "parse error: 2:3: expected a declaration, found '?'\n")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("\nclass U {\n  session Nope\n}\n", "2:1: unknown session type name 'Nope'"),
+        ("class M { session <A: {}> }", "1:1: class M: declared session must unfold to a branch"),
+        ("access <End> a;\n  access <End> a;", "2:3: duplicate access point 'a'"),
+        ("type T = {};\ntype T = {};", "2:1: duplicate type alias 'T'"),
+        ("chantype T = End;\nchantype T = End;", "2:1: duplicate channel type alias 'T'"),
+        ("type T = {};\n\ntype N = Nope;", "3:1: unknown session type name 'Nope'"),
+        ("class M { session {Null go(Null): {}}\n  go(x) { y } }", "2:3: class M: unbound name 'y'"),
+    ],
+    ids=["session-name", "not-a-branch", "access-point", "type-alias", "channel-alias",
+         "in-alias", "body-name"],
+)
+def test_name_resolution_error_names_its_declaration(tmp_path, capsys, text, error):
+    a = tmp_path / "a.mst"
+    u = tmp_path / "u.mst"
+    a.write_text("class A { session {Null go(Null): {}} go(x) { null } }\n")
+    u.write_text(text)
+    assert run(["check", str(u)], capsys) == (65, "", f"parse error: {error}\n")
+    assert run(["check", str(a), str(u)], capsys) == (65, "", f"parse error: {u}:{error}\n")
 
 
 def test_negative_step_count_is_a_usage_error(capsys):

@@ -166,6 +166,14 @@ def test_join_branch_with_top():
         assert equivalent(join_session(s, top), top)
 
 
+def test_join_branch_one_entry_per_met_parameter():
+    s = pt("{Null m({A, B}): {}, Null m({A}): {}}")
+    t = pt("{Null m({A}): {}}")
+    j = join_session(s, t)
+    assert [(e.name, e.param) for e in j.entries] == [("m", EnumType(frozenset({"A"})))]
+    assert subtype_session(s, j) and subtype_session(t, j)
+
+
 def test_join_field_variants_union():
     f1 = RecordF((("f", NULL_T),))
     f2 = RecordF((("f", EnumType(frozenset({"A"}))),))

@@ -1,14 +1,19 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from gen import gen_channel, gen_session
+from mstlang import syntax
 from mstlang.parser import parse_session_type
 from mstlang.syntax import (
+    AccessPointType,
     Branch,
     CHAN_END,
     ChanOffer,
+    ChanRecv,
     ChanSelect,
+    ChanSend,
     Heap,
     IncompleteHeap,
     MethodSig,
@@ -18,12 +23,18 @@ from mstlang.syntax import (
     NotARoot,
     NotInjective,
     ObjIdE,
+    ObjectInternal,
     ObjectRecord,
     Path,
     PathUndefined,
     LabelE,
+    RecC,
+    RecordF,
     RecS,
+    Type,
+    VarC,
     VarS,
+    VariantF,
     VariantS,
     is_contractive,
     unfold,
@@ -205,3 +216,79 @@ def test_branch_entry_order_irrelevant_for_equality():
     b = parse_session_type("{Null n(Null): {}, Null m(Null): {}}")
     assert a == b
     assert hash(a) == hash(b)
+
+
+# -- canonical forms -----------------------------------------------------------
+
+_CASE_TAGS = {VariantS: "variant", ChanOffer: "offer", ChanSelect: "select",
+              VariantF: "variantf"}
+
+
+def reference_form(t, bound=()):
+    """The canonical form of t computed from scratch: every level is walked,
+    and no form stored on a node is read."""
+    def f(c):
+        return reference_form(c, bound)
+
+    if isinstance(t, (RecS, RecC)):
+        kind, tag = ("s", "rec") if isinstance(t, RecS) else ("c", "recc")
+        return (tag, reference_form(t.body, bound + ((kind, t.var),)))
+    if isinstance(t, (VarS, VarC)):
+        key = ("s" if isinstance(t, VarS) else "c", t.name)
+        depths = [len(bound) - 1 - i for i, b in enumerate(bound) if b == key]
+        return ("var", min(depths)) if depths else ("freevar", t.name)
+    if isinstance(t, Branch):
+        return ("branch", tuple(sorted(
+            (e.name, f(e.param), f(e.result), f(e.cont)) for e in t.entries)))
+    if type(t) in _CASE_TAGS:
+        return (_CASE_TAGS[type(t)], tuple(sorted((l, f(c)) for l, c in t.cases)))
+    if isinstance(t, (ChanRecv, ChanSend)):
+        return ("recv" if isinstance(t, ChanRecv) else "send", f(t.payload), f(t.cont))
+    if isinstance(t, AccessPointType):
+        return ("access", f(t.protocol))
+    if isinstance(t, RecordF):
+        return ("record", tuple(sorted((n, f(v)) for n, v in t.items)))
+    if isinstance(t, ObjectInternal):
+        return ("object", t.cls, f(t.typing))
+    return t._canonical(bound)  # a leaf: null, an enumeration, linkthis, end
+
+
+def _nodes(x):
+    """Every type node and branch entry in x, children before parents."""
+    if isinstance(x, tuple):
+        return [n for item in x for n in _nodes(item)]
+    if isinstance(x, (Type, MethodSig)):
+        return [n for fd in fields(x) for n in _nodes(getattr(x, fd.name))] + [x]
+    return []
+
+
+def test_canon_equals_a_from_scratch_form():
+    rng = random.Random(19)
+    for _ in range(300):
+        s, c = gen_session(rng, 3), gen_channel(rng, 3)
+        record = RecordF((("f", s), ("g", NULL_T)))
+        for t in (s, c, AccessPointType(c), ObjectInternal("C", record),
+                  VariantF((("A", record), ("B", RecordF((("f", NULL_T), ("g", s))))))):
+            # some subterms, rec bodies among them, are canonicalised first
+            types = [n for n in _nodes(t) if isinstance(n, Type)]
+            for n in rng.sample(types, rng.randrange(len(types) + 1)):
+                n.canon()
+            assert t.canon() == reference_form(t)
+
+
+def test_canon_of_fresh_node_reads_its_childrens_stored_forms(monkeypatch):
+    s = parse_session_type("rec X.{Null m({A}): X, {A, B} n(Null): {}}")
+    old = RecordF((("f", s), ("g", NULL_T)))
+    old.canon()
+    fresh = old.set("g", s)
+    computed = []
+    for cls in vars(syntax).values():
+        if isinstance(cls, type) and "_canonical" in vars(cls):
+            def counted(self, bound, _orig=vars(cls)["_canonical"]):
+                computed.append(type(self).__name__)
+                return _orig(self, bound)
+
+            monkeypatch.setattr(cls, "_canonical", counted)
+    form = fresh.canon()
+    assert computed == ["RecordF"]
+    assert form == reference_form(fresh)

@@ -201,6 +201,21 @@ def test_tag_argument_without_accepting_overload():
     assert v.detail == "no overload of 'm' accepts argument type {B}"
 
 
+def test_call_on_joined_overloads_accepted():
+    # f holds an L or a K; both accept m({A}), L through the least of two overloads
+    text = """
+    class L { session {Null m({A, B}): {}, Null m({A}): {}} m(x) { null } }
+    class K { session {Null m({A}): {}} m(x) { null } }
+    class C {
+      session {Null go({P, Q}): {}}
+      f;
+      go(x) { switch (x) { P: f = new L(); Q: f = new K(); } f.m(A); }
+    }
+    """
+    report, _ = check_program(parse_program(text))
+    assert all(report.verdict(c).ok for c in "LKC")
+
+
 def test_empty_session_class_accepted():
     prog = parse_program("class C { session {} }")
     report, _ = check_program(prog)
