@@ -32,6 +32,23 @@ consumes the outermost pending call; the other entries are the in-flight
 object identifiers and endpoints, consumed on use. This module holds no
 expression typing rules of its own.
 
+Those judgements are memoised for the monitor's lifetime (`Judgements`).
+An answer, the result triple or the CheckError, is kept under (expression
+key, class name, field typing, environment key). The expression key is a
+hash-consed int from the monitor's own table, equal exactly for
+structurally equal expressions. The environment key is built from the value
+types and, per pending call, its field, class and continuation. Types
+compare by canonical form, as in the package's other tables (a detail
+message can show which of two equal types was judged first). A hit is
+exact: `infer_expr` reads nothing else but the program and the return
+rule's consistency judgement, `_consistency_holds`, whose cache never
+evicts, so once asked about some arguments it answers the same for the
+monitor's lifetime. A step rebuilds only the path to its redex; the
+interpreter and `map_expr` keep every other node, and a walk along a
+statement sequence keeps its answer at every suffix. So a step re-types the
+rebuilt nodes and looks up the rest, and its cost does not grow with the
+remaining body.
+
 Monitoring always starts from the initial configuration, whose current path
 is a bare root, so every later path extends it and trace conformance is
 meaningful at each step; monitoring a run from an arbitrary intermediate
@@ -49,7 +66,7 @@ from . import syntax as sx
 from .channels import dual, subtype_channel, translate_access, translate_channel
 from .interpreter import RuntimeFault, StepEvent, decompose
 from .render import render_type
-from .subtyping import equivalent, subtype_any, subtype_session, subtype_value
+from .subtyping import equivalent, serving_entry, subtype_any, subtype_session, subtype_value
 from .syntax import (
     Branch,
     EnumType,
@@ -67,6 +84,7 @@ from .typechecker import (
     INTERNAL_FORM,
     CheckContext,
     CheckError,
+    Judgements,
     RuntimeEnv,
     consistency,
     infer_expr,
@@ -98,7 +116,7 @@ DUALITY = "DualityViolation"
 @dataclass(frozen=True)
 class TraceCall:
     method: str
-    param: object = None  # canonical form of the resolved parameter type, if known
+    param: object = None  # the parameter type of the entry the call resolved to, if known
 
     def __str__(self):
         return self.method
@@ -122,20 +140,20 @@ def _short(t, width=72):
 
 
 def lts_step(s: SessionType, action) -> tuple:
-    """Successor states of one trace element. A call forks over same-name
-    overloads when no parameter type was recorded; a label resolves a variant
-    and is the identity on any other type."""
+    """Successor states of one trace element. A call with a recorded
+    parameter type steps through the entry that serves it (`serving_entry`,
+    as sub-session matching does); without one, as for the words of a
+    written trace, it forks over same-name overloads. A label resolves a
+    variant and is the identity on any other type."""
     u = unfold(s)
     if isinstance(action, TraceCall):
         if not isinstance(u, Branch):
             raise TypeErrorTransition(f"call {action.method!r} on {_short(s)}")
-        named = u.named(action.method)
-        if action.param is not None:
-            # the recorded parameter refines the choice among overloads, but
-            # validity is judged on names: fall back when it matches nothing
-            # (the call may have been resolved against a supertype's entry)
-            refined = [e for e in named if e.param.canon() == action.param]
-            named = refined or named
+        if action.param is None:
+            named = u.named(action.method)
+        else:
+            entry, _ = serving_entry(u, action.method, action.param)
+            named = () if entry is None else (entry,)
         if not named:
             raise TypeErrorTransition(f"call {action.method!r} on {_short(u)}")
         return tuple(e.cont for e in named)
@@ -165,7 +183,7 @@ def _called(session: SessionType, method: str) -> tuple:
     """Reached states of a root whose method has just been called with
     null; () when the session cannot fire the call."""
     try:
-        return _fire((session,), TraceCall(method, sx.NULL_T.canon()))
+        return _fire((session,), TraceCall(method, sx.NULL_T))
     except TypeErrorTransition:
         return ()
 
@@ -282,6 +300,7 @@ class Monitor:
         self.theta_owner = {}  # (chan, polarity) -> thread index
         self.step_no = 0
         self._consistency_cache = {}
+        self._judgements = Judgements()  # expression judgements, kept for the monitor's life
         self._reached = {}  # oid -> session states its calls reached; () when stuck
         self._ids = {}  # thread -> its heap's object ids, as of its last step
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
@@ -499,7 +518,7 @@ class Monitor:
         witness = self._opening_witness(callee, branch, th.heap, i)
         env.frames.append(Frame(f, callee.cls, entry.cont))
         env_set_field(env.gamma, path, f, ObjectInternal(callee.cls, witness))
-        return entry.param.canon()
+        return entry.param
 
     def _opening_witness(self, callee, branch, heap, thread):
         candidates = self.ctx.witnesses_for(callee.cls, branch)
@@ -781,7 +800,7 @@ class Monitor:
         root_key = ("obj", th.path.root)
         root = env.gamma.get(root_key)
         values = {k: t for k, t in env.gamma.items() if k != root_key}
-        rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds)
+        rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds, self._judgements)
         try:
             if not isinstance(root, ObjectInternal):
                 raise CheckError(INTERNAL_FORM, f"current object {th.path.root} is not open")

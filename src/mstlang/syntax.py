@@ -12,10 +12,14 @@ its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
 A node's canonical form is composed from the forms already stored on its
 children wherever no `rec` binder is open, so a fresh node costs one level.
+Expressions likewise store their endpoint sets and hash-consed keys, built
+from their children's without recursion, and `map_expr` keeps the identity
+of every subtree it does not change.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -58,10 +62,10 @@ class Type:
     Equality and hashing go through a canonical form so that branch entry
     order, variant case order and mu-variable names are irrelevant. The form
     is computed once per node and built from its children's stored forms
-    outside `rec` binders (`_form`).
+    outside `rec` binders (`_form`); its hash is kept beside it.
     """
 
-    __slots__ = ("_canon", "_memo")
+    __slots__ = ("_canon", "_memo", "_hash")
 
     def canon(self):
         c = getattr(self, "_canon", None)
@@ -89,7 +93,11 @@ class Type:
         return self.canon() == other.canon()
 
     def __hash__(self):
-        return hash(self.canon())
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self.canon())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         from .render import render_type
@@ -608,7 +616,11 @@ def free_vars(t) -> set:
 
 
 class Expr:
-    __slots__ = ()
+    """Base class for expressions. A node can store its endpoint set
+    (`endpoints_of`) and its key in a hash-consing table (`ExprKeys`); both
+    are built on first use from its children's stored ones."""
+
+    __slots__ = ("_eps", "_key", "_keyed_by")
 
     def __repr__(self):
         from .render import render_expr
@@ -753,34 +765,136 @@ def seq(stmts) -> Expr:
 def map_expr(e: Expr, fn, at=VarE) -> Expr:
     """Rebuild the source expression e with fn(x) in place of each
     subexpression x of type `at`. Where fn returns None, the walk goes on
-    into x."""
+    into x. A node none of whose subexpressions changed is returned as it
+    is, so unchanged subtrees keep their identity and what is stored on
+    them."""
     if isinstance(e, at):
         out = fn(e)
         if out is not None:
             return out
     t = type(e)  # compared by identity: the hot path of every call and spawn
     if t is SeqE:
-        return seq([map_expr(s, fn, at) for s in statements(e)])
+        spine = []
+        while type(e) is SeqE:
+            spine.append(e)
+            e = e.second
+        out = map_expr(e, fn, at)
+        for node in reversed(spine):
+            first = map_expr(node.first, fn, at)
+            if first is not node.first or out is not node.second:
+                node = SeqE(first, out)
+            out = node
+        return out
     if t is SwapE:
-        return SwapE(e.field, map_expr(e.expr, fn, at))
+        x = map_expr(e.expr, fn, at)
+        return e if x is e.expr else SwapE(e.field, x)
     if t is CallE:
-        return CallE(e.field, e.method, map_expr(e.arg, fn, at))
+        x = map_expr(e.arg, fn, at)
+        return e if x is e.arg else CallE(e.field, e.method, x)
     if t is SelfCallE:
-        return SelfCallE(e.method, map_expr(e.arg, fn, at))
+        x = map_expr(e.arg, fn, at)
+        return e if x is e.arg else SelfCallE(e.method, x)
     if t is SwitchE:
-        return SwitchE(
-            map_expr(e.subject, fn, at), tuple((l, map_expr(b, fn, at)) for l, b in e.cases)
-        )
+        subject = map_expr(e.subject, fn, at)
+        cases = tuple((l, map_expr(b, fn, at)) for l, b in e.cases)
+        if subject is e.subject and all(b is b0 for (_, b), (_, b0) in zip(cases, e.cases)):
+            return e
+        return SwitchE(subject, cases)
     if t is WhileE:
-        return WhileE(map_expr(e.cond, fn, at), map_expr(e.body, fn, at))
+        cond, body = map_expr(e.cond, fn, at), map_expr(e.body, fn, at)
+        return e if cond is e.cond and body is e.body else WhileE(cond, body)
     if t is SpawnE:
-        return SpawnE(e.cls, e.method, map_expr(e.arg, fn, at))
+        x = map_expr(e.arg, fn, at)
+        return e if x is e.arg else SpawnE(e.cls, e.method, x)
     return e
 
 
 def subst_expr(e: Expr, var: str, value: Expr) -> Expr:
     """Replace the method parameter `var` by a value throughout a body."""
     return map_expr(e, lambda v: value if v.name == var else v)
+
+
+def _parts(e: Expr) -> tuple:
+    """(fields, subexpressions) of a node: its fields that are not
+    expressions, and its direct subexpressions, each in field order."""
+    t = type(e)
+    if t is SeqE:
+        return (), (e.first, e.second)
+    if t is SwapE:
+        return (e.field,), (e.expr,)
+    if t is CallE:
+        return (e.field, e.method), (e.arg,)
+    if t is SelfCallE:
+        return (e.method,), (e.arg,)
+    if t is SpawnE:
+        return (e.cls, e.method), (e.arg,)
+    if t is ReturnE:
+        return (), (e.expr,)
+    if t is WhileE:
+        return (), (e.cond, e.body)
+    if t is SwitchE:
+        return (tuple(l for l, _ in e.cases),), (e.subject,) + tuple(b for _, b in e.cases)
+    return tuple(getattr(e, f) for f in t.__slots__), ()
+
+
+def _bottom_up(e: Expr, done, build) -> None:
+    """Call build(x, fields, subexpressions) on each node x of e that `done`
+    rejects, children before their parent. The stack is explicit, so
+    neither a long statement spine nor deep nesting recurses, and a subtree
+    that `done` accepts is not entered."""
+    stack = [(e, None)]
+    while stack:
+        x, parts = stack.pop()
+        if parts is not None:
+            build(x, *parts)
+        elif not done(x):
+            parts = _parts(x)
+            stack.append((x, parts))
+            stack.extend([(c, None) for c in parts[1]])
+
+
+_KEY_TABLES = itertools.count()  # serial numbers of hash-consing tables
+
+
+class ExprKeys:
+    """A hash-consing table: structurally equal expressions get the same
+    small int, so "the same expression" is an O(1) test however large the
+    expressions are. A node's key is built from its own fields and its
+    children's keys, and stored on the node with this table's serial
+    number; a table re-keys a node that another table keyed. The table
+    lives as long as its owner, and interns the owner's other keys too
+    (`intern`)."""
+
+    def __init__(self):
+        self._ids = {}
+        self._serial = next(_KEY_TABLES)
+
+    def intern(self, item) -> int:
+        """The int that stands for a hashable item in this table."""
+        ids = self._ids
+        k = ids.get(item)
+        if k is None:
+            k = ids[item] = len(ids)
+        return k
+
+    def key(self, e: Expr) -> int:
+        serial = self._serial
+        try:
+            if e._keyed_by == serial:
+                return e._key
+        except AttributeError:
+            pass
+
+        def done(x):
+            return getattr(x, "_keyed_by", None) == serial
+
+        def build(x, fields, subs):
+            k = self.intern((type(x),) + fields + tuple(c._key for c in subs))
+            object.__setattr__(x, "_key", k)
+            object.__setattr__(x, "_keyed_by", serial)
+
+        _bottom_up(e, done, build)
+        return e._key
 
 
 # ---------------------------------------------------------------------------
@@ -1033,30 +1147,34 @@ class Configuration:
         return replace(self, threads=tuple(ts))
 
 
-def endpoints_of(e: Expr) -> set:
-    """Channel endpoints occurring in an expression."""
-    out = set()
+_NO_ENDPOINTS = frozenset()
 
-    def walk(x):
-        if isinstance(x, SeqE):
-            for s in statements(x):
-                walk(s)
-        elif isinstance(x, EndpointE):
-            out.add((x.chan, x.polarity))
-        elif isinstance(x, (SwapE, ReturnE)):
-            walk(x.expr)
-        elif isinstance(x, (CallE, SelfCallE, SpawnE)):
-            walk(x.arg)
-        elif isinstance(x, SwitchE):
-            walk(x.subject)
-            for _, b in x.cases:
-                walk(b)
-        elif isinstance(x, WhileE):
-            walk(x.cond)
-            walk(x.body)
 
-    walk(e)
-    return out
+def endpoints_of(e: Expr) -> frozenset:
+    """Channel endpoints occurring in an expression. The set is stored on
+    each node, built from its children's stored sets, so only nodes made
+    since the last call are visited."""
+    try:
+        return e._eps
+    except AttributeError:
+        pass
+    _bottom_up(e, _endpoints_stored, _store_endpoints)
+    return e._eps
+
+
+def _endpoints_stored(x) -> bool:
+    return hasattr(x, "_eps")
+
+
+def _store_endpoints(x, fields, subs) -> None:
+    if type(x) is EndpointE:
+        out = frozenset({(x.chan, x.polarity)})
+    else:
+        out = _NO_ENDPOINTS
+        for c in subs:
+            if c._eps:
+                out = out | c._eps if out else c._eps
+    object.__setattr__(x, "_eps", out)
 
 
 def heap_endpoints(h: Heap) -> set:

@@ -209,14 +209,17 @@ class RuntimeEnv:
     consumes the entry, as for a session-typed parameter. `frames` are the
     pending calls, outermost first; each `return` consumes one. `consistent`
     is the judgement the return rule applies to the callee's fields; it
-    raises CheckError when they do not support the continuation. A runtime
-    environment widens loop entries: a tracked typing can be finer than a
-    loop's recurrent one, since actual values narrow enumerations.
+    raises CheckError when they do not support the continuation. `memo`,
+    when given, keeps the judgements made under environments that share
+    this `consistent` (`Judgements`). A runtime environment widens loop
+    entries: a tracked typing can be finer than a loop's recurrent one,
+    since actual values narrow enumerations.
     """
 
     values: dict
     frames: tuple = ()
     consistent: object = field(default=None, compare=False)
+    memo: object = field(default=None, compare=False)
 
     loop_widenings = 4
 
@@ -227,6 +230,45 @@ class RuntimeEnv:
         rest = dict(self.values)
         del rest[key]
         return t, replace(self, values=rest)
+
+    def key(self) -> int:
+        """What a judgement can read of this environment, interned in the
+        memo's table: the value types and, per pending call, its field,
+        class and continuation. Computed once per environment."""
+        k = self.__dict__.get("_key")
+        if k is None:
+            frames = tuple((fr.field, fr.cls, fr.cont) for fr in self.frames)
+            k = self.memo.keys.intern((frozenset(self.values.items()), frames))
+            object.__setattr__(self, "_key", k)
+        return k
+
+
+class Judgements:
+    """Memo of runtime expression judgements, for environments that share
+    one `consistent` judgement (one per monitor). An answer, the result
+    triple or the CheckError, is kept under (expression key, class name,
+    field typing, environment key); types in a key compare by canonical
+    form. `infer_expr` reads it at every compound expression and at every
+    suffix of a statement sequence."""
+
+    def __init__(self):
+        self.keys = sx.ExprKeys()
+        self.answers = {}
+
+    def key(self, cls, e, F, V) -> tuple:
+        return (self.keys.key(e), cls.name, F, V.key())
+
+    def recall(self, key):
+        """The answer kept under `key`, raised when it is an error; None when
+        there is none."""
+        answer = self.answers.get(key)
+        if isinstance(answer, CheckError):
+            raise CheckError(answer.code, answer.detail, answer.method)
+        return answer
+
+    def keep(self, keys, answer) -> None:
+        for key in keys:
+            self.answers[key] = answer
 
 
 class _ResolvedLink(LinkField):
@@ -252,136 +294,175 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
     method parameter, dropped when a linear parameter is consumed; for a
     runtime expression a RuntimeEnv, with F the typing of the thread's root
     object, which reaches the objects opened by pending calls.
+
+    A statement sequence is walked along its spine, and a form with one
+    operand types it here before its rule applies, so neither a long body
+    nor a nested argument costs more than one frame per level. Under a
+    RuntimeEnv with a memo, each compound expression and each suffix of the
+    spine is looked up first; a walk that ends keeps its answer for every
+    suffix it passed, so a later check of any of them is one lookup.
     """
-    if isinstance(e, sx.SeqE):
-        stmts = sx.statements(e)
-        e = stmts.pop()
-        for s in stmts:
-            t, F, V = infer_expr(ctx, cls, s, F, V)
-            if isinstance(t, LinkField):
-                raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
-            if isinstance(t, LinkThis):
-                F = _collapse(F)
+    memo = V.memo if isinstance(V, RuntimeEnv) else None
+    passed = []  # memo keys of the suffixes this walk has typed
+    answer = None
+    try:
+        while answer is None:
+            form = type(e)
+            if memo is not None and form not in _LEAF_RULES:
+                key = memo.key(cls, e, F, V)
+                answer = memo.recall(key)
+                if answer is not None:
+                    break
+                passed.append(key)
+            if form is sx.SeqE:
+                t, F, V = infer_expr(ctx, cls, e.first, F, V)
+                if isinstance(t, LinkField):
+                    raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
+                if isinstance(t, LinkThis):
+                    F = _collapse(F)
+                e = e.second
+            elif form in _RUNTIME_FORMS and not isinstance(V, RuntimeEnv):
+                raise CheckError(INTERNAL_FORM, f"internal form {form.__name__} in a source program")
+            elif form in _OPERAND_RULES:
+                operand = e.expr if form is sx.SwapE else e.arg
+                answer = _OPERAND_RULES[form](ctx, cls, e, *infer_expr(ctx, cls, operand, F, V))
+            elif form in _COMPOUND_RULES:
+                answer = _COMPOUND_RULES[form](ctx, cls, e, F, V)
+            else:
+                answer = _LEAF_RULES[form](ctx, e, F, V)
+    except CheckError as err:
+        if passed:
+            memo.keep(passed, err)
+        raise
+    if passed:
+        memo.keep(passed, answer)
+    return answer
 
-    if isinstance(e, sx.NullE):
-        return sx.NULL_T, F, V
 
-    if isinstance(e, sx.AccessE):
-        proto = ctx.program.access_points.get(e.name)
-        if proto is None:
-            raise CheckError(UNBOUND_VARIABLE, f"unknown access point {e.name!r}")
-        return translate_access(proto), F, V
+# -- the leaves: values and object creation -----------------------------------
 
-    if isinstance(e, sx.VarE):
-        if not isinstance(V, tuple) or V[0] != e.name:
-            raise CheckError(UNBOUND_VARIABLE, f"unbound variable {e.name!r}")
-        name, t = V
-        v_out = None if isinstance(t, SessionType) else V
-        return t, F, v_out
 
-    if isinstance(e, sx.LabelE):
-        if not isinstance(F, RecordF):
-            raise CheckError(VARIANT_SHAPE_MISMATCH, "label produced under a variant field typing")
-        return sx.LINK_THIS, VariantF(((e.label, F),)), V
+def _null_rule(ctx, e, F, V):
+    return sx.NULL_T, F, V
 
-    if isinstance(e, sx.NewE):
-        decl = ctx.program.classes.get(e.cls)
-        if decl is None:
-            raise CheckError(UNKNOWN_CLASS, f"unknown class {e.cls!r}")
-        return decl.session, F, V
 
-    if isinstance(e, sx.SwapE):
-        t, f1, v1 = infer_expr(ctx, cls, e.expr, F, V)
-        if isinstance(t, LinkThis):
-            joined = _collapse(f1)
-            old = _field_type(joined, e.field)
-            if _is_variant_session(old):
-                raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
-            return old, joined.set(e.field, EnumType(f1.labels)), v1
-        old = _field_type(f1, e.field)
+def _access_rule(ctx, e, F, V):
+    proto = ctx.program.access_points.get(e.name)
+    if proto is None:
+        raise CheckError(UNBOUND_VARIABLE, f"unknown access point {e.name!r}")
+    return translate_access(proto), F, V
+
+
+def _var_rule(ctx, e, F, V):
+    if not isinstance(V, tuple) or V[0] != e.name:
+        raise CheckError(UNBOUND_VARIABLE, f"unbound variable {e.name!r}")
+    name, t = V
+    v_out = None if isinstance(t, SessionType) else V
+    return t, F, v_out
+
+
+def _label_rule(ctx, e, F, V):
+    if not isinstance(F, RecordF):
+        raise CheckError(VARIANT_SHAPE_MISMATCH, "label produced under a variant field typing")
+    return sx.LINK_THIS, VariantF(((e.label, F),)), V
+
+
+def _new_rule(ctx, e, F, V):
+    decl = ctx.program.classes.get(e.cls)
+    if decl is None:
+        raise CheckError(UNKNOWN_CLASS, f"unknown class {e.cls!r}")
+    return decl.session, F, V
+
+
+def _object_id_rule(ctx, e, F, V):
+    t, v1 = V.take(("obj", e.oid))
+    return t, F, v1
+
+
+def _endpoint_rule(ctx, e, F, V):
+    t, v1 = V.take(("chan", e.chan, e.polarity))
+    return t, F, v1
+
+
+# -- forms with one operand, given the operand's judgement ---------------------
+
+
+def _swap_rule(ctx, cls, e, t, f1, v1):
+    if isinstance(t, LinkThis):
+        joined = _collapse(f1)
+        old = _field_type(joined, e.field)
         if _is_variant_session(old):
             raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
-        if isinstance(t, _ResolvedLink):
-            # parking a resolved tag re-widens its field to the variant
-            f1 = f1.set(t.field, t.variant)
-            t = LinkField(t.field)
-        # a parked tag (link f) leaves the tagged field's variant in place
-        return old, f1.set(e.field, t), v1
+        return old, joined.set(e.field, EnumType(f1.labels)), v1
+    old = _field_type(f1, e.field)
+    if _is_variant_session(old):
+        raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
+    if isinstance(t, _ResolvedLink):
+        # parking a resolved tag re-widens its field to the variant
+        f1 = f1.set(t.field, t.variant)
+        t = LinkField(t.field)
+    # a parked tag (link f) leaves the tagged field's variant in place
+    return old, f1.set(e.field, t), v1
 
-    if isinstance(e, sx.CallE):
-        t, f1, v1 = infer_expr(ctx, cls, e.arg, F, V)
-        if isinstance(t, LinkThis):
-            joined = _collapse(f1)
-            branch = _branch_of(_field_type(joined, e.field), f"field {e.field!r}")
-            entry = resolve_signature(branch, e.method, EnumType(f1.labels))
-            result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
-            return result, joined.set(e.field, entry.cont), v1
-        if isinstance(t, LinkField):
-            raise CheckError(ARGUMENT_MISMATCH, "a tag bound to a field cannot be an argument")
-        branch = _branch_of(_field_type(f1, e.field), f"field {e.field!r}")
-        entry = resolve_signature(branch, e.method, t)
+
+def _call_rule(ctx, cls, e, t, f1, v1):
+    if isinstance(t, LinkThis):
+        joined = _collapse(f1)
+        branch = _branch_of(_field_type(joined, e.field), f"field {e.field!r}")
+        entry = resolve_signature(branch, e.method, EnumType(f1.labels))
         result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
-        return result, f1.set(e.field, entry.cont), v1
+        return result, joined.set(e.field, entry.cont), v1
+    if isinstance(t, LinkField):
+        raise CheckError(ARGUMENT_MISMATCH, "a tag bound to a field cannot be an argument")
+    branch = _branch_of(_field_type(f1, e.field), f"field {e.field!r}")
+    entry = resolve_signature(branch, e.method, t)
+    result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
+    return result, f1.set(e.field, entry.cont), v1
 
-    if isinstance(e, sx.SelfCallE):
-        t, f1, v1 = infer_expr(ctx, cls, e.arg, F, V)
-        mdef = cls.method(e.method)
-        if mdef is None:
-            raise CheckError(METHOD_UNDECLARED, f"no method {e.method!r} in class {cls.name}")
-        if mdef.annotation is None:
+
+def _self_call_rule(ctx, cls, e, t, f1, v1):
+    mdef = cls.method(e.method)
+    if mdef is None:
+        raise CheckError(METHOD_UNDECLARED, f"no method {e.method!r} in class {cls.name}")
+    if mdef.annotation is None:
+        raise CheckError(
+            MISSING_ANNOTATION, f"self-called method {e.method!r} has no req/ens annotation"
+        )
+    ann = mdef.annotation
+    if isinstance(t, LinkThis):
+        joined = _collapse(f1)
+        if not isinstance(ann.param_type, EnumType) or not f1.labels <= ann.param_type.labels:
+            raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
+        if not subtype_any(joined, ann.req):
             raise CheckError(
-                MISSING_ANNOTATION, f"self-called method {e.method!r} has no req/ens annotation"
+                ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
             )
-        ann = mdef.annotation
-        if isinstance(t, LinkThis):
-            joined = _collapse(f1)
-            if not isinstance(ann.param_type, EnumType) or not f1.labels <= ann.param_type.labels:
-                raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
-            if not subtype_any(joined, ann.req):
-                raise CheckError(
-                    ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
-                )
-        else:
-            if not subtype_value(t, ann.param_type):
-                raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
-            if not subtype_any(f1, ann.req):
-                raise CheckError(
-                    ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
-                )
-        return ann.result, ann.ens, v1
-
-    if isinstance(e, sx.SwitchE):
-        return _infer_switch(ctx, cls, e, F, V)
-
-    if isinstance(e, sx.WhileE):
-        return _infer_while(ctx, cls, e, F, V)
-
-    if isinstance(e, sx.SpawnE):
-        t, f1, v1 = infer_expr(ctx, cls, e.arg, F, V)
-        if not isinstance(t, NullType):
-            raise CheckError(ARGUMENT_MISMATCH, "spawn argument must have type Null")
-        decl = ctx.program.classes.get(e.cls)
-        if decl is None:
-            raise CheckError(UNKNOWN_CLASS, f"unknown class {e.cls!r}")
-        entry = _null_entry(decl.session, e.method)
-        if entry is None or not isinstance(entry.result, NullType):
+    else:
+        if not subtype_value(t, ann.param_type):
+            raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
+        if not subtype_any(f1, ann.req):
             raise CheckError(
-                SPAWN_UNAVAILABLE,
-                f"Null {e.method}(Null) is not available in {e.cls}.session",
+                ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
             )
-        return sx.NULL_T, f1, v1
+    return ann.result, ann.ens, v1
 
-    if isinstance(V, RuntimeEnv):
-        if isinstance(e, sx.ObjIdE):
-            t, v1 = V.take(("obj", e.oid))
-            return t, F, v1
-        if isinstance(e, sx.EndpointE):
-            t, v1 = V.take(("chan", e.chan, e.polarity))
-            return t, F, v1
-        if isinstance(e, sx.ReturnE):
-            return _infer_return(ctx, e, F, V)
 
-    raise CheckError(INTERNAL_FORM, f"internal form {type(e).__name__} in a source program")
+def _spawn_rule(ctx, cls, e, t, f1, v1):
+    if not isinstance(t, NullType):
+        raise CheckError(ARGUMENT_MISMATCH, "spawn argument must have type Null")
+    decl = ctx.program.classes.get(e.cls)
+    if decl is None:
+        raise CheckError(UNKNOWN_CLASS, f"unknown class {e.cls!r}")
+    entry = _null_entry(decl.session, e.method)
+    if entry is None or not isinstance(entry.result, NullType):
+        raise CheckError(
+            SPAWN_UNAVAILABLE,
+            f"Null {e.method}(Null) is not available in {e.cls}.session",
+        )
+    return sx.NULL_T, f1, v1
+
+
+# -- forms with several subexpressions ----------------------------------------
 
 
 def _infer_switch(ctx, cls, e, F, V):
@@ -497,7 +578,7 @@ def _loop_split(u, f1):
     raise CheckError(SWITCH_SHAPE, f"cannot loop on condition type {u!r}")
 
 
-def _infer_return(ctx, e, F, V):
+def _infer_return(ctx, cls, e, F, V):
     """Runtime `return e`: e runs in the object the outermost pending call
     opened, a field of the current object. Its fields must support the
     call's continuation, which the field holds afterwards; a returned tag
@@ -546,6 +627,26 @@ def _infer_return(ctx, e, F, V):
         return LinkField(frame.field), F.set(frame.field, frame.cont), V
     V.consistent(callee.cls, frame.cont, fc)
     return t, F.set(frame.field, frame.cont), V
+
+
+_LEAF_RULES = {
+    sx.NullE: _null_rule,
+    sx.AccessE: _access_rule,
+    sx.VarE: _var_rule,
+    sx.LabelE: _label_rule,
+    sx.NewE: _new_rule,
+    sx.ObjIdE: _object_id_rule,
+    sx.EndpointE: _endpoint_rule,
+}
+_OPERAND_RULES = {
+    sx.SwapE: _swap_rule,
+    sx.CallE: _call_rule,
+    sx.SelfCallE: _self_call_rule,
+    sx.SpawnE: _spawn_rule,
+}
+_COMPOUND_RULES = {sx.SwitchE: _infer_switch, sx.WhileE: _infer_while, sx.ReturnE: _infer_return}
+# forms that occur in runtime expressions only
+_RUNTIME_FORMS = frozenset({sx.ObjIdE, sx.EndpointE, sx.ReturnE})
 
 
 # ---------------------------------------------------------------------------

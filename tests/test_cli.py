@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import CORPUS
@@ -14,6 +18,19 @@ def test_check_ok(capsys):
     code, out, _ = run(["check", str(CORPUS / "file.mst")], capsys)
     assert code == 0
     assert "CLASS File OK" in out
+
+
+def test_python_m_mstlang(capsys):
+    # `python -m mstlang` is the same command line as `mst`
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = str(CORPUS / "file.mst")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mstlang", "check", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.endswith("CLASS Main OK\nok\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(["check", path], capsys)
 
 
 def test_check_failure_exit_code(capsys):

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 
 import pytest
@@ -26,7 +28,8 @@ from mstlang.syntax import (
     VariantS,
     unfold,
 )
-from mstlang.typechecker import check_program
+from mstlang import monitor, syntax, typechecker
+from mstlang.typechecker import Judgements, check_program
 from progen import generate
 
 
@@ -468,11 +471,11 @@ def run_outcome(monitor_cls, prog, ctx, seed, limit, states, traces):
 FLAG_SETS = [(True, True), (True, False), (False, True)]
 
 
-def assert_same_outcomes(prog, ctx, limit):
+def assert_same_outcomes(prog, ctx, limit, reference=FullRecheckMonitor):
     outcomes = []
     for seed in (None, 1, 2):
         for states, traces in FLAG_SETS:
-            full = run_outcome(FullRecheckMonitor, prog, ctx, seed, limit, states, traces)
+            full = run_outcome(reference, prog, ctx, seed, limit, states, traces)
             delta = run_outcome(Monitor, prog, ctx, seed, limit, states, traces)
             assert delta == full, (seed, states, traces)
             outcomes.append(delta)
@@ -609,3 +612,96 @@ def test_expression_rechecks_per_step_independent_of_thread_count(seed):
         outcome, _, conf = interp.run(200, seed=seed, observer=observer)
         assert outcome.kind == "limit" and len(conf.threads) == k + 1
         assert per_step[0] == 1 and max(per_step[1:]) <= 2, k
+
+
+# -- memoised expression judgements ---------------------------------------------
+
+
+class FreshMemoMonitor(Monitor):
+    """Reference: forgets every expression judgement after every step."""
+
+    def on_step(self, step_no, before, ev, after):
+        self._judgements = Judgements()
+        super().on_step(step_no, before, ev, after)
+
+
+def test_memo_matches_fresh_memo_on_corpus():
+    for name in RUNNABLE + DEADLOCKS:
+        prog, _, ctx = load_checked(name)
+        for outcome in assert_same_outcomes(prog, ctx, 200, FreshMemoMonitor):
+            assert outcome[0] in ("terminated", "blocked", "limit"), (name, outcome)
+
+
+def test_memo_matches_fresh_memo_on_generated_programs():
+    verdicts = set()
+    violations = 0
+    for n in range(80):
+        prog = parse_program(generate(n))
+        report, ctx = check_program(prog)
+        verdicts.add(report.ok)
+        outcomes = assert_same_outcomes(prog, ctx, 60, FreshMemoMonitor)
+        violations += sum(o[0] == "violation" for o in outcomes)
+    assert verdicts == {True, False} and violations > 0
+
+
+def straight_line(n):
+    """A method body of n swaps and assignments, labels among the values."""
+    forms = ["f = null;", "g <-> A;", "f <-> B;", "g = null;"]
+    body = " ".join(forms[i % 4] for i in range(n))
+    return f"class L {{ session {{Null go(Null): {{}}}} f; g; go(x) {{ {body} null }} }} main L.go;"
+
+
+def busiest_step(monkeypatch, n, steps=50):
+    """The most infer_expr calls, and endpoint sets built, in any monitored
+    step after the first on a straight-line body of n statements."""
+    prog = parse_program(straight_line(n))
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    counts = [0, 0]
+    infer, store = typechecker.infer_expr, syntax._store_endpoints
+
+    def counted_infer(*args):
+        counts[0] += 1
+        return infer(*args)
+
+    def counted_store(*args):
+        counts[1] += 1
+        store(*args)
+
+    for module in (typechecker, monitor):
+        monkeypatch.setattr(module, "infer_expr", counted_infer)
+    monkeypatch.setattr(syntax, "_store_endpoints", counted_store)
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    most = [0, 0]
+    for step_no in range(1, steps + 1):
+        before, seen = conf, list(counts)
+        conf, ev = interp.step(conf)
+        mon.on_step(step_no, before, ev, conf)
+        if step_no > 1:
+            most = [max(m, c - s) for m, c, s in zip(most, counts, seen)]
+    return most
+
+
+def test_step_cost_independent_of_body_length(monkeypatch):
+    small = busiest_step(monkeypatch, 100)
+    monkeypatch.undo()
+    assert busiest_step(monkeypatch, 10_000) == small
+
+
+def test_long_body_monitored_in_bounded_stack():
+    # neither the expression keys nor the endpoint sets recurse per statement
+    prog = parse_program(straight_line(10_000))
+    report, ctx = check_program(prog)
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        mon.start(interp.initial_config())
+        outcome, events, _ = interp.run(50, observer=mon.on_step)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert outcome.kind == "limit" and len(events) == 50

@@ -292,3 +292,73 @@ def test_canon_of_fresh_node_reads_its_childrens_stored_forms(monkeypatch):
     form = fresh.canon()
     assert computed == ["RecordF"]
     assert form == reference_form(fresh)
+
+
+# -- expressions: identity, keys and endpoint sets ------------------------------
+
+
+def _free(e, name):
+    """Does the variable `name` occur in e?"""
+    found = []
+    syntax.map_expr(e, lambda v: found.append(v) if v.name == name else None)
+    return bool(found)
+
+
+def test_subst_keeps_a_body_without_its_parameter():
+    from conftest import load
+
+    prog = load("remote1.mst")
+    kept = set()
+    for cls in prog.classes.values():
+        for m in cls.methods.values():
+            out = syntax.subst_expr(m.body, m.param, NULL_E)
+            assert (out is m.body) == (not _free(m.body, m.param)), (cls.name, m.name)
+            if out is m.body:
+                kept.add(m.name)
+    assert {"cycle", "fileRead"} <= kept  # self-recursive methods called with null
+
+
+def test_subst_keeps_the_suffix_after_the_last_use():
+    from mstlang.parser import parse_program
+
+    prog = parse_program(
+        "class M { session {Null go(Null): {}} f; go(x) { f = x; f = A; f = null; null } } main M.go;"
+    )
+    body = prog.classes["M"].methods["go"].body
+    out = syntax.subst_expr(body, "x", NULL_E)
+    assert out is not body and out.first is not body.first
+    assert out.second is body.second
+    assert repr(out) == repr(body).replace("x", "null")
+
+
+def test_expression_keys_are_structural_per_table():
+    from mstlang.parser import parse_program
+
+    def body(text):
+        prog = parse_program(f"class M {{ session {{Null go(Null): {{}}}} f; go(x) {{ {text} }} }} main M.go;")
+        return prog.classes["M"].methods["go"].body
+
+    text = "f = A; f.m(null); null"
+    a, b, c, d = body(text), body(text), body(text.replace("A", "B")), body(text)
+    one, two = syntax.ExprKeys(), syntax.ExprKeys()
+    assert one.key(a) == one.key(b) != one.key(c)
+    assert one.key(a.second) == one.key(c.second)
+    before = [one.key(x) for x in (a, b, c, c.second)]
+    # a node keyed by another table is re-keyed, never read with that table's key
+    assert two.key(d) == two.key(a) != two.key(c)
+    assert two.key(b.second) == two.key(d.second) == two.key(c.second)
+    assert [one.key(x) for x in (a, b, c, c.second)] == before
+
+
+def test_endpoint_sets_are_stored_and_not_rebuilt(monkeypatch):
+    from mstlang.syntax import CallE, EndpointE, SeqE, SwapE
+
+    body = syntax.seq([SwapE("f", EndpointE("c1", "+"))] + [SwapE("g", NULL_E)] * 5000 + [NULL_E])
+    assert syntax.endpoints_of(body) == {("c1", "+")}
+    assert syntax.endpoints_of(body.second) == frozenset()
+    built = []
+    store = syntax._store_endpoints
+    monkeypatch.setattr(syntax, "_store_endpoints", lambda x, *parts: built.append(x) or store(x, *parts))
+    fresh = SeqE(CallE("f", "send", EndpointE("c2", "-")), body)
+    assert syntax.endpoints_of(fresh) == {("c1", "+"), ("c2", "-")}
+    assert len(built) == 3  # the new sequence node, the call and its argument
