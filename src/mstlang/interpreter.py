@@ -6,12 +6,29 @@ scheduler is deterministic: threads are scanned in index order and the first
 enabled thread-local step fires; if none exists, the least enabled rendezvous
 pair fires. With a seed, the scheduler instead samples uniformly among all
 enabled steps.
+
+A step reduces a redex inside an evaluation context E[e], kept as in the CEK
+machine (Felleisen and Friedman, 1986) instead of searched for again. A
+thread's focus is its redex and the context frames around it, each frame a
+node whose hole (the operand it reduces first) holds the rest of the context
+(`syntax.focus`). It is found once per thread, on first use, and kept on the
+thread (`Thread.focus`), where `_enabled`, the rule that fires, `classify`
+and the monitor read it. A rule makes the next thread from the same frames
+and what replaces the redex (`Thread.plugged`), so the next focus is found
+from the replacement alone, and the expression, `plug(frames, x)`, is built
+only when something reads it. A thread the step did not touch stays the
+same object and is not searched again. With heaps whose updates copy
+O(sqrt n) records amortised (`syntax.Heap`), an unmonitored step costs about
+the same at any heap size and context depth. Two parts still grow: resolving
+the current path reads one field per pending call on a field, and an object
+transfer checks that the sender's heap is complete.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import syntax as sx
@@ -22,7 +39,8 @@ from .syntax import (
     ObjectRecord,
     Path,
     Thread,
-    is_value,
+    focus,
+    plug,
 )
 
 
@@ -109,32 +127,14 @@ class Outcome:
 
 
 def decompose(e):
-    """Split an expression into its redex and a rebuild function. Returns
-    None when e is a value (nothing to do)."""
-    if is_value(e):
+    """Split an expression into its redex and a rebuild function, None when
+    e is a value. The interpreter itself reads each thread's kept focus
+    (`Thread.focus`); this searches e afresh."""
+    found = focus(e)
+    if found is None:
         return None
-    if isinstance(e, sx.SwapE) and not is_value(e.expr):
-        r, rb = decompose(e.expr)
-        return r, (lambda x, rb=rb, e=e: sx.SwapE(e.field, rb(x)))
-    if isinstance(e, sx.CallE) and not is_value(e.arg):
-        r, rb = decompose(e.arg)
-        return r, (lambda x, rb=rb, e=e: sx.CallE(e.field, e.method, rb(x)))
-    if isinstance(e, sx.SelfCallE) and not is_value(e.arg):
-        r, rb = decompose(e.arg)
-        return r, (lambda x, rb=rb, e=e: sx.SelfCallE(e.method, rb(x)))
-    if isinstance(e, sx.SpawnE) and not is_value(e.arg):
-        r, rb = decompose(e.arg)
-        return r, (lambda x, rb=rb, e=e: sx.SpawnE(e.cls, e.method, rb(x)))
-    if isinstance(e, sx.SeqE) and not is_value(e.first):
-        r, rb = decompose(e.first)
-        return r, (lambda x, rb=rb, e=e: sx.SeqE(rb(x), e.second))
-    if isinstance(e, sx.SwitchE) and not is_value(e.subject):
-        r, rb = decompose(e.subject)
-        return r, (lambda x, rb=rb, e=e: sx.SwitchE(rb(x), e.cases))
-    if isinstance(e, sx.ReturnE) and not is_value(e.expr):
-        r, rb = decompose(e.expr)
-        return r, (lambda x, rb=rb: sx.ReturnE(rb(x)))
-    return e, (lambda x: x)
+    redex, frames = found
+    return redex, partial(plug, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +192,10 @@ class Interpreter:
         locals_ = []
         offers = {"accept": [], "request": [], "send": [], "recv": []}
         for i, th in enumerate(conf.threads):
-            d = decompose(th.expr)
-            if d is None:
+            found = th.focus
+            if found is None:
                 continue
-            redex, _ = d
+            redex = found[0]
             if isinstance(redex, sx.CallE):
                 rec = th.heap.resolve(th.path)
                 val = rec.get(redex.field)
@@ -234,20 +234,20 @@ class Interpreter:
 
     def _fire_local(self, conf: Configuration, i: int):
         th = conf.threads[i]
-        redex, rebuild = decompose(th.expr)
+        redex, frames = th.focus
 
         if isinstance(redex, sx.NewE):
             decl = self.program.cls(redex.cls)
             oid, conf = conf.fresh_obj()
             heap = th.heap.add(oid, ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields)))
-            conf = conf.with_thread(i, Thread(heap, th.path, rebuild(sx.ObjIdE(oid))))
+            conf = conf.with_thread(i, Thread.plugged(heap, th.path, frames, sx.ObjIdE(oid)))
             return conf, StepEvent("New", (i,), cls=redex.cls, oid=oid)
 
         if isinstance(redex, sx.SwapE):
             rec = th.heap.resolve(th.path)
             old = rec.get(redex.field)
             heap = th.heap.write(th.path, redex.field, redex.expr)
-            conf = conf.with_thread(i, Thread(heap, th.path, rebuild(old)))
+            conf = conf.with_thread(i, Thread.plugged(heap, th.path, frames, old))
             return conf, StepEvent(
                 "Swap", (i,), field=redex.field, value=redex.expr, out_value=old
             )
@@ -264,7 +264,7 @@ class Interpreter:
                 raise RuntimeFault(f"class {callee.cls} has no method {redex.method!r}")
             body = sx.subst_expr(mdef.body, mdef.param, redex.arg)
             conf = conf.with_thread(
-                i, Thread(th.heap, th.path.child(redex.field), rebuild(sx.ReturnE(body)))
+                i, Thread.plugged(th.heap, th.path.child(redex.field), frames, sx.ReturnE(body))
             )
             return conf, StepEvent(
                 "Call", (i,), field=redex.field, method=redex.method,
@@ -278,11 +278,11 @@ class Interpreter:
             if mdef is None:
                 raise RuntimeFault(f"class {rec.cls} has no method {redex.method!r}")
             body = sx.subst_expr(mdef.body, mdef.param, redex.arg)
-            conf = conf.with_thread(i, Thread(th.heap, th.path, rebuild(body)))
+            conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, body))
             return conf, StepEvent("SelfCall", (i,), method=redex.method, arg=redex.arg)
 
         if isinstance(redex, sx.SeqE):
-            conf = conf.with_thread(i, Thread(th.heap, th.path, rebuild(redex.second)))
+            conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, redex.second))
             return conf, StepEvent("Seq", (i,), value=redex.first)
 
         if isinstance(redex, sx.SwitchE):
@@ -292,7 +292,7 @@ class Interpreter:
                 chosen = redex.case(redex.subject.label)
             except KeyError:
                 raise RuntimeFault(f"switch has no case {redex.subject.label!r}") from None
-            conf = conf.with_thread(i, Thread(th.heap, th.path, rebuild(chosen)))
+            conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, chosen))
             return conf, StepEvent("Switch", (i,), label=redex.subject.label)
 
         if isinstance(redex, sx.WhileE):
@@ -303,12 +303,12 @@ class Interpreter:
                     ("FALSE", sx.NULL_E),
                 ),
             )
-            conf = conf.with_thread(i, Thread(th.heap, th.path, rebuild(expanded)))
+            conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, expanded))
             return conf, StepEvent("While", (i,))
 
         if isinstance(redex, sx.ReturnE):
             conf = conf.with_thread(
-                i, Thread(th.heap, th.path.parent(), rebuild(redex.expr))
+                i, Thread.plugged(th.heap, th.path.parent(), frames, redex.expr)
             )
             return conf, StepEvent("Return", (i,), value=redex.expr)
 
@@ -321,8 +321,9 @@ class Interpreter:
             heap = Heap().add(oid, ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields)))
             body = sx.subst_expr(mdef.body, mdef.param, sx.NULL_E)
             new_thread = Thread(heap, Path(oid), body)
-            conf = conf.with_thread(i, Thread(th.heap, th.path, rebuild(sx.NULL_E)))
-            conf = replace(conf, threads=conf.threads + (new_thread,))
+            conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, sx.NULL_E))
+            conf = Configuration(
+                conf.threads + (new_thread,), conf.bound_channels, conf.next_obj, conf.next_chan)
             return conf, StepEvent(
                 "Spawn", (i,), cls=redex.cls, method=redex.method, oid=oid,
                 arg=redex.arg, new_thread=len(conf.threads) - 1,
@@ -334,40 +335,38 @@ class Interpreter:
         if pair[0] == "init":
             _, n, i, j = pair
             cname, conf = conf.fresh_chan()
-            conf = replace(conf, bound_channels=conf.bound_channels | {cname})
-            th_a, th_r = conf.threads[i], conf.threads[j]
-            _, rb_a = decompose(th_a.expr)
-            _, rb_r = decompose(th_r.expr)
-            conf = conf.with_thread(
-                i, Thread(th_a.heap, th_a.path, rb_a(sx.EndpointE(cname, "+")))
-            )
-            conf = conf.with_thread(
-                j, Thread(th_r.heap, th_r.path, rb_r(sx.EndpointE(cname, "-")))
-            )
+            conf = Configuration(
+                conf.threads, conf.bound_channels | {cname}, conf.next_obj, conf.next_chan)
+            conf = self._resume(conf, i, sx.EndpointE(cname, "+"))
+            conf = self._resume(conf, j, sx.EndpointE(cname, "-"))
             return conf, StepEvent("Init", (i, j), access=n, chan=cname)
 
         _, c, i, j, v = pair
-        th_s, th_r = conf.threads[i], conf.threads[j]
-        _, rb_s = decompose(th_s.expr)
-        _, rb_r = decompose(th_r.expr)
         if isinstance(v, sx.ObjIdE):
+            th_s, th_r = conf.threads[i], conf.threads[j]
             down, up = th_s.heap.split(v.oid)
             phi = {}
             for o in down.descendants(v.oid):
                 fresh, conf = conf.fresh_obj()
                 phi[o] = fresh
             moved = down.rename(phi)
-            conf = conf.with_thread(i, Thread(up, th_s.path, rb_s(sx.NULL_E)))
-            conf = conf.with_thread(
-                j, Thread(th_r.heap.merge(moved), th_r.path, rb_r(sx.ObjIdE(phi[v.oid])))
-            )
+            conf = self._resume(conf, i, sx.NULL_E, up)
+            conf = self._resume(conf, j, sx.ObjIdE(phi[v.oid]), th_r.heap.merge(moved))
             return conf, StepEvent(
                 "ComObj", (i, j), chan=c, oid=v.oid,
                 phi=tuple(sorted(phi.items())),
             )
-        conf = conf.with_thread(i, Thread(th_s.heap, th_s.path, rb_s(sx.NULL_E)))
-        conf = conf.with_thread(j, Thread(th_r.heap, th_r.path, rb_r(v)))
+        conf = self._resume(conf, i, sx.NULL_E)
+        conf = self._resume(conf, j, v)
         return conf, StepEvent("ComBase", (i, j), chan=c, value=v)
+
+    @staticmethod
+    def _resume(conf: Configuration, i: int, x, heap=None) -> Configuration:
+        """Thread i with its redex, a communication, replaced by x, and its
+        heap by `heap` when given."""
+        th = conf.threads[i]
+        heap = th.heap if heap is None else heap
+        return conf.with_thread(i, Thread.plugged(heap, th.path, th.focus[1], x))
 
     # -- outcomes -------------------------------------------------------------
 
@@ -376,12 +375,12 @@ class Interpreter:
         states = []
         all_done = True
         for i, th in enumerate(conf.threads):
-            d = decompose(th.expr)
-            if d is None:
+            found = th.focus
+            if found is None:
                 states.append(("terminated", render_expr(th.expr)))
                 continue
             all_done = False
-            redex, _ = d
+            redex = found[0]
             if isinstance(redex, sx.CallE):
                 val = th.heap.resolve(th.path).get(redex.field)
                 if isinstance(val, sx.AccessE):
@@ -410,6 +409,6 @@ class Interpreter:
             events.append(ev)
             if observer is not None:
                 observer(step_no, before, ev, conf)
-        if all(is_value(th.expr) for th in conf.threads):
+        if all(th.focus is None for th in conf.threads):
             return self.classify(conf), events, conf
         return Outcome("limit"), events, conf

@@ -32,17 +32,17 @@ consumes the outermost pending call; the other entries are the in-flight
 object identifiers and endpoints, consumed on use. This module holds no
 expression typing rules of its own.
 
-Those judgements are memoised for the monitor's lifetime (`Judgements`).
-An answer, the result triple or the CheckError, is kept under (expression
-key, class name, field typing, environment key). The expression key is a
-hash-consed int from the monitor's own table, equal exactly for
-structurally equal expressions. The environment key is built from the value
-types and, per pending call, its field, class and continuation. Types
-compare by canonical form, as in the package's other tables (a detail
-message can show which of two equal types was judged first). A hit is
-exact: `infer_expr` reads nothing else but the program and the return
-rule's consistency judgement, `_consistency_holds`, whose cache never
-evicts, so once asked about some arguments it answers the same for the
+Those judgements are memoised (`Judgements`); a full memo starts over with a
+fresh table before the next check. An answer, the result triple or the
+CheckError, is kept under (expression key, class name, field typing,
+environment key). The expression key is a hash-consed int from the monitor's
+own table, equal exactly for structurally equal expressions. The environment
+key is built from the value types and, per pending call, its field, class
+and continuation. Types compare by canonical form, as in the package's other
+tables (a detail message can show which of two equal types was judged
+first). A hit is exact: `infer_expr` reads nothing else but the program and
+the return rule's consistency judgement, `_consistency_holds`, whose cache
+never evicts, so once asked about some arguments it answers the same for the
 monitor's lifetime. A step rebuilds only the path to its redex; the
 interpreter and `map_expr` keep every other node, and a walk along a
 statement sequence keeps its answer at every suffix. So a step re-types the
@@ -64,7 +64,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import syntax as sx
 from .channels import dual, subtype_channel, translate_access, translate_channel
-from .interpreter import RuntimeFault, StepEvent, decompose
+from .interpreter import RuntimeFault, StepEvent
+from .interpreter import decompose  # noqa: F401 -- a name benchmarks/tracing.py wraps
 from .render import render_type
 from .subtyping import equivalent, serving_entry, subtype_any, subtype_session, subtype_value
 from .syntax import (
@@ -300,7 +301,7 @@ class Monitor:
         self.theta_owner = {}  # (chan, polarity) -> thread index
         self.step_no = 0
         self._consistency_cache = {}
-        self._judgements = Judgements()  # expression judgements, kept for the monitor's life
+        self._judgements = Judgements()  # expression judgements, up to its cap
         self._reached = {}  # oid -> session states its calls reached; () when stuck
         self._ids = {}  # thread -> its heap's object ids, as of its last step
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
@@ -640,8 +641,7 @@ class Monitor:
         """Sender/receiver thread indices, fields and endpoint polarities."""
         i, j = ev.threads
         th_s, th_r = before.threads[i], before.threads[j]
-        redex_s, _ = decompose(th_s.expr)
-        redex_r, _ = decompose(th_r.expr)
+        redex_s, redex_r = th_s.focus[0], th_r.focus[0]
         ep_s = th_s.heap.resolve(th_s.path).get(redex_s.field)
         return i, j, th_s, th_r, redex_s.field, redex_r.field, ep_s.polarity
 
@@ -800,6 +800,7 @@ class Monitor:
         root_key = ("obj", th.path.root)
         root = env.gamma.get(root_key)
         values = {k: t for k, t in env.gamma.items() if k != root_key}
+        self._judgements.begin()
         rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds, self._judgements)
         try:
             if not isinstance(root, ObjectInternal):

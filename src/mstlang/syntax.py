@@ -14,13 +14,15 @@ A node's canonical form is composed from the forms already stored on its
 children wherever no `rec` binder is open, so a fresh node costs one level.
 Expressions likewise store their endpoint sets and hash-consed keys, built
 from their children's without recursion, and `map_expr` keeps the identity
-of every subtree it does not change.
+of every subtree it does not change. An evaluation context is a linked list
+of frames (`focus`, `plug`), and heaps share their records between versions
+(`Heap`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -898,6 +900,68 @@ class ExprKeys:
 
 
 # ---------------------------------------------------------------------------
+# Evaluation contexts
+# ---------------------------------------------------------------------------
+
+# A context frame is a node whose first-reduced operand, its hole, is not yet
+# a value; the hole of each frame form is named here.
+_HOLE = {
+    SwapE: "expr",
+    CallE: "arg",
+    SelfCallE: "arg",
+    SpawnE: "arg",
+    SeqE: "first",
+    SwitchE: "subject",
+    ReturnE: "expr",
+}
+
+# Each frame form rebuilt with x in its hole.
+_FILL = {
+    SwapE: lambda f, x: SwapE(f.field, x),
+    CallE: lambda f, x: CallE(f.field, f.method, x),
+    SelfCallE: lambda f, x: SelfCallE(f.method, x),
+    SpawnE: lambda f, x: SpawnE(f.cls, f.method, x),
+    SeqE: lambda f, x: SeqE(x, f.second),
+    SwitchE: lambda f, x: SwitchE(x, f.cases),
+    ReturnE: lambda f, x: ReturnE(x),
+}
+
+
+def focus(e: Expr, frames=None):
+    """The redex of plug(frames, e) and the frames around it; None when that
+    expression is a value. Frames are a linked list, innermost first: None
+    for the empty context, else (outer frames, frame node), so a frame is
+    added or removed in constant time at any depth. `frames` is a context as
+    focus returns it, so only e is searched: a value in the innermost hole
+    makes that frame the redex, since every frame form reduces once its
+    hole holds a value."""
+    if is_value(e):
+        if frames is None:
+            return None
+        outer, inner = frames
+        return _FILL[type(inner)](inner, e), outer
+    hole = _HOLE.get(type(e))
+    while hole is not None:
+        x = getattr(e, hole)
+        if is_value(x):
+            break
+        frames = (frames, e)
+        e = x
+        hole = _HOLE.get(type(e))
+    return e, frames
+
+
+def plug(frames, x: Expr) -> Expr:
+    """The expression the frames make with x in the innermost hole. Only
+    the frames are rebuilt; every other subtree is shared with the
+    expression the frames came from."""
+    while frames is not None:
+        frames, f = frames
+        x = _FILL[type(f)](f, x)
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
 
@@ -999,51 +1063,106 @@ class Path:
         return ".".join((self.root,) + self.fields)
 
 
-@dataclass(frozen=True)
 class Heap:
-    entries: tuple = ()  # (object id, ObjectRecord) in insertion order
+    """Object records by object id, in insertion order, which rendering and
+    event logs read. A heap is a value: every update returns a new heap and
+    leaves this one as it was, so the configurations before and after a
+    step both stay valid. Equality is equality of the ordered entries.
+
+    A heap keeps two maps: a base, which heaps share and nothing changes,
+    and the updates made since, about as many as the square root of the
+    base's size at most. An update copies only the updates, and folds them into
+    a new base once there are that many. So an update costs O(sqrt n)
+    amortised, where copying every record would cost O(n), and a lookup is
+    at most two map accesses. The base followed by the updates' new ids is
+    the insertion order."""
+
+    __slots__ = ("_base", "_new")
+
+    def __init__(self, entries=()):
+        self._base = dict(entries)
+        self._new = {}
+
+    @classmethod
+    def _of(cls, base: dict, new: dict) -> "Heap":
+        """The heap over maps that the caller hands over and no longer
+        changes."""
+        h = object.__new__(cls)
+        h._base = base
+        h._new = new
+        return h
+
+    def _objs(self) -> dict:
+        """Every record by id, in insertion order, as one map. Folding the
+        updates in changes how this heap is kept, not what it holds."""
+        if self._new:
+            self._base = {**self._base, **self._new}
+            self._new = {}
+        return self._base
+
+    def _set(self, oid, rec: ObjectRecord) -> "Heap":
+        base, new = self._base, self._new
+        if len(new) ** 2 > len(base):
+            return Heap._of({**base, **new, oid: rec}, {})
+        return Heap._of(base, {**new, oid: rec})
 
     @staticmethod
     def of(mapping) -> "Heap":
-        return Heap(tuple(mapping.items()) if isinstance(mapping, dict) else tuple(mapping))
+        return Heap(mapping)
+
+    @property
+    def entries(self) -> tuple:
+        """(object id, ObjectRecord) pairs in insertion order."""
+        return tuple(self._objs().items())
+
+    def __eq__(self, other):
+        if not isinstance(other, Heap):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Heap(entries={self.entries!r})"
 
     def record(self, oid) -> ObjectRecord:
-        for o, r in self.entries:
-            if o == oid:
-                return r
-        raise PathUndefined(f"no object {oid!r} in heap")
+        rec = self._new.get(oid) or self._base.get(oid)
+        if rec is None:
+            raise PathUndefined(f"no object {oid!r} in heap")
+        return rec
 
     def has(self, oid) -> bool:
-        return any(o == oid for o, _ in self.entries)
+        return oid in self._new or oid in self._base
 
     @property
     def ids(self):
-        return tuple(o for o, _ in self.entries)
+        return tuple(self._objs())
 
     def add(self, oid, rec: ObjectRecord) -> "Heap":
         if self.has(oid):
             raise HeapConflict(f"object {oid!r} already in heap")
-        return Heap(self.entries + ((oid, rec),))
+        return self._set(oid, rec)
 
     def replace(self, oid, rec: ObjectRecord) -> "Heap":
         if not self.has(oid):
             raise PathUndefined(f"no object {oid!r} in heap")
-        return Heap(tuple((o, rec if o == oid else r) for o, r in self.entries))
+        return self._set(oid, rec)
 
     # -- heap locations -----------------------------------------------------
 
     def resolve_id(self, r: Path) -> str:
         """Object id that path r denotes; every intermediate field must hold one."""
         oid = r.root
-        if not self.has(oid):
-            raise PathUndefined(f"no object {oid!r} in heap")
+        rec = self.record(oid)
         for f in r.fields:
-            v = self.record(oid).get(f)
+            v = rec.get(f)
             if not isinstance(v, ObjIdE):
                 raise PathUndefined(f"{oid}.{f} does not hold an object identifier")
             oid = v.oid
             if not self.has(oid):
                 raise PathUndefined(f"dangling object {oid!r}")
+            rec = self.record(oid)
         return oid
 
     def resolve(self, r: Path) -> ObjectRecord:
@@ -1052,7 +1171,7 @@ class Heap:
     def write(self, r: Path, f: str, v: Expr) -> "Heap":
         """h{r.f = v}: update exactly one field of the record at r."""
         oid = self.resolve_id(r)
-        return self.replace(oid, self.record(oid).set(f, v))
+        return self._set(oid, self.record(oid).set(f, v))
 
     # -- children / roots / separation --------------------------------------
 
@@ -1061,14 +1180,14 @@ class Heap:
 
     def _referenced(self) -> set:
         """Ids held in some field of some record, in one pass over the heap."""
-        return {v.oid for _, r in self.entries for _, v in r.fields if isinstance(v, ObjIdE)}
+        return {v.oid for r in self._objs().values() for _, v in r.fields if isinstance(v, ObjIdE)}
 
     def is_complete(self) -> bool:
-        return self._referenced() <= set(self.ids)
+        return self._referenced() <= self._objs().keys()
 
     def roots(self) -> tuple:
         referenced = self._referenced()
-        return tuple(o for o in self.ids if o not in referenced)
+        return tuple(o for o in self._objs() if o not in referenced)
 
     def descendants(self, oid) -> tuple:
         """Breadth-first, first-visit order; requires a complete heap."""
@@ -1090,18 +1209,18 @@ class Heap:
         if oid not in self.roots():
             raise NotARoot(f"{oid!r} is not a root")
         desc = set(self.descendants(oid))
-        down = Heap(tuple((o, r) for o, r in self.entries if o in desc))
-        up = Heap(tuple((o, r) for o, r in self.entries if o not in desc))
+        down = Heap((o, r) for o, r in self._objs().items() if o in desc)
+        up = Heap((o, r) for o, r in self._objs().items() if o not in desc)
         return down, up
 
     def merge(self, other: "Heap") -> "Heap":
-        if set(self.ids) & set(other.ids):
+        if not self._objs().keys().isdisjoint(other._objs()):
             raise HeapConflict("heap domains overlap")
-        return Heap(self.entries + other.entries)
+        return Heap._of({**self._objs(), **other._objs()}, {})
 
     def rename(self, phi: dict) -> "Heap":
         """Apply an object-id renaming everywhere, including inside records."""
-        img = [phi[o] for o in self.ids if o in phi]
+        img = [phi[o] for o in self._objs() if o in phi]
         if len(set(img)) != len(img):
             raise NotInjective("renaming is not injective on the heap domain")
 
@@ -1111,21 +1230,75 @@ class Heap:
             return v
 
         return Heap(
-            tuple(
-                (
-                    phi.get(o, o),
-                    ObjectRecord(r.cls, tuple((f, ren_val(v)) for f, v in r.fields)),
-                )
-                for o, r in self.entries
-            )
+            (phi.get(o, o), ObjectRecord(r.cls, tuple((f, ren_val(v)) for f, v in r.fields)))
+            for o, r in self._objs().items()
         )
 
 
-@dataclass(frozen=True)
+_UNFOCUSED = object()  # a thread's focus not yet computed
+
+
 class Thread:
-    heap: Heap
-    path: Path
-    expr: Expr
+    """A thread: its heap, its current path and its expression.
+
+    The interpreter makes each thread it reduces from the context frames
+    of the redex it reduced and what replaced that redex (`plugged`). The
+    expression is then built only when it is read, and the thread's focus,
+    its redex and the frames around it, is found from the replacement
+    alone. Both are computed on first use and kept on the thread, so a step
+    reads each thread's focus once, and an untouched thread, kept as the
+    same object, is never searched again. They are kept here and never on
+    an expression node: a node holding its own context would be a
+    reference cycle, which only the garbage collector's passes reclaim.
+    Treat a thread as immutable."""
+
+    __slots__ = ("heap", "path", "_expr", "_hole", "_frames", "_focus")
+
+    def __init__(self, heap: Heap, path: Path, expr: Expr):
+        self.heap = heap
+        self.path = path
+        self._expr = self._hole = expr
+        self._frames = None
+        self._focus = _UNFOCUSED
+
+    @classmethod
+    def plugged(cls, heap: Heap, path: Path, frames, x: Expr) -> "Thread":
+        """The thread whose expression is plug(frames, x)."""
+        th = object.__new__(cls)
+        th.heap = heap
+        th.path = path
+        th._expr = None
+        th._hole = x
+        th._frames = frames
+        th._focus = _UNFOCUSED
+        return th
+
+    @property
+    def expr(self) -> Expr:
+        e = self._expr
+        if e is None:
+            e = self._expr = plug(self._frames, self._hole)
+        return e
+
+    @property
+    def focus(self):
+        """(redex, frames) of the expression, as `focus` gives them; None
+        when the expression is a value."""
+        f = self._focus
+        if f is _UNFOCUSED:
+            f = self._focus = focus(self._hole, self._frames)
+        return f
+
+    def __eq__(self, other):
+        if not isinstance(other, Thread):
+            return NotImplemented
+        return (self.heap, self.path, self.expr) == (other.heap, other.path, other.expr)
+
+    def __hash__(self):
+        return hash((self.heap, self.path, self.expr))
+
+    def __repr__(self):
+        return f"Thread(heap={self.heap!r}, path={self.path!r}, expr={self.expr!r})"
 
 
 @dataclass(frozen=True)
@@ -1136,15 +1309,17 @@ class Configuration:
     next_chan: int = 0
 
     def fresh_obj(self):
-        return f"o{self.next_obj}", replace(self, next_obj=self.next_obj + 1)
+        return f"o{self.next_obj}", Configuration(
+            self.threads, self.bound_channels, self.next_obj + 1, self.next_chan)
 
     def fresh_chan(self):
-        return f"c{self.next_chan}", replace(self, next_chan=self.next_chan + 1)
+        return f"c{self.next_chan}", Configuration(
+            self.threads, self.bound_channels, self.next_obj, self.next_chan + 1)
 
     def with_thread(self, i, thread: Thread) -> "Configuration":
         ts = list(self.threads)
         ts[i] = thread
-        return replace(self, threads=tuple(ts))
+        return Configuration(tuple(ts), self.bound_channels, self.next_obj, self.next_chan)
 
 
 _NO_ENDPOINTS = frozenset()
@@ -1179,7 +1354,7 @@ def _store_endpoints(x, fields, subs) -> None:
 
 def heap_endpoints(h: Heap) -> set:
     out = set()
-    for _, rec in h.entries:
+    for rec in h._objs().values():
         for _, v in rec.fields:
             if isinstance(v, EndpointE):
                 out.add((v.chan, v.polarity))

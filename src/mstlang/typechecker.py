@@ -249,11 +249,28 @@ class Judgements:
     triple or the CheckError, is kept under (expression key, class name,
     field typing, environment key); types in a key compare by canonical
     form. `infer_expr` reads it at every compound expression and at every
-    suffix of a statement sequence."""
+    suffix of a statement sequence.
+
+    At most `CAP` answers are kept. Past that, new answers are dropped until
+    the next check begins (`begin`), which starts over with a fresh key
+    table and no answers: never the old table's ints under a new table, nor
+    the reverse. A run that makes fresh objects forever would otherwise grow
+    the memo on every iteration. The cap is above what one check of a
+    10,000-statement body keeps (an answer per suffix), and no run of the
+    benchmark's workloads reaches it (the largest keeps about 1,100)."""
+
+    CAP = 16384
 
     def __init__(self):
         self.keys = sx.ExprKeys()
         self.answers = {}
+
+    def begin(self) -> None:
+        """Called before each check, when no key of the current table is
+        held: start over once the memo is full."""
+        if len(self.answers) >= self.CAP:
+            self.keys = sx.ExprKeys()
+            self.answers = {}
 
     def key(self, cls, e, F, V) -> tuple:
         return (self.keys.key(e), cls.name, F, V.key())
@@ -267,8 +284,9 @@ class Judgements:
         return answer
 
     def keep(self, keys, answer) -> None:
-        for key in keys:
-            self.answers[key] = answer
+        if len(self.answers) + len(keys) <= self.CAP:
+            for key in keys:
+                self.answers[key] = answer
 
 
 class _ResolvedLink(LinkField):

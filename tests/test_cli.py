@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -297,3 +298,67 @@ def test_unreadable_input_exit_66(tmp_path, capsys):
     code, out, err = run(["check", str(binary)], capsys)
     assert (code, out) == (66, "")
     assert err == f"error: cannot read {binary}: not UTF-8 text (invalid start byte at byte 6)\n"
+
+
+# `mst run --trace --steps 2000` on every corpus file, as (exit code, first 16
+# hex digits of the sha256 of stdout): the event log and the outcome line are
+# an output format, so a change to the interpreter must leave them byte-identical.
+TRACE_MODES = {"det": [], "seed7": ["--seed", "7", "--verify-states", "--verify-traces"]}
+TRACE_DIGESTS = {
+    ("algexample.mst", "det"): (1, "077330eb6debc017"),
+    ("algexample.mst", "seed7"): (1, "077330eb6debc017"),
+    ("deadlock1.mst", "det"): (2, "1453f0e7762adc37"),
+    ("deadlock1.mst", "seed7"): (2, "0eee7cf5048fda03"),
+    ("deadlock2.mst", "det"): (2, "3e1c7d73a62e3053"),
+    ("deadlock2.mst", "seed7"): (2, "3e1c7d73a62e3053"),
+    ("deadlock3.mst", "det"): (2, "385c76a217110b79"),
+    ("deadlock3.mst", "seed7"): (2, "385c76a217110b79"),
+    ("file.mst", "det"): (0, "58f3e83af9d5a89f"),
+    ("file.mst", "seed7"): (0, "58f3e83af9d5a89f"),
+    ("progs/p01_while.mst", "det"): (0, "68c421e757c8e864"),
+    ("progs/p01_while.mst", "seed7"): (0, "68c421e757c8e864"),
+    ("progs/p02_selfcall.mst", "det"): (0, "611a28b38d6aacf2"),
+    ("progs/p02_selfcall.mst", "seed7"): (0, "611a28b38d6aacf2"),
+    ("progs/p03_spawn.mst", "det"): (0, "a30a11c667265921"),
+    ("progs/p03_spawn.mst", "seed7"): (0, "98d4eca6d9a2d8ac"),
+    ("progs/p04_delegate.mst", "det"): (0, "433ad4334df6d041"),
+    ("progs/p04_delegate.mst", "seed7"): (0, "09b1301b142f370e"),
+    ("progs/p05_transfer.mst", "det"): (0, "edc9e43acf7aed5e"),
+    ("progs/p05_transfer.mst", "seed7"): (0, "3efeb56e83e361e4"),
+    ("progs/p06_park.mst", "det"): (0, "d22785532aeee917"),
+    ("progs/p06_park.mst", "seed7"): (0, "d22785532aeee917"),
+    ("progs/p07_overload.mst", "det"): (0, "e3001b4f9b0d7dea"),
+    ("progs/p07_overload.mst", "seed7"): (0, "e3001b4f9b0d7dea"),
+    ("progs/p08_enum_store.mst", "det"): (0, "67e7ea1b26a24a50"),
+    ("progs/p08_enum_store.mst", "seed7"): (0, "67e7ea1b26a24a50"),
+    ("progs/p09_two_pairs.mst", "det"): (0, "113f63b83a8d0813"),
+    ("progs/p09_two_pairs.mst", "seed7"): (0, "2386713b82cbdcc0"),
+    ("progs/p10_garbage.mst", "det"): (0, "d19e87a3120f0eac"),
+    ("progs/p10_garbage.mst", "seed7"): (0, "d19e87a3120f0eac"),
+    ("progs/p11_reuse_access.mst", "det"): (0, "080a56f26a502fe6"),
+    ("progs/p11_reuse_access.mst", "seed7"): (0, "d20f122e7eaf68da"),
+    ("progs/p12_park_recv.mst", "det"): (0, "f6ed7ea9afd4036d"),
+    ("progs/p12_park_recv.mst", "seed7"): (0, "50bb9fa8b7930d75"),
+    ("progs/p13_while_enum.mst", "det"): (0, "6b085b4576fb95e1"),
+    ("progs/p13_while_enum.mst", "seed7"): (0, "6b085b4576fb95e1"),
+    ("progs/p14_box_delegate.mst", "det"): (0, "c53bcfb37a9abe4c"),
+    ("progs/p14_box_delegate.mst", "seed7"): (0, "a328ab9792a3cc34"),
+    ("reduction_ex.mst", "det"): (0, "f86b6ca8193a6f7c"),
+    ("reduction_ex.mst", "seed7"): (0, "f86b6ca8193a6f7c"),
+    ("remote1.mst", "det"): (3, "a5c592954f6d146d"),
+    ("remote1.mst", "seed7"): (3, "ddf863d9fa3a7b7b"),
+    ("remote2.mst", "det"): (3, "1b7858ae09033c31"),
+    ("remote2.mst", "seed7"): (3, "09211ab69f4971f9"),
+}
+
+
+def test_trace_digests_cover_the_corpus():
+    files = {str(p.relative_to(CORPUS)) for p in CORPUS.rglob("*.mst")}
+    assert len(files) == 22
+    assert set(TRACE_DIGESTS) == {(f, m) for f in files for m in TRACE_MODES}
+
+
+@pytest.mark.parametrize("name,mode", sorted(TRACE_DIGESTS))
+def test_trace_log_digest(name, mode, capsys):
+    code, out, _ = run(["run", str(CORPUS / name), "--trace", "--steps", "2000", *TRACE_MODES[mode]], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == TRACE_DIGESTS[name, mode]

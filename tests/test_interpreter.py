@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from conftest import RUNNABLE, load, load_checked
-from mstlang.interpreter import Interpreter, MainMissing, decompose, format_event
+from conftest import DEADLOCKS, RUNNABLE, load, load_checked
+from mstlang import interpreter, syntax
+from mstlang.interpreter import Interpreter, MainMissing, RuntimeFault, decompose, format_event
 from mstlang.monitor import Monitor
 from mstlang.parser import parse_program
-from mstlang.syntax import NULL_E, Path, SeqE, SwitchE, is_value
+from mstlang.syntax import NULL_E, CoreError, Path, SeqE, SwitchE, focus, is_value, plug
 from mstlang.typechecker import check_program
+from progen import generate
 
 
 def run_events(name, limit=4000, seed=None):
@@ -197,3 +201,76 @@ def test_long_body_checks_and_runs():
     mon.start(interp.initial_config())
     outcome, events, _ = interp.run(50, observer=mon.on_step)
     assert outcome.kind == "limit" and len(events) == 50
+
+
+# -- kept focus -------------------------------------------------------------------
+
+
+def reached(prog, limit, seed):
+    """The configurations of one unmonitored run, the initial one first; a
+    run that faults (an unchecked program) ends at the fault."""
+    interp = Interpreter(prog)
+    rng = None if seed is None else random.Random(seed)
+    conf = interp.initial_config()
+    out = [conf]
+    for _ in range(limit):
+        try:
+            step = interp.step(conf, rng)
+        except (RuntimeFault, CoreError):
+            break
+        if step is None:
+            break
+        conf = step[0]
+        out.append(conf)
+    return out
+
+
+def frame_forms(frames):
+    out = []
+    while frames is not None:
+        frames, f = frames
+        out.append(type(f))
+    return out
+
+
+def test_kept_focus_plugs_back_to_the_expression():
+    programs = [load(n) for n in RUNNABLE + DEADLOCKS]
+    programs += [parse_program(generate(n)) for n in range(80)]
+    threads = 0
+    for prog in programs:
+        for seed in (None, 1, 2):
+            for conf in reached(prog, 120, seed):
+                for th in conf.threads:
+                    found, fresh = th.focus, focus(th.expr)  # kept, and searched from the root
+                    if found is None:
+                        assert fresh is None and is_value(th.expr)
+                    else:
+                        redex, frames = found
+                        assert redex == fresh[0]
+                        assert frame_forms(frames) == frame_forms(fresh[1])
+                        assert plug(frames, redex) == th.expr
+                    threads += 1
+    assert threads > 20_000
+
+
+def test_focus_runs_once_per_touched_thread(monkeypatch):
+    calls = []
+    for module in (syntax, interpreter):
+        monkeypatch.setattr(module, "focus", lambda *a: calls.append(a) or focus(*a))
+    runs = (("remote1.mst", None), ("progs/p09_two_pairs.mst", 5), ("progs/p05_transfer.mst", 2))
+    for name, seed in runs:  # every rule fires in these, object transfer and spawn included
+        interp = Interpreter(load(name))
+        rng = None if seed is None else random.Random(seed)
+        conf = interp.initial_config()
+        new = list(range(len(conf.threads)))  # threads not yet focused
+        for _ in range(300):
+            del calls[:]
+            step = interp.step(conf, rng)
+            assert len(calls) == len(new), name
+            if step is None:
+                break
+            after, ev = step
+            new = sorted(set(ev.threads) | ({ev.new_thread} if ev.new_thread >= 0 else set()))
+            for i, th in enumerate(conf.threads):
+                assert (th is after.threads[i]) == (i not in new), (name, ev)
+            conf = after

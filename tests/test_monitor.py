@@ -644,6 +644,61 @@ def test_memo_matches_fresh_memo_on_generated_programs():
     assert verdicts == {True, False} and violations > 0
 
 
+# `while (c.more(null)) { t = new Junk(); t <-> null; null }` forever: every
+# iteration drops a fresh object, so judgements under new ids never stop coming
+HEAP_GROWTH = """
+class Loop {
+  session L where L = {{TRUE, FALSE} more(Null): <TRUE: L, FALSE: {}>}
+  more(x) { TRUE }
+}
+class Junk { session {Null use(Null): {}} use(x) { x } }
+class Main {
+  session {Null go(Null): {}}
+  c; t;
+  go(x) { c = new Loop(); while (c.more(null)) { t = new Junk(); t <-> null; null } }
+}
+main Main.go;
+"""
+
+
+def growth_run(steps, cls=Monitor):
+    """(outcome, events) of a monitored heap-growth run; the largest memo
+    after a step; how many key tables the memo used."""
+    prog = parse_program(HEAP_GROWTH)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    interp = Interpreter(prog)
+    mon = cls(prog, ctx)
+    sizes, tables = [0], set()
+
+    def observer(*step):
+        mon.on_step(*step)
+        sizes.append(len(mon._judgements.answers))
+        tables.add(mon._judgements.keys)
+
+    mon.start(interp.initial_config())
+    outcome, events, _ = interp.run(steps, observer=observer)
+    assert outcome.kind == "limit" and len(events) == steps
+    return (outcome, events), max(sizes), len(tables)
+
+
+def test_memo_starts_over_at_its_cap(monkeypatch):
+    # a small cap, so that a short run fills the memo several times
+    monkeypatch.setattr(Judgements, "CAP", 300)
+    run, most, tables = growth_run(2000)
+    assert most <= 300 and tables > 2
+    assert run == growth_run(2000, FreshMemoMonitor)[0]
+
+
+@pytest.mark.slow
+def test_memo_stays_under_its_cap(monkeypatch):
+    run, most, tables = growth_run(20_000)
+    assert most <= Judgements.CAP and tables == 1
+    monkeypatch.setattr(Judgements, "CAP", 4096)
+    restarted, most, tables = growth_run(20_000)
+    assert most <= 4096 and tables > 2 and restarted == run
+
+
 def straight_line(n):
     """A method body of n swaps and assignments, labels among the values."""
     forms = ["f = null;", "g <-> A;", "f <-> B;", "g = null;"]

@@ -15,6 +15,7 @@ from mstlang.syntax import (
     ChanSelect,
     ChanSend,
     Heap,
+    HeapConflict,
     IncompleteHeap,
     MethodSig,
     NULL_E,
@@ -209,6 +210,59 @@ def test_descendants_first_visit_order():
         .add("z", ObjectRecord("C", ()))
     )
     assert h.descendants("r") == ("r", "x", "y", "z")
+
+
+def test_heap_updates_leave_the_source_heap_unchanged():
+    # A chain of parent and child objects, then writes along it: enough
+    # updates that heaps fold their recent updates into a new base. Each
+    # heap's expected entries come from a plain dict copied per update, and
+    # some heaps are read while others are still being made from them.
+    heaps, model = [Heap()], [{}]
+
+    def update(h, oid, rec):
+        heaps.append(h)
+        model.append({**model[-1], oid: rec})
+
+    for i in range(61):
+        oid = "top" if i == 0 else f"o{i - 1}"
+        fields = (("f", ObjIdE(f"o{i}") if i < 60 else NULL_E), ("g", NULL_E))
+        update(heaps[-1].add(oid, ObjectRecord("C", fields)), oid, ObjectRecord("C", fields))
+    for i in range(0, 60, 2):
+        h = heaps[-1].write(Path("top", ("f",) * (i + 1)), "g", LabelE(f"L{i}"))
+        update(h, f"o{i}", h.record(f"o{i}"))
+        rec = h.record(f"o{i + 1}").set("g", LabelE("R"))
+        update(h.replace(f"o{i + 1}", rec), f"o{i + 1}", rec)
+        if i % 10 == 0:
+            assert heaps[-3].ids == tuple(model[-3])
+    last = heaps[-1]
+    derived = [last.add("x", ObjectRecord("C", ())), last.rename({"top": "t"})]
+    down, up = last.split("top")
+    derived += [down, up, up.merge(down), Heap().add("x", ObjectRecord("C", ())).merge(last)]
+    assert last.ids == ("top",) + tuple(f"o{i}" for i in range(60))
+    assert last.roots() == ("top",)
+    assert down.ids == last.ids and up.ids == ()
+    assert derived[-1].ids == ("x",) + last.ids and derived[-1].roots() == ("x", "top")
+    assert derived[1].ids == ("t",) + last.ids[1:]
+    with pytest.raises(HeapConflict):
+        last.add("o7", ObjectRecord("C", ()))
+    with pytest.raises(HeapConflict):
+        last.merge(down)
+    with pytest.raises(NotARoot):
+        last.split("o3")
+    with pytest.raises(IncompleteHeap):
+        last.write(Path("o28"), "f", ObjIdE("gone")).split("top")
+
+    seen = [(tuple(m.items()), hash(tuple(m.items()))) for m in model]
+    assert [(h.entries, hash(h)) for h in heaps] == seen
+    assert all(h == Heap(entries) for h, (entries, _) in zip(heaps, seen))
+    assert len(set(heaps)) == len(heaps)
+
+
+def test_heap_equality_is_ordered():
+    a, b = ObjectRecord("A", ()), ObjectRecord("B", ())
+    assert Heap.of({"a": a, "b": b}) == Heap().add("a", a).add("b", b)
+    assert Heap.of({"a": a, "b": b}) != Heap.of({"b": b, "a": a})
+    assert Heap.of({"a": a, "b": b}).replace("a", b).ids == ("a", "b")
 
 
 def test_branch_entry_order_irrelevant_for_equality():
