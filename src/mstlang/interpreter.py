@@ -142,6 +142,11 @@ def decompose(e):
 # ---------------------------------------------------------------------------
 
 
+def _null_object(decl: sx.ClassDecl) -> ObjectRecord:
+    """A fresh object of the class, every field null."""
+    return ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields))
+
+
 class Interpreter:
     def __init__(self, program: sx.Program):
         self.program = program
@@ -160,13 +165,22 @@ class Interpreter:
         decl = self.program.classes.get(cname)
         if decl is None:
             raise MainMissing(f"main class {cname!r} is not declared")
-        mdef = decl.method(mname)
-        if mdef is None:
+        if decl.method(mname) is None:
             raise MainMissing(f"main method {cname}.{mname} is not defined")
-        heap = Heap().add("top", ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields)))
-        body = sx.subst_expr(mdef.body, mdef.param, sx.NULL_E)
-        thread = Thread(heap, Path("top"), body)
-        return Configuration(threads=(thread,))
+        return Configuration(threads=(self._root_thread("top", cname, mname),))
+
+    def _root_thread(self, oid, cls, method) -> Thread:
+        """A thread whose root, a fresh object `oid` of `cls`, runs `method`
+        called with null."""
+        heap = Heap().add(oid, _null_object(self.program.cls(cls)))
+        return Thread(heap, Path(oid), self._body(cls, method, sx.NULL_E))
+
+    def _body(self, cls, method, arg):
+        """The body of `cls.method` with its parameter replaced by `arg`."""
+        mdef = self.program.cls(cls).method(method)
+        if mdef is None:
+            raise RuntimeFault(f"class {cls} has no method {method!r}")
+        return sx.subst_expr(mdef.body, mdef.param, arg)
 
     # -- one deterministic or sampled step ------------------------------------
 
@@ -237,9 +251,8 @@ class Interpreter:
         redex, frames = th.focus
 
         if isinstance(redex, sx.NewE):
-            decl = self.program.cls(redex.cls)
             oid, conf = conf.fresh_obj()
-            heap = th.heap.add(oid, ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields)))
+            heap = th.heap.add(oid, _null_object(self.program.cls(redex.cls)))
             conf = conf.with_thread(i, Thread.plugged(heap, th.path, frames, sx.ObjIdE(oid)))
             return conf, StepEvent("New", (i,), cls=redex.cls, oid=oid)
 
@@ -258,11 +271,7 @@ class Interpreter:
             if not isinstance(val, sx.ObjIdE):
                 raise RuntimeFault(f"call on non-object field {redex.field!r}")
             callee = th.heap.record(val.oid)
-            decl = self.program.cls(callee.cls)
-            mdef = decl.method(redex.method)
-            if mdef is None:
-                raise RuntimeFault(f"class {callee.cls} has no method {redex.method!r}")
-            body = sx.subst_expr(mdef.body, mdef.param, redex.arg)
+            body = self._body(callee.cls, redex.method, redex.arg)
             conf = conf.with_thread(
                 i, Thread.plugged(th.heap, th.path.child(redex.field), frames, sx.ReturnE(body))
             )
@@ -272,12 +281,7 @@ class Interpreter:
             )
 
         if isinstance(redex, sx.SelfCallE):
-            rec = th.heap.resolve(th.path)
-            decl = self.program.cls(rec.cls)
-            mdef = decl.method(redex.method)
-            if mdef is None:
-                raise RuntimeFault(f"class {rec.cls} has no method {redex.method!r}")
-            body = sx.subst_expr(mdef.body, mdef.param, redex.arg)
+            body = self._body(th.heap.resolve(th.path).cls, redex.method, redex.arg)
             conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, body))
             return conf, StepEvent("SelfCall", (i,), method=redex.method, arg=redex.arg)
 
@@ -313,17 +317,10 @@ class Interpreter:
             return conf, StepEvent("Return", (i,), value=redex.expr)
 
         if isinstance(redex, sx.SpawnE):
-            decl = self.program.cls(redex.cls)
-            mdef = decl.method(redex.method)
-            if mdef is None:
-                raise RuntimeFault(f"class {redex.cls} has no method {redex.method!r}")
             oid, conf = conf.fresh_obj()
-            heap = Heap().add(oid, ObjectRecord(decl.name, tuple((f, sx.NULL_E) for f in decl.fields)))
-            body = sx.subst_expr(mdef.body, mdef.param, sx.NULL_E)
-            new_thread = Thread(heap, Path(oid), body)
+            new_thread = self._root_thread(oid, redex.cls, redex.method)
             conf = conf.with_thread(i, Thread.plugged(th.heap, th.path, frames, sx.NULL_E))
-            conf = Configuration(
-                conf.threads + (new_thread,), conf.bound_channels, conf.next_obj, conf.next_chan)
+            conf = Configuration(conf.threads + (new_thread,), conf.next_obj, conf.next_chan)
             return conf, StepEvent(
                 "Spawn", (i,), cls=redex.cls, method=redex.method, oid=oid,
                 arg=redex.arg, new_thread=len(conf.threads) - 1,
@@ -335,8 +332,6 @@ class Interpreter:
         if pair[0] == "init":
             _, n, i, j = pair
             cname, conf = conf.fresh_chan()
-            conf = Configuration(
-                conf.threads, conf.bound_channels | {cname}, conf.next_obj, conf.next_chan)
             conf = self._resume(conf, i, sx.EndpointE(cname, "+"))
             conf = self._resume(conf, j, sx.EndpointE(cname, "-"))
             return conf, StepEvent("Init", (i, j), access=n, chan=cname)

@@ -11,7 +11,9 @@ both sides of every communication. Protocol progress lives in one global map
 from object identifiers (configuration-unique) to the session states the
 object's calls and returned labels have reached, stepped through `lts_step`
 as each call or labelled return happens; entries move (renamed) with object
-transfer. The calls themselves are not kept.
+transfer. The calls themselves are not kept. One handler per reduction rule
+(`_track_*`) advances everything its rule changes: the environments, the
+channel types and the reached states.
 
 `start` checks every thread and channel of the initial configuration; after
 each step only the threads that took part in it (and a spawned one) and the
@@ -22,7 +24,10 @@ step's channel, whose two ends the linearity check pins to the two touched
 threads, and for objects of touched threads. Its verdict would repeat the one
 it already passed. The cross-thread checks (an object or endpoint in two
 threads) compare per-thread object ids and endpoints kept from earlier steps
-and recomputed for the touched threads only.
+and recomputed for the touched threads only. These endpoint sets are also
+the one record of which thread holds an endpoint: a duality fault names the
+thread whose set holds the channel's + end. Duality is checked after the
+cross-thread check has found each endpoint in at most one thread.
 
 A thread's expression is re-checked by the static expression checker,
 `typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
@@ -298,7 +303,6 @@ class Monitor:
         self.verify_traces = verify_traces
         self.envs = []  # ThreadEnv per thread
         self.theta = {}  # (chan, polarity) -> ChannelType
-        self.theta_owner = {}  # (chan, polarity) -> thread index
         self.step_no = 0
         self._consistency_cache = {}
         self._judgements = Judgements()  # expression judgements, up to its cap
@@ -309,13 +313,18 @@ class Monitor:
     # -- setup ----------------------------------------------------------------
 
     def start(self, conf):
-        cname, mname = self.program.main
-        decl = self.program.cls(cname)
-        env = ThreadEnv()
-        env.gamma[("obj", "top")] = ObjectInternal(cname, decl.initial_field_typing())
-        self.envs = [env]
-        self._reached = {"top": _called(decl.session, mname)}
+        self.envs, self._reached = [], {}
+        self._open_thread("top", *self.program.main)
         self._recheck(conf)
+
+    def _open_thread(self, oid, cls, method):
+        """A new thread's environment: its root, a fresh object of `cls`,
+        is open in `method`, called with null."""
+        decl = self.program.cls(cls)
+        env = ThreadEnv()
+        env.gamma[("obj", oid)] = ObjectInternal(cls, decl.initial_field_typing())
+        self.envs.append(env)
+        self._reached[oid] = _called(decl.session, method)
 
     def _recheck(self, conf, threads=None, chans=None):
         """Check the given threads (ascending) and channels, every one when
@@ -333,24 +342,6 @@ class Monitor:
 
     def fault(self, kind, thread, detail):
         raise MonitorViolation(kind, self.step_no, thread, detail)
-
-    def _extend(self, ev, before, param):
-        """Advance the per-object reached states over one step: calls and
-        returned labels step the object's states, fresh objects start at
-        their class session, object transfer renames."""
-        rule = ev.rule
-        if rule == "Call":
-            self._advance(ev.threads[0], ev.oid, TraceCall(ev.method, param))
-        elif rule == "Return" and isinstance(ev.value, sx.LabelE):
-            th = before.threads[ev.threads[0]]
-            self._advance(ev.threads[0], th.heap.resolve_id(th.path), TraceLabel(ev.value.label))
-        elif rule == "New":
-            self._reached[ev.oid] = (self.program.cls(ev.cls).session,)
-        elif rule == "Spawn":
-            self._reached[ev.oid] = _called(self.program.cls(ev.cls).session, ev.method)
-        elif rule == "ComObj":
-            phi = dict(ev.phi)
-            self._reached = {phi.get(o, o): s for o, s in self._reached.items()}
 
     def _advance(self, thread, oid, action):
         try:
@@ -437,17 +428,18 @@ class Monitor:
         self._recheck(after, sorted(ev.threads + spawned), (ev.chan,) if ev.chan else ())
 
     def track(self, before, ev: StepEvent, after):
+        """Advance the environments, channel types and reached states over
+        one step, each rule in its own handler."""
         rule = ev.rule
-        param = None  # the resolved parameter type of a call
         if rule == "Switch":
             self.envs[ev.threads[0]].active_link = None  # a switched tag was resolved earlier
         elif rule not in ("While", "SelfCall"):
-            param = getattr(self, f"_track_{rule.lower()}")(before, ev, after)
-        self._extend(ev, before, param)
+            getattr(self, f"_track_{rule.lower()}")(before, ev, after)
 
     def _track_new(self, before, ev, after):
-        env = self.envs[ev.threads[0]]
-        env.gamma[("obj", ev.oid)] = self.program.cls(ev.cls).session
+        session = self.program.cls(ev.cls).session
+        self.envs[ev.threads[0]].gamma[("obj", ev.oid)] = session
+        self._reached[ev.oid] = (session,)
 
     def _track_seq(self, before, ev, after):
         i = ev.threads[0]
@@ -519,7 +511,7 @@ class Monitor:
         witness = self._opening_witness(callee, branch, th.heap, i)
         env.frames.append(Frame(f, callee.cls, entry.cont))
         env_set_field(env.gamma, path, f, ObjectInternal(callee.cls, witness))
-        return entry.param
+        self._advance(i, ev.oid, TraceCall(ev.method, entry.param))
 
     def _opening_witness(self, callee, branch, heap, thread):
         candidates = self.ctx.witnesses_for(callee.cls, branch)
@@ -618,32 +610,38 @@ class Monitor:
         else:
             self._consistent(frame.cls, frame.cont, inner.typing, i)
             env_set_at(env.gamma, path, frame.cont)
+        if isinstance(v, sx.LabelE):
+            oid = before.threads[i].heap.resolve_id(path)
+            self._advance(i, oid, TraceLabel(v.label))
 
     def _track_spawn(self, before, ev, after):
         if not isinstance(ev.arg, sx.NullE):
             self.fault(TRACKING_FAULT, ev.threads[0], "spawn argument is not null")
-        decl = self.program.cls(ev.cls)
-        env = ThreadEnv()
-        env.gamma[("obj", ev.oid)] = ObjectInternal(ev.cls, decl.initial_field_typing())
-        self.envs.append(env)
+        self._open_thread(ev.oid, ev.cls, ev.method)
 
     def _track_init(self, before, ev, after):
         i, j = ev.threads
         sigma = self.program.access_points[ev.access]
         self.theta[(ev.chan, "+")] = sigma
         self.theta[(ev.chan, "-")] = dual(sigma)
-        self.theta_owner[(ev.chan, "+")] = i
-        self.theta_owner[(ev.chan, "-")] = j
         self.envs[i].gamma[("chan", ev.chan, "+")] = translate_channel(sigma)
         self.envs[j].gamma[("chan", ev.chan, "-")] = translate_channel(dual(sigma))
 
     def _com_sides(self, before, ev):
-        """Sender/receiver thread indices, fields and endpoint polarities."""
+        """The prologue of a communication: checks that no third thread holds
+        the channel, then gives the sender's and receiver's thread indices,
+        current paths and fields, and the keys and unfolded channel types of
+        their ends."""
         i, j = ev.threads
+        self._check_third_party(before, ev.chan, i, j)
         th_s, th_r = before.threads[i], before.threads[j]
-        redex_s, redex_r = th_s.focus[0], th_r.focus[0]
-        ep_s = th_s.heap.resolve(th_s.path).get(redex_s.field)
-        return i, j, th_s, th_r, redex_s.field, redex_r.field, ep_s.polarity
+        f_s, f_r = th_s.focus[0].field, th_r.focus[0].field
+        pol = th_s.heap.resolve(th_s.path).get(f_s).polarity
+        key_s, key_r = (ev.chan, pol), (ev.chan, "-" if pol == "+" else "+")
+        if key_s not in self.theta or key_r not in self.theta:
+            self.fault(TRACKING_FAULT, i, f"channel {ev.chan} missing from the channel environment")
+        sig_s, sig_r = unfold(self.theta[key_s]), unfold(self.theta[key_r])
+        return i, j, th_s.path, th_r.path, f_s, f_r, key_s, key_r, sig_s, sig_r
 
     def _check_third_party(self, conf, chan, i, j):
         for k in range(len(conf.threads)):
@@ -651,16 +649,9 @@ class Monitor:
                 self.fault(LINEARITY, k, f"channel {chan} occurs in a third thread")
 
     def _track_combase(self, before, ev, after):
-        i, j, th_s, th_r, f_s, f_r, pol = self._com_sides(before, ev)
+        i, j, path_s, path_r, f_s, f_r, key_s, key_r, sig_s, sig_r = self._com_sides(before, ev)
         env_s, env_r = self.envs[i], self.envs[j]
-        self._check_third_party(before, ev.chan, i, j)
         v = ev.value
-        key_s, key_r = (ev.chan, pol), (ev.chan, "-" if pol == "+" else "+")
-        if key_s not in self.theta or key_r not in self.theta:
-            self.fault(TRACKING_FAULT, i, f"channel {ev.chan} missing from the channel environment")
-        sig_s = unfold(self.theta[key_s])
-        sig_r = unfold(self.theta[key_r])
-
         if isinstance(v, sx.LabelE) and env_s.active_link is not None:
             self.fault(TRACKING_FAULT, i, "a tag bound to a field was sent")
 
@@ -678,7 +669,6 @@ class Monitor:
                     self.fault(TRACKING_FAULT, i, f"delegated endpoint {v.chan}{v.polarity} untyped")
                 if not isinstance(payload, sx.ChannelType) or not subtype_channel(moved, payload):
                     self.fault(TRACKING_FAULT, i, "delegated endpoint does not match the payload type")
-                self.theta_owner[(v.chan, v.polarity)] = j
             else:
                 if isinstance(payload, sx.ChannelType) or not subtype_value(t_v, payload):
                     self.fault(TRACKING_FAULT, i, f"sent value {v!r} does not match {render_type(payload)}")
@@ -686,17 +676,17 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, i, f"send on channel of type {render_type(sig_s)}")
         self.theta[key_s] = new_s
-        env_set_field(env_s.gamma, th_s.path, f_s, translate_channel(new_s))
+        env_set_field(env_s.gamma, path_s, f_s, translate_channel(new_s))
 
         # receiver side
         if isinstance(sig_r, sx.ChanOffer):
             new_r = sig_r.case(v.label)
             variant = VariantS(tuple((l, translate_channel(c)) for l, c in sig_r.cases))
-            env_set_field(env_r.gamma, th_r.path, f_r, translate_channel(new_r))
-            env_r.active_link = ActiveLink(th_r.path, f_r, variant)
+            env_set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
+            env_r.active_link = ActiveLink(path_r, f_r, variant)
         elif isinstance(sig_r, sx.ChanRecv):
             new_r = sig_r.cont
-            env_set_field(env_r.gamma, th_r.path, f_r, translate_channel(new_r))
+            env_set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
             if isinstance(v, sx.EndpointE):
                 env_r.gamma[("chan", v.chan, v.polarity)] = translate_channel(
                     self.theta[(v.chan, v.polarity)]
@@ -706,12 +696,8 @@ class Monitor:
         self.theta[key_r] = new_r
 
     def _track_comobj(self, before, ev, after):
-        i, j, th_s, th_r, f_s, f_r, pol = self._com_sides(before, ev)
+        i, j, path_s, path_r, f_s, f_r, key_s, key_r, sig_s, sig_r = self._com_sides(before, ev)
         env_s, env_r = self.envs[i], self.envs[j]
-        self._check_third_party(before, ev.chan, i, j)
-        key_s, key_r = (ev.chan, pol), (ev.chan, "-" if pol == "+" else "+")
-        sig_s = unfold(self.theta[key_s])
-        sig_r = unfold(self.theta[key_r])
         if not isinstance(sig_s, sx.ChanSend) or not isinstance(sig_r, sx.ChanRecv):
             self.fault(TRACKING_FAULT, i, "object transfer on a non send/receive channel state")
         t_obj = env_s.gamma.pop(("obj", ev.oid), None)
@@ -721,14 +707,12 @@ class Monitor:
         if not isinstance(payload, SessionType) or not subtype_session(t_obj, payload):
             self.fault(TRACKING_FAULT, i, "transferred object does not match the payload type")
         phi = dict(ev.phi)
-        down, _ = th_s.heap.split(ev.oid)
-        for chan, p in sx.heap_endpoints(down):
-            self.theta_owner[(chan, p)] = j
         env_r.gamma[("obj", phi[ev.oid])] = t_obj
         self.theta[key_s] = sig_s.cont
         self.theta[key_r] = sig_r.cont
-        env_set_field(env_s.gamma, th_s.path, f_s, translate_channel(sig_s.cont))
-        env_set_field(env_r.gamma, th_r.path, f_r, translate_channel(sig_r.cont))
+        env_set_field(env_s.gamma, path_s, f_s, translate_channel(sig_s.cont))
+        env_set_field(env_r.gamma, path_r, f_r, translate_channel(sig_r.cont))
+        self._reached = {phi.get(o, o): s for o, s in self._reached.items()}
 
     # -- state checking ---------------------------------------------------------
 
@@ -822,7 +806,8 @@ class Monitor:
                 continue
             want = dual(sigma)
             if not (subtype_channel(want, other) and subtype_channel(other, want)):
-                self.fault(DUALITY, self.theta_owner.get((c, "+"), 0), f"channel {c} endpoints not dual")
+                holder = next((k for k, eps in self._eps.items() if (c, "+") in eps), 0)
+                self.fault(DUALITY, holder, f"channel {c} endpoints not dual")
 
     def check_traces(self, conf, threads=None):
         """Check the objects and tracked roots of the given threads

@@ -1304,22 +1304,19 @@ class Thread:
 @dataclass(frozen=True)
 class Configuration:
     threads: tuple
-    bound_channels: frozenset = frozenset()
     next_obj: int = 0
     next_chan: int = 0
 
     def fresh_obj(self):
-        return f"o{self.next_obj}", Configuration(
-            self.threads, self.bound_channels, self.next_obj + 1, self.next_chan)
+        return f"o{self.next_obj}", Configuration(self.threads, self.next_obj + 1, self.next_chan)
 
     def fresh_chan(self):
-        return f"c{self.next_chan}", Configuration(
-            self.threads, self.bound_channels, self.next_obj, self.next_chan + 1)
+        return f"c{self.next_chan}", Configuration(self.threads, self.next_obj, self.next_chan + 1)
 
     def with_thread(self, i, thread: Thread) -> "Configuration":
         ts = list(self.threads)
         ts[i] = thread
-        return Configuration(tuple(ts), self.bound_channels, self.next_obj, self.next_chan)
+        return Configuration(tuple(ts), self.next_obj, self.next_chan)
 
 
 _NO_ENDPOINTS = frozenset()

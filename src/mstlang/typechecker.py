@@ -4,7 +4,10 @@ relating field typings to session types, and the expression checker.
 The consistency algorithm carries a set of assumed (field typing, session
 type) pairs so recursion through rec types terminates; the expression checker
 is syntax-directed, with labels eagerly given type linkthis and a singleton
-variant field typing, collapsed by join at the points of use. The same
+variant field typing, collapsed by join at the points of use. A tag that is
+the operand of a swap, call, self-call or spawn, or a discarded statement,
+collapses in `infer_expr` to the enumeration of its labels before the rule
+runs; the switch, loop and return rules treat a tag case by case. The same
 checker types runtime expressions, whose environment (RuntimeEnv) adds the
 in-flight object identifiers and endpoints and the pending calls; the rules
 for those forms and for `return` apply only there.
@@ -343,7 +346,10 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
                 raise CheckError(INTERNAL_FORM, f"internal form {form.__name__} in a source program")
             elif form in _OPERAND_RULES:
                 operand = e.expr if form is sx.SwapE else e.arg
-                answer = _OPERAND_RULES[form](ctx, cls, e, *infer_expr(ctx, cls, operand, F, V))
+                t, f1, v1 = infer_expr(ctx, cls, operand, F, V)
+                if isinstance(t, LinkThis):
+                    f1, t = _collapse(f1), EnumType(f1.labels)
+                answer = _OPERAND_RULES[form](ctx, cls, e, t, f1, v1)
             elif form in _COMPOUND_RULES:
                 answer = _COMPOUND_RULES[form](ctx, cls, e, F, V)
             else:
@@ -406,12 +412,6 @@ def _endpoint_rule(ctx, e, F, V):
 
 
 def _swap_rule(ctx, cls, e, t, f1, v1):
-    if isinstance(t, LinkThis):
-        joined = _collapse(f1)
-        old = _field_type(joined, e.field)
-        if _is_variant_session(old):
-            raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
-        return old, joined.set(e.field, EnumType(f1.labels)), v1
     old = _field_type(f1, e.field)
     if _is_variant_session(old):
         raise CheckError(SWAP_ON_VARIANT, f"field {e.field!r} holds a variant type")
@@ -424,12 +424,6 @@ def _swap_rule(ctx, cls, e, t, f1, v1):
 
 
 def _call_rule(ctx, cls, e, t, f1, v1):
-    if isinstance(t, LinkThis):
-        joined = _collapse(f1)
-        branch = _branch_of(_field_type(joined, e.field), f"field {e.field!r}")
-        entry = resolve_signature(branch, e.method, EnumType(f1.labels))
-        result = LinkField(e.field) if isinstance(entry.result, LinkThis) else entry.result
-        return result, joined.set(e.field, entry.cont), v1
     if isinstance(t, LinkField):
         raise CheckError(ARGUMENT_MISMATCH, "a tag bound to a field cannot be an argument")
     branch = _branch_of(_field_type(f1, e.field), f"field {e.field!r}")
@@ -447,21 +441,12 @@ def _self_call_rule(ctx, cls, e, t, f1, v1):
             MISSING_ANNOTATION, f"self-called method {e.method!r} has no req/ens annotation"
         )
     ann = mdef.annotation
-    if isinstance(t, LinkThis):
-        joined = _collapse(f1)
-        if not isinstance(ann.param_type, EnumType) or not f1.labels <= ann.param_type.labels:
-            raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
-        if not subtype_any(joined, ann.req):
-            raise CheckError(
-                ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
-            )
-    else:
-        if not subtype_value(t, ann.param_type):
-            raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
-        if not subtype_any(f1, ann.req):
-            raise CheckError(
-                ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
-            )
+    if not subtype_value(t, ann.param_type):
+        raise CheckError(ARGUMENT_MISMATCH, f"argument of {e.method!r} mismatches annotation")
+    if not subtype_any(f1, ann.req):
+        raise CheckError(
+            ANNOTATION_MISMATCH, f"fields do not satisfy req of {e.method!r}"
+        )
     return ann.result, ann.ens, v1
 
 

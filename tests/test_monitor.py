@@ -340,8 +340,8 @@ def test_init_extends_theta_with_dual_entries():
             plus = mon.theta[(ev.chan, "+")]
             minus = mon.theta[(ev.chan, "-")]
             assert dual(plus) == minus
-            assert mon.theta_owner[(ev.chan, "+")] == ev.threads[0]
-            assert mon.theta_owner[(ev.chan, "-")] == ev.threads[1]
+            assert (ev.chan, "+") in mon._eps[ev.threads[0]]
+            assert (ev.chan, "-") in mon._eps[ev.threads[1]]
             break
 
 
@@ -549,11 +549,10 @@ def test_linearity_checked_through_the_delta():
     )
 
 
-def test_duality_checked_on_the_step_channel():
-    # the receiver's channel type is planted so that the communication
-    # leaves it one action longer than the sender's: each thread still
-    # agrees with its own endpoint, only the channel's duality fails
-    prog, report, ctx = load_checked("progs/p09_two_pairs.mst")
+def _monitor_until(name, stop):
+    """Monitors a program up to the first step that `stop` selects, and
+    returns the monitor and that step, not yet taken by the monitor."""
+    prog, report, ctx = load_checked(name)
     interp = Interpreter(prog)
     mon = Monitor(prog, ctx)
     conf = interp.initial_config()
@@ -563,16 +562,57 @@ def test_duality_checked_on_the_step_channel():
         step_no += 1
         before = conf
         conf, ev = interp.step(before)
-        if ev.rule == "ComBase":
-            break
+        if stop(ev):
+            return mon, (step_no, before, ev, conf)
         mon.on_step(step_no, before, ev, conf)
-    _, receiver = ev.threads
-    pol = next(p for (c, p), owner in mon.theta_owner.items() if c == ev.chan and owner == receiver)
+
+
+def _planted_duality_fault(name, stop):
+    """Takes the communication that `stop` selects with the receiver's
+    channel type planted so that the communication leaves it one action
+    longer than the sender's: each thread still agrees with its own
+    endpoint, only the channel's duality fails. Returns the step's event
+    and the violation."""
+    mon, step = _monitor_until(name, stop)
+    step_no, _, ev, _ = step
+    receiver = ev.threads[1]
+    pol = next(p for c, p in mon._eps[receiver] if c == ev.chan)
     mon.theta[(ev.chan, pol)] = parse_channel_type("?{PING}.!{PING}.End")
     with pytest.raises(MonitorViolation) as err:
-        mon.on_step(step_no, before, ev, conf)
+        mon.on_step(*step)
     assert (err.value.kind, err.value.step, err.value.detail) == (
         "DualityViolation", step_no, f"channel {ev.chan} endpoints not dual"
+    )
+    return ev, err.value
+
+
+def test_duality_checked_on_the_step_channel():
+    # the fault names the thread holding the channel's + end, the receiver
+    ev, err = _planted_duality_fault("progs/p09_two_pairs.mst", lambda ev: ev.rule == "ComBase")
+    assert err.thread == ev.threads[1]
+
+
+@pytest.mark.parametrize("name", ["progs/p04_delegate.mst", "progs/p14_box_delegate.mst"])
+def test_duality_fault_names_the_thread_the_end_moved_to(name):
+    # the ping channel's + end was accepted by t1, then delegated (p04) or
+    # moved inside a transferred object (p14) to t2, which receives on it
+    ping = lambda ev: ev.rule == "ComBase" and ev.value == LabelE("PING")
+    ev, err = _planted_duality_fault(name, ping)
+    assert ev.threads[1] == err.thread == 2
+
+
+@pytest.mark.parametrize(
+    "name, rule", [("progs/p09_two_pairs.mst", "ComBase"), ("progs/p05_transfer.mst", "ComObj")]
+)
+def test_communication_on_an_untyped_channel_is_a_tracking_fault(name, rule):
+    mon, step = _monitor_until(name, lambda ev: ev.rule == rule)
+    step_no, _, ev, _ = step
+    del mon.theta[(ev.chan, "+")]
+    with pytest.raises(MonitorViolation) as err:
+        mon.on_step(*step)
+    assert (err.value.kind, err.value.step, err.value.thread, err.value.detail) == (
+        "TrackingFault", step_no, ev.threads[0],
+        f"channel {ev.chan} missing from the channel environment",
     )
 
 

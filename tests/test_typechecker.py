@@ -201,6 +201,82 @@ def test_tag_argument_without_accepting_overload():
     assert v.detail == "no overload of 'm' accepts argument type {B}"
 
 
+OPERAND_TAG_PROGRAM = """
+class W { session {linkthis w(Null): <A: {}, B: {}>} w(x) { A } }
+class L { session {Null m({A}): {}} m(x) { null } }
+class N { session {Null go(Null): {}} go(x) { null } }
+class C {
+  session {Null go(Null): {}}
+  f; g;
+  go(x) { %s }
+  req Null f, Null g ens Null f, Null g
+  Null step({A, B} y) { null }
+}
+main C.go;
+"""
+
+# A label as the operand of each one-operand form: (accepted body, rejected
+# body, the rejected program's line for C).
+OPERAND_TAG_ROWS = {
+    "swap": (
+        "f = A; null",
+        "f = new W(); g = f.w(null); f = B; null",
+        "CLASS C ERR SwapOnVariantField in go: field 'f' holds a variant type",
+    ),
+    "call": (
+        "f = new L(); f.m(A); null",
+        "f = new L(); f.m(B); null",
+        "CLASS C ERR NoSuchMethod in go: no overload of 'm' accepts argument type {B}",
+    ),
+    "self-call": (
+        "step(A)",
+        "step(C)",
+        "CLASS C ERR ArgumentMismatch in go: argument of 'step' mismatches annotation",
+    ),
+    "spawn": (
+        "spawn N.go(null)",
+        "spawn N.go(A)",
+        "CLASS C ERR ArgumentMismatch in go: spawn argument must have type Null",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(OPERAND_TAG_ROWS))
+def test_label_operand_verdicts(form):
+    accepted, rejected, line = OPERAND_TAG_ROWS[form]
+    others = ["CLASS W OK", "CLASS L OK", "CLASS N OK"]
+    report, _ = check_program(parse_program(OPERAND_TAG_PROGRAM % accepted))
+    assert report.lines() == others + ["CLASS C OK"]
+    report, _ = check_program(parse_program(OPERAND_TAG_PROGRAM % rejected))
+    assert report.lines() == others + [line]
+
+
+def test_label_operand_agrees_with_declarative_derivations():
+    # the swap and call rows, as single expressions the oracle can search
+    prog = parse_program(OPERAND_TAG_PROGRAM % "null")
+    ctx = CheckContext(prog)
+    decl = prog.classes["C"]
+    uni = Universe(prog, labels=("A", "B"), fields=("f",))
+    l_session = prog.classes["L"].session
+    variant = unfold(prog.classes["W"].session).entries[0].cont
+    cases = [
+        (SwapE("f", LabelE("A")), NULL_T, True),
+        (SwapE("f", LabelE("B")), variant, False),
+        (CallE("f", "m", LabelE("A")), l_session, True),
+        (CallE("f", "m", LabelE("B")), l_session, False),
+    ]
+    for e, held, ok in cases:
+        f0 = RecordF((("f", held),))
+        derivable = derive(prog, uni, e, f0, None)
+        try:
+            got = infer_expr(ctx, decl, e, f0, None)
+        except CheckError:
+            got = None
+        assert (got is not None, bool(derivable)) == (ok, ok), e
+        if ok:
+            assert any(_matches(*got, t, f, v) for t, f, v in derivable), e
+
+
 def test_call_on_joined_overloads_accepted():
     # f holds an L or a K; both accept m({A}), L through the least of two overloads
     text = """
