@@ -3,8 +3,11 @@
 One file holds class declarations, access point declarations, standalone
 type aliases and an optional main designation. Session types are written in
 the signature-carrying style; ``where`` clauses introduce named states that
-are folded into rec types (a name becomes the binder at its first expansion,
-back references become variables).
+are folded into rec types. One fold serves session and channel names: a name
+becomes the binder at its first expansion when the expansion refers back to
+it, and back references become variables. Every binder, written or folded,
+is checked to be contractive as it is made, so each resolved type (annotation
+types included) is closed and contractive, and unfolding it terminates.
 
 Sugar applied while parsing:
   f = e        =>  (f <-> e); null
@@ -20,6 +23,7 @@ import errno
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import syntax as sx
 
@@ -405,15 +409,65 @@ class _P:
 # Name resolution / mu-folding
 # ---------------------------------------------------------------------------
 
+_NO_NAMES = MappingProxyType({})  # no name is being expanded
+
 
 class _Resolver:
-    """Turns raw type trees into closed types, folding named states to recs."""
+    """Turns raw type trees into closed, contractive types.
+
+    One fold serves session and channel names: a name is expanded from its
+    definition unless it is bound by a written `rec` or already being
+    expanded, when it becomes a variable. Meeting a name again while it is
+    being expanded marks it used, and only a used expansion is wrapped in a
+    binder of that name. Every binder, written or folded, is checked to be
+    contractive as it is made; a failure is reported by `checked` once the
+    whole type has resolved, so an unknown name anywhere in it comes first.
+    """
 
     def __init__(self, session_defs, channel_defs):
-        self.session_defs = session_defs  # name -> raw
+        self.folds = {
+            "name": (session_defs, self.session, sx.RecS, sx.VarS, "session"),
+            "cname": (channel_defs, self.channel, sx.RecC, sx.VarC, "channel"),
+        }
         self.channel_defs = channel_defs
+        self.contractive = True
 
-    def session(self, raw, stack=(), bound=frozenset()):
+    def checked(self, t, what):
+        """`t`, just resolved, unless a binder made for it is not contractive."""
+        contractive, self.contractive = self.contractive, True
+        if not contractive:
+            raise NonContractiveType(f"{what}: type is not contractive")
+        return t
+
+    def _fold(self, raw, stack, bound):
+        """The type named by `raw`. `stack` maps each name being expanded to
+        its used mark; `bound` holds the variables of written binders."""
+        defs, resolve, rec, var, noun = self.folds[raw[0]]
+        name = raw[1]
+        if name in bound:
+            return var(name)
+        if name in stack:
+            stack[name][0] = True
+            return var(name)
+        if name not in defs:
+            raise UnboundStateName(f"unknown {noun} type name {name!r}")
+        used = [False]
+        body = resolve(defs[name], {**stack, name: used}, bound)
+        return self._binder(rec, name, body) if used[0] else body
+
+    def _binder(self, rec, var, body):
+        """`rec var.body`, noting a non-contractive binder: one whose body,
+        under its leading binders, is a variable of that chain."""
+        chain = {var}
+        head = body
+        while isinstance(head, sx.Rec):
+            chain.add(head.var)
+            head = head.body
+        if isinstance(head, sx.TypeVar) and head.name in chain:
+            self.contractive = False
+        return rec(var, body)
+
+    def session(self, raw, stack=_NO_NAMES, bound=frozenset()):
         tag = raw[0]
         if tag == "branch":
             entries = []
@@ -436,19 +490,9 @@ class _Resolver:
         if tag == "variant":
             return sx.VariantS(tuple((l, self.session(s, stack, bound)) for l, s in raw[1]))
         if tag == "rec":
-            return sx.RecS(raw[1], self.session(raw[2], stack, bound | {raw[1]}))
+            return self._binder(sx.RecS, raw[1], self.session(raw[2], stack, bound | {raw[1]}))
         if tag == "name":
-            name = raw[1]
-            if name in bound:
-                return sx.VarS(name)
-            if name in stack:
-                return sx.VarS(name)
-            if name not in self.session_defs:
-                raise UnboundStateName(f"unknown session type name {name!r}")
-            body = self.session(self.session_defs[name], stack + (name,), bound)
-            if name in sx.free_vars(body):
-                return sx.RecS(name, body)
-            return body
+            return self._fold(raw, stack, bound)
         raise ParseError(f"not a session type: {tag}")
 
     def _variant_like(self, s):
@@ -456,7 +500,7 @@ class _Resolver:
             s = s.body
         return isinstance(s, sx.VariantS)
 
-    def vtype(self, raw, stack=(), bound=frozenset()):
+    def vtype(self, raw, stack=_NO_NAMES, bound=frozenset()):
         tag = raw[0]
         if tag == "null":
             return sx.NULL_T
@@ -467,10 +511,10 @@ class _Resolver:
         if tag == "access":
             from .channels import translate_access
 
-            return translate_access(self.channel(raw[1], (), frozenset()))
+            return translate_access(self.channel(raw[1]))
         return self.session(raw, stack, bound)
 
-    def channel(self, raw, stack=(), bound=frozenset()):
+    def channel(self, raw, stack=_NO_NAMES, bound=frozenset()):
         tag = raw[0]
         if tag == "end":
             return sx.CHAN_END
@@ -482,17 +526,9 @@ class _Resolver:
             cases = tuple((l, self.channel(s, stack, bound)) for l, s in raw[1])
             return sx.ChanOffer(cases) if tag == "offer" else sx.ChanSelect(cases)
         if tag == "recc":
-            return sx.RecC(raw[1], self.channel(raw[2], stack, bound | {raw[1]}))
+            return self._binder(sx.RecC, raw[1], self.channel(raw[2], stack, bound | {raw[1]}))
         if tag == "cname":
-            name = raw[1]
-            if name in bound or name in stack:
-                return sx.VarC(name)
-            if name not in self.channel_defs:
-                raise UnboundStateName(f"unknown channel type name {name!r}")
-            body = self.channel(self.channel_defs[name], stack + (name,), bound)
-            if name in sx.free_vars(body):
-                return sx.RecC(name, body)
-            return body
+            return self._fold(raw, stack, bound)
         raise ParseError(f"not a channel type: {tag}")
 
     def payload(self, raw, stack, bound):
@@ -504,14 +540,6 @@ class _Resolver:
         if raw[0] in ("end", "recv", "send", "offer", "select", "recc"):
             return self.channel(raw, stack, bound)
         return self.vtype(raw)
-
-
-def _check_session_wf(s, what):
-    if sx.free_vars(s):
-        raise UnboundStateName(f"{what}: unbound type variable {sorted(sx.free_vars(s))[0]!r}")
-    if not sx.is_contractive(s):
-        raise NonContractiveType(f"{what}: type is not contractive")
-    _check_variant_components(s, what, set())
 
 
 def _check_variant_components(s, what, seen):
@@ -648,22 +676,21 @@ def _parse_sources(sources) -> sx.Program:
     session_aliases = {}
     for name in raw_type_aliases:
         with _located(alias_where[("type", name)]):
-            s = top_resolver.session(("name", name))
-            _check_session_wf(s, f"type {name}")
+            what = f"type {name}"
+            s = top_resolver.checked(top_resolver.session(("name", name)), what)
+            _check_variant_components(s, what, set())
         session_aliases[name] = s
     channel_aliases = {}
     for name in raw_chan_aliases:
         with _located(alias_where[("chantype", name)]):
-            c = top_resolver.channel(("cname", name))
-            _check_session_wf(c, f"chantype {name}")
+            c = top_resolver.checked(top_resolver.channel(("cname", name)), f"chantype {name}")
         channel_aliases[name] = c
     access_points = {}
     for name, proto, where in raw_accesses:
         with _located(where):
             if name in access_points:
                 raise ParseError(f"duplicate access point {name!r}")
-            c = top_resolver.channel(proto)
-            _check_session_wf(c, f"access point {name}")
+            c = top_resolver.checked(top_resolver.channel(proto), f"access point {name}")
         access_points[name] = c
 
     program = sx.Program(
@@ -683,14 +710,15 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
     session_defs = dict(raw_type_aliases)
     session_defs.update(rc.states)
     resolver = _Resolver(session_defs, raw_chan_aliases)
-    session = resolver.session(rc.session)
-    _check_session_wf(session, f"class {rc.name}")
+    session = resolver.checked(resolver.session(rc.session), f"class {rc.name}")
+    _check_variant_components(session, f"class {rc.name}", set())
     if not isinstance(sx.unfold(session), sx.Branch):
         raise ParseError(f"class {rc.name}: declared session must unfold to a branch")
     states = {}
     for sname in rc.states:
-        st = resolver.session(("name", sname))
-        _check_session_wf(st, f"{rc.name}.{sname}")
+        what = f"{rc.name}.{sname}"
+        st = resolver.checked(resolver.session(("name", sname)), what)
+        _check_variant_components(st, what, set())
         states[sname] = st
     methods = {}
     for annot_raw, mname, pname, body, tok in rc.methods:
@@ -699,16 +727,17 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
         annot = None
         if annot_raw is not None:
             req_raw, ens_raw, result_raw, ptype_raw = annot_raw
+            what = f"{rc.name}.{mname} annotation"
             with _located((rc.where[0], tok)):
-                req = _resolve_record(resolver, req_raw, rc.fields, rc.name)
-                ens = _resolve_record(resolver, ens_raw, rc.fields, rc.name)
+                req = _resolve_record(resolver, req_raw, rc.fields, rc.name, what)
+                ens = _resolve_record(resolver, ens_raw, rc.fields, rc.name, what)
                 if isinstance(ens, sx.VariantF):
                     raise ParseError(f"{rc.name}.{mname}: ens annotation cannot be a variant")
                 annot = sx.MethodAnnotation(
                     req=req,
                     ens=ens,
-                    result=resolver.vtype(result_raw),
-                    param_type=resolver.vtype(ptype_raw),
+                    result=resolver.checked(resolver.vtype(result_raw), what),
+                    param_type=resolver.checked(resolver.vtype(ptype_raw), what),
                 )
         methods[mname] = sx.MethodDef(mname, pname, body, annot)
     return sx.ClassDecl(
@@ -805,8 +834,8 @@ def _parse_field_binds(p: _P):
     return tuple(binds)
 
 
-def _resolve_record(resolver, binds, fields, cls_name):
-    typed = {f: resolver.vtype(t) for f, t in binds}
+def _resolve_record(resolver, binds, fields, cls_name, what):
+    typed = {f: resolver.checked(resolver.vtype(t), what) for f, t in binds}
     missing = [f for f in fields if f not in typed]
     extra = [f for f in typed if f not in fields]
     if missing or extra:
@@ -873,17 +902,18 @@ def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
     resolver = _session_resolver(program)
     s = resolver.session(p.raw_session())
     _expect_eof(p)
-    _check_session_wf(s, "type expression")
+    s = resolver.checked(s, "type expression")
+    _check_variant_components(s, "type expression", set())
     return s
 
 
 def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
     program = program or sx.Program(classes={})
     p = _P(tokenize(text))
-    c = _session_resolver(program).channel(p.raw_channel())
+    resolver = _session_resolver(program)
+    c = resolver.channel(p.raw_channel())
     _expect_eof(p)
-    _check_session_wf(c, "channel type expression")
-    return c
+    return resolver.checked(c, "channel type expression")
 
 
 def _session_resolver(program):

@@ -28,9 +28,9 @@ def render_type(t) -> str:
         return "{" + sigs + "}"
     if isinstance(t, sx.VariantS):
         return "<" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + ">"
-    if isinstance(t, sx.RecS):
+    if isinstance(t, sx.Rec):
         return f"rec {t.var}.{render_type(t.body)}"
-    if isinstance(t, sx.VarS):
+    if isinstance(t, sx.TypeVar):
         return t.name
     if isinstance(t, sx.ChanEnd):
         return "End"
@@ -42,12 +42,6 @@ def render_type(t) -> str:
         return "&{" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + "}"
     if isinstance(t, sx.ChanSelect):
         return "+{" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + "}"
-    if isinstance(t, sx.RecC):
-        return f"rec {t.var}.{render_type(t.body)}"
-    if isinstance(t, sx.VarC):
-        return t.name
-    if isinstance(t, sx.AccessPointType):
-        return f"<{render_type(t.protocol)}>"
     if isinstance(t, sx.RecordF):
         return "{" + ", ".join(f"{render_type(v)} {f}" for f, v in t.items) + "}"
     if isinstance(t, sx.VariantF):

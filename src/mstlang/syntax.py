@@ -262,28 +262,45 @@ class VariantS(Labelled, SessionType):
         return ("variant", tuple(cs))
 
 
+class Rec:
+    """A `rec var.body` binder. Its `kind`, "s" for a session type and "c"
+    for a channel type, is the kind of the variables (`TypeVar`) it binds."""
+
+    __slots__ = ()
+
+    def _canonical(self, bound):
+        tag = "rec" if self.kind == "s" else "recc"
+        return (tag, self.body._canonical(bound + ((self.kind, self.var),)))
+
+
+class TypeVar:
+    """A recursion variable, bound by the nearest enclosing `Rec` of its
+    `kind` and name; its canonical form is that binder's de Bruijn index."""
+
+    __slots__ = ()
+
+    def _canonical(self, bound):
+        for i in range(len(bound) - 1, -1, -1):
+            if bound[i] == (self.kind, self.name):
+                return ("var", len(bound) - 1 - i)
+        return ("freevar", self.name)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class RecS(SessionType):
+class RecS(Rec, SessionType):
     var: str
     body: SessionType
 
     __slots__ = ("var", "body")
-
-    def _canonical(self, bound):
-        return ("rec", self.body._canonical(bound + (("s", self.var),)))
+    kind = "s"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VarS(SessionType):
+class VarS(TypeVar, SessionType):
     name: str
 
     __slots__ = ("name",)
-
-    def _canonical(self, bound):
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == ("s", self.name):
-                return ("var", len(bound) - 1 - i)
-        return ("freevar", self.name)
+    kind = "s"
 
 
 # Channel session types ------------------------------------------------------
@@ -359,39 +376,20 @@ class ChanSelect(Labelled, ChannelType):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class RecC(ChannelType):
+class RecC(Rec, ChannelType):
     var: str
     body: ChannelType
 
     __slots__ = ("var", "body")
-
-    def _canonical(self, bound):
-        return ("recc", self.body._canonical(bound + (("c", self.var),)))
+    kind = "c"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VarC(ChannelType):
+class VarC(TypeVar, ChannelType):
     name: str
 
     __slots__ = ("name",)
-
-    def _canonical(self, bound):
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == ("c", self.name):
-                return ("var", len(bound) - 1 - i)
-        return ("freevar", self.name)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class AccessPointType(Type):
-    """Type of a named access point carrying protocol Sigma."""
-
-    protocol: ChannelType
-
-    __slots__ = ("protocol",)
-
-    def _canonical(self, bound):
-        return ("access", _form(self.protocol, bound))
+    kind = "c"
 
 
 # Field typings --------------------------------------------------------------
@@ -487,20 +485,13 @@ def _subst(t, var, repl, kind):
     then reuses existing nodes, which keeps traversals of recursive types
     finite when tracked by object identity).
     """
-    if isinstance(t, VarS):
-        return repl if (kind == "s" and t.name == var) else t
-    if isinstance(t, VarC):
-        return repl if (kind == "c" and t.name == var) else t
-    if isinstance(t, RecS):
-        if kind == "s" and t.var == var:
+    if isinstance(t, TypeVar):
+        return repl if (t.kind == kind and t.name == var) else t
+    if isinstance(t, Rec):
+        if t.kind == kind and t.var == var:
             return t
         body = _subst(t.body, var, repl, kind)
-        return t if body is t.body else RecS(t.var, body)
-    if isinstance(t, RecC):
-        if kind == "c" and t.var == var:
-            return t
-        body = _subst(t.body, var, repl, kind)
-        return t if body is t.body else RecC(t.var, body)
+        return t if body is t.body else type(t)(t.var, body)
     if isinstance(t, Branch):
         entries = []
         changed = False
@@ -514,21 +505,7 @@ def _subst(t, var, repl, kind):
                 changed = True
                 entries.append(MethodSig(e.name, p, r, c))
         return Branch(tuple(entries)) if changed else t
-    if isinstance(t, VariantS):
-        cases = []
-        changed = False
-        for l, s in t.cases:
-            s2 = _subst(s, var, repl, kind)
-            changed = changed or s2 is not s
-            cases.append((l, s2))
-        return VariantS(tuple(cases)) if changed else t
-    if isinstance(t, (ChanRecv, ChanSend)):
-        p = _subst(t.payload, var, repl, kind)
-        c = _subst(t.cont, var, repl, kind)
-        if p is t.payload and c is t.cont:
-            return t
-        return type(t)(p, c)
-    if isinstance(t, (ChanOffer, ChanSelect)):
+    if isinstance(t, (VariantS, ChanOffer, ChanSelect)):
         cases = []
         changed = False
         for l, s in t.cases:
@@ -536,6 +513,12 @@ def _subst(t, var, repl, kind):
             changed = changed or s2 is not s
             cases.append((l, s2))
         return type(t)(tuple(cases)) if changed else t
+    if isinstance(t, (ChanRecv, ChanSend)):
+        p = _subst(t.payload, var, repl, kind)
+        c = _subst(t.cont, var, repl, kind)
+        if p is t.payload and c is t.cont:
+            return t
+        return type(t)(p, c)
     return t
 
 
@@ -549,66 +532,15 @@ def unfold(t):
     Requires the input to be closed and contractive, which guarantees
     termination; the result is never a rec at the top.
     """
-    if not isinstance(t, (RecS, RecC)):
+    if not isinstance(t, Rec):
         return t
     memo = t.memo()
     out = memo.get("unfold")
     if out is None:
         out = t
-        while isinstance(out, (RecS, RecC)):
-            out = _subst(out.body, out.var, out, "s" if isinstance(out, RecS) else "c")
+        while isinstance(out, Rec):
+            out = _subst(out.body, out.var, out, out.kind)
         memo["unfold"] = out
-    return out
-
-
-def is_contractive(t) -> bool:
-    """No chain rec X1...rec Xn.X1; checked through rec binders only."""
-
-    def guard(u, seen):
-        if isinstance(u, (RecS, RecC)):
-            return guard(u.body, seen | {u.var})
-        if isinstance(u, (VarS, VarC)):
-            return u.name not in seen
-        return True
-
-    def walk(u):
-        if isinstance(u, (RecS, RecC)):
-            if not guard(u.body, {u.var}):
-                return False
-            return walk(u.body)
-        if isinstance(u, Branch):
-            return all(walk(e.param) and walk(e.result) and walk(e.cont) for e in u.entries)
-        if isinstance(u, (VariantS, ChanOffer, ChanSelect)):
-            return all(walk(s) for _, s in u.cases)
-        if isinstance(u, (ChanRecv, ChanSend)):
-            return walk(u.payload) and walk(u.cont)
-        return True
-
-    return walk(t)
-
-
-def free_vars(t) -> set:
-    out = set()
-
-    def walk(u, bound):
-        if isinstance(u, (VarS, VarC)):
-            if u.name not in bound:
-                out.add(u.name)
-        elif isinstance(u, (RecS, RecC)):
-            walk(u.body, bound | {u.var})
-        elif isinstance(u, Branch):
-            for e in u.entries:
-                walk(e.param, bound)
-                walk(e.result, bound)
-                walk(e.cont, bound)
-        elif isinstance(u, (VariantS, ChanOffer, ChanSelect)):
-            for _, s in u.cases:
-                walk(s, bound)
-        elif isinstance(u, (ChanRecv, ChanSend)):
-            walk(u.payload, bound)
-            walk(u.cont, bound)
-
-    walk(t, set())
     return out
 
 

@@ -161,14 +161,20 @@ def _null_entry(session, method):
     return serving_entry(u, method, sx.NULL_T)[0] if isinstance(u, Branch) else None
 
 
-def _collapse(f_typing):
-    """Join the cases of a variant field typing into a single record."""
+def _collapse(f_typing, method=None):
+    """Join the cases of a variant field typing into a single record; a
+    failed join is attributed to `method`, when given."""
     if not isinstance(f_typing, VariantF):
         raise CheckError(VARIANT_SHAPE_MISMATCH, "linkthis without a variant field typing")
     try:
         return join_records([r for _, r in f_typing.cases])
     except JoinUndefined as e:
-        raise CheckError(JOIN_UNDEFINED, str(e)) from None
+        raise CheckError(JOIN_UNDEFINED, str(e), method=method) from None
+
+
+def _labels(labels):
+    """A label set as a message shows it: sorted, in set notation."""
+    return "{" + ", ".join(repr(l) for l in sorted(labels)) + "}"
 
 
 def _field_type(record: RecordF, f: str):
@@ -476,7 +482,7 @@ def _infer_switch(ctx, cls, e, F, V):
         if not u.labels <= case_labels:
             raise CheckError(
                 SWITCH_COVERAGE,
-                f"subject labels {set(u.labels)} exceed switch cases {set(case_labels)}",
+                f"subject labels {_labels(u.labels)} exceed switch cases {_labels(case_labels)}",
             )
         cases = [(l, f1) for l, _ in e.cases if l in u.labels]
     elif isinstance(u, _ResolvedLink):
@@ -713,7 +719,7 @@ def consistency(
         if not ftyping.labels <= session.labels:
             raise CheckError(
                 VARIANT_SHAPE_MISMATCH,
-                f"field typing labels {set(ftyping.labels)} exceed state labels",
+                f"field typing labels {_labels(ftyping.labels)} exceed state labels",
             )
         for l, rec in ftyping.cases:
             consistency(ctx, cls, session.case(l), rec, delta, _steps, _found)
@@ -743,11 +749,7 @@ def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found):
                 f"body of {name!r} yields labels outside {entry.result!r}",
                 method=name,
             )
-        try:
-            joined = join_records([r for _, r in f_out.cases])
-        except JoinUndefined as err:
-            raise CheckError(JOIN_UNDEFINED, str(err), method=name) from None
-        consistency(ctx, cls, entry.cont, joined, delta, _steps, _found)
+        consistency(ctx, cls, entry.cont, _collapse(f_out, name), delta, _steps, _found)
         return
     raise CheckError(
         RESULT_TYPE_MISMATCH,
@@ -787,14 +789,7 @@ def _check_annotated(ctx, cls, mdef):
         if subtype_any(f_out, ann.ens):
             return
     elif isinstance(t, LinkThis) and isinstance(ann.result, EnumType):
-        try:
-            joined = (
-                join_records([r for _, r in f_out.cases])
-                if isinstance(f_out, VariantF)
-                else None
-            )
-        except JoinUndefined as err:
-            raise CheckError(JOIN_UNDEFINED, str(err), method=mdef.name) from None
+        joined = _collapse(f_out, mdef.name) if isinstance(f_out, VariantF) else None
         if (
             joined is not None
             and f_out.labels <= ann.result.labels

@@ -21,15 +21,21 @@ def test_check_ok(capsys):
     assert "CLASS File OK" in out
 
 
+def _python_m_mstlang(argv, timeout=60, **env):
+    """`python -m mstlang argv` on this source tree, with `env` added."""
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mstlang", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def test_python_m_mstlang(capsys):
     # `python -m mstlang` is the same command line as `mst`
-    src = str(CORPUS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     path = str(CORPUS / "file.mst")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mstlang", "check", path],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _python_m_mstlang(["check", path])
     assert proc.returncode == 0 and proc.stdout.endswith("CLASS Main OK\nok\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == run(["check", path], capsys)
 
@@ -220,6 +226,64 @@ def test_name_resolution_error_names_its_declaration(tmp_path, capsys, text, err
     u.write_text(text)
     assert run(["check", str(u)], capsys) == (65, "", f"parse error: {error}\n")
     assert run(["check", str(a), str(u)], capsys) == (65, "", f"parse error: {u}:{error}\n")
+
+
+
+
+HELPER_CALLER = """class C {{
+  session {{Null use(Null): {{}}}}
+  use(x) {{ null }}
+}}
+class D {{
+  session {{Null go(Null): {{}}}}
+  f;
+  req {req} f ens {ens} f {result} helper({param} y) {{ null }}
+  go(x) {{ f = new C(); {call} }}
+}}
+main D.go;
+"""
+
+
+def test_non_contractive_annotation_is_a_parse_error_not_a_hang(tmp_path):
+    # checking the call unfolds the parameter type, which never ends for rec X.X
+    path = tmp_path / "hang.mst"
+    path.write_text(HELPER_CALLER.format(
+        req="Null", ens="Null", result="Null", param="rec X.X", call="helper(f)"))
+    proc = _python_m_mstlang(["check", str(path)], timeout=10)
+    assert (proc.returncode, proc.stdout) == (65, "")
+    assert proc.stderr == "parse error: 8:3: D.helper annotation: type is not contractive\n"
+
+
+@pytest.mark.parametrize("slot", ["req", "ens", "result", "param"])
+def test_non_contractive_annotation_type_without_a_call(tmp_path, capsys, slot):
+    types = dict(req="Null", ens="Null", result="Null", param="Null")
+    types[slot] = "rec X.rec Y.X"
+    path = tmp_path / "nc.mst"
+    path.write_text(HELPER_CALLER.format(**types, call="null"))
+    assert run(["check", str(path)], capsys) == (
+        65, "", "parse error: 8:3: D.helper annotation: type is not contractive\n"
+    )
+
+
+def test_check_messages_do_not_depend_on_string_hashing(tmp_path):
+    path = tmp_path / "labels.mst"
+    path.write_text(
+        "class M {\n  session {Null go(Null): {}}\n  f;\n"
+        "  req Null f ens Null f {A, B, C, D, E} pick(Null y) { A }\n"
+        "  go(x) { switch (pick(null)) { A: null; B: null; C: null; } }\n}\n"
+        "class N {\n  session {{A, B} m(Null): <A: {}, B: {}>}\n  f;\n"
+        "  req Null f ens Null f {A, B, C, D, E} pick(Null y) { A }\n"
+        "  m(x) { pick(null) }\n}\nmain M.go;\n"
+    )
+    outs = {_python_m_mstlang(["check", str(path)], PYTHONHASHSEED=seed).stdout
+            for seed in ("1", "2", "3")}
+    assert outs == {
+        "CLASS M ERR SwitchLabelCoverage in go: subject labels {'A', 'B', 'C', 'D', 'E'} "
+        "exceed switch cases {'A', 'B', 'C'}\n"
+        "CLASS N ERR VariantShapeMismatch: field typing labels {'A', 'B', 'C', 'D', 'E'} "
+        "exceed state labels\n"
+        "2 problem(s)\n"
+    }
 
 
 def test_negative_step_count_is_a_usage_error(capsys):

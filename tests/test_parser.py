@@ -1,7 +1,11 @@
+import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
+import progen
+from conftest import CORPUS
 from gen import gen_channel, gen_session
 from mstlang import parser
 from mstlang.parser import (
@@ -21,9 +25,15 @@ from mstlang.syntax import (
     ChanOffer,
     EnumType,
     LinkThis,
+    MethodSig,
     NULL_E,
+    RecC,
+    RecS,
     SeqE,
     SwapE,
+    Type,
+    VarC,
+    VarS,
     VariantS,
     unfold,
 )
@@ -90,8 +100,23 @@ def test_unbound_state_name():
 
 
 def test_non_contractive_rejected():
-    with pytest.raises(NonContractiveType):
-        parse_program("class C { session rec X.X }")
+    # a binder is not contractive when its body, under its leading binders,
+    # is a variable of that chain; written and folded binders alike
+    for text in [
+        "class C { session rec X.X }",
+        "class C { session rec X.rec Y.X }",
+        "class C { session S where S = T, T = S }",
+        "chantype C = rec X.X; class D { session {} }",
+    ]:
+        with pytest.raises(NonContractiveType):
+            parse_program(text)
+    for text in [
+        "class C { session rec X.{Null m(Null): X} }",
+        "class C { session rec X.rec Y.{Null m(Null): X, Null n(Null): Y} }",
+        "class C { session S where S = {Null m(Null): T}, T = S }",
+        "chantype C = rec X.!{A}.X; class D { session {} }",
+    ]:
+        parse_program(text)
 
 
 def test_duplicate_class_rejected():
@@ -170,3 +195,60 @@ def test_parse_files_shares_declarations(tmp_path):
 
     report, _ = check_program(prog)
     assert report.ok, report.lines()
+
+
+def _free_vars(x, bound=frozenset()):
+    """The free recursion variables of x, by a walk of every node."""
+    if isinstance(x, (VarS, VarC)):
+        return set() if (x.kind, x.name) in bound else {x.name}
+    if isinstance(x, (RecS, RecC)):
+        return _free_vars(x.body, bound | {(x.kind, x.var)})
+    if isinstance(x, tuple):
+        return set().union(*(_free_vars(item, bound) for item in x))
+    if isinstance(x, (Type, MethodSig)):
+        return set().union(*(_free_vars(getattr(x, fd.name), bound) for fd in fields(x)))
+    return set()
+
+
+def _declarations(prog):
+    """(name, type) for every class session, state, alias and access point."""
+    rows = []
+    for c in prog.classes.values():
+        rows.append((c.name, c.session))
+        rows += [(f"{c.name}.{s}", t) for s, t in c.states.items()]
+    for table in (prog.session_aliases, prog.channel_aliases, prog.access_points):
+        rows += list(table.items())
+    return rows
+
+
+def _programs(seeds):
+    for path in sorted(CORPUS.rglob("*.mst")):
+        yield path.name, parser.parse_file(path)
+    for seed in range(seeds):
+        yield f"seed {seed}", parse_program(progen.generate(seed))
+
+
+def test_resolved_types_are_closed():
+    for label, prog in _programs(100):
+        types = [t for _, t in _declarations(prog)]
+        for c in prog.classes.values():
+            for m in c.methods.values():
+                if m.annotation is not None:
+                    a = m.annotation
+                    types += [a.req, a.ens, a.result, a.param_type]
+        for t in types:
+            assert not _free_vars(t), (label, t)
+    rng = random.Random(29)
+    for _ in range(300):
+        assert not _free_vars(parse_session_type(render_type(gen_session(rng, 6))))
+        assert not _free_vars(parse_channel_type(render_type(gen_channel(rng, 6))))
+
+
+def test_resolved_types_digest():
+    # the rendered declarations of the corpus and of progen seeds 0-399 (first
+    # 16 hex digits of their sha256): binder names, binder placement and case
+    # order of a resolved type are an output format
+    rows = []
+    for label, prog in _programs(400):
+        rows += [label] + [f"{name} {render_type(t)}" for name, t in _declarations(prog)]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "0209a8c9bc19ca82"
