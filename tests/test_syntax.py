@@ -5,7 +5,7 @@ import pytest
 
 from gen import gen_channel, gen_session
 from mstlang import syntax
-from mstlang.parser import parse_session_type
+from mstlang.parser import NonContractiveType, parse_session_type
 from mstlang.syntax import (
     Branch,
     CHAN_END,
@@ -101,6 +101,14 @@ def test_unfold_idempotent_random():
     for _ in range(200):
         c = gen_channel(rng, 4)
         assert unfold(unfold(c)) == unfold(c)
+
+
+def test_contractivity():
+    # the parser checks each binder as it is made; the same three types
+    assert parse_session_type("rec X.{Null m(Null): X}") == RecS("X", branch1(VarS("X")))
+    for text in ["rec X.X", "rec X.rec Y.X"]:
+        with pytest.raises(NonContractiveType):
+            parse_session_type(text)
 
 
 def heap_two():
