@@ -22,12 +22,28 @@ untouched thread's heap, path, expression and environment are unchanged, and
 the channel types and reached states it depends on change only for the
 step's channel, whose two ends the linearity check pins to the two touched
 threads, and for objects of touched threads. Its verdict would repeat the one
-it already passed. The cross-thread checks (an object or endpoint in two
-threads) compare per-thread object ids and endpoints kept from earlier steps
-and recomputed for the touched threads only. These endpoint sets are also
-the one record of which thread holds an endpoint: a duality fault names the
-thread whose set holds the channel's + end. Duality is checked after the
-cross-thread check has found each endpoint in at most one thread.
+it already passed.
+
+What the checks read of a heap is kept per thread, in a `HeapSummary`: how
+many fields hold each object id, which gives the roots and the dangling ids
+of an incomplete heap, and how many hold each endpoint. One owner map gives
+the thread whose heap holds each object, and per thread an endpoint set
+joins the heap's endpoints with the expression's. A touched thread's summary
+moves to its new heap through the records that differ from the heap it saw
+last (`Heap.changes`), compared by identity: when the two heaps share their
+base, only their update maps, about sqrt(n) records; after a fold of the
+update map, a split, a merge or a renaming, every record once. An object new
+to a thread is looked up in the owner map and an endpoint new to a thread in
+the other threads' sets, and trace conformance looks up only the objects new
+to a heap (`check_traces` says why that suffices). So a step costs what it
+changed, not the size of the heap. Only when one of these finds a possible
+fault, or when every thread is checked (`start`, which also rebuilds every
+summary from scratch), does a check look at every object and endpoint, in
+thread and heap order, so the fault reported is the one a full check finds
+first. The endpoint sets are also the one record of which thread holds an
+endpoint: a duality fault names the thread whose set holds the channel's +
+end. Duality is checked after the cross-thread check has found each endpoint
+in at most one thread.
 
 A thread's expression is re-checked by the static expression checker,
 `typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
@@ -287,6 +303,57 @@ def env_set_field(gamma, path: Path, f: str, new_type) -> None:
     env_set_at(gamma, path, ObjectInternal(t.cls, t.typing.set(f, new_type)))
 
 
+class HeapSummary:
+    """What the monitor reads of one thread's heap, kept for the heap it saw
+    last (`heap`): how many fields hold each object id (`refs`) and each
+    endpoint (`eps`), and the ids some field holds that are not in the heap
+    (`dangling`)."""
+
+    __slots__ = ("heap", "refs", "eps", "dangling")
+
+    def __init__(self):
+        self.heap = None
+        self.refs = {}
+        self.eps = {}
+        self.dangling = set()
+
+    def update(self, heap) -> list:
+        """Moves the summary to `heap` through the records that differ from
+        the heap it saw last; returns them, as `Heap.changes` gives them."""
+        changes = heap.changes(self.heap)
+        self.heap = heap
+        touched = [oid for oid, _, _ in changes]
+        for _, old, new in changes:
+            if old is not None:
+                self._count(old, -1, touched)
+            if new is not None:
+                self._count(new, 1, touched)
+        for oid in touched:
+            if oid in self.refs and not heap.has(oid):
+                self.dangling.add(oid)
+            else:
+                self.dangling.discard(oid)
+        return changes
+
+    def _count(self, rec, delta, touched):
+        for _, v in rec.fields:
+            if isinstance(v, sx.ObjIdE):
+                counts, key = self.refs, v.oid
+                touched.append(key)
+            elif isinstance(v, sx.EndpointE):
+                counts, key = self.eps, (v.chan, v.polarity)
+            else:
+                continue
+            n = counts.get(key, 0) + delta
+            if n:
+                counts[key] = n
+            else:
+                del counts[key]
+
+    def is_root(self, oid) -> bool:
+        return self.heap.has(oid) and oid not in self.refs
+
+
 # ---------------------------------------------------------------------------
 # Monitor
 # ---------------------------------------------------------------------------
@@ -307,8 +374,10 @@ class Monitor:
         self._consistency_cache = {}
         self._judgements = Judgements()  # expression judgements, up to its cap
         self._reached = {}  # oid -> session states its calls reached; () when stuck
-        self._ids = {}  # thread -> its heap's object ids, as of its last step
+        self._heaps = {}  # thread -> HeapSummary of its heap, as of its last step
+        self._owner = {}  # oid -> the thread whose heap holds it, likewise
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
+        self._entered = []  # (thread, oid) for each object new to a heap at this step
 
     # -- setup ----------------------------------------------------------------
 
@@ -327,16 +396,15 @@ class Monitor:
         self._reached[oid] = _called(decl.session, method)
 
     def _recheck(self, conf, threads=None, chans=None):
-        """Check the given threads (ascending) and channels, every one when
-        None."""
-        if threads is None:
-            threads = range(len(conf.threads))
+        """Check the given threads (ascending) and channels; every one, with
+        the heap summaries rebuilt from scratch, when None."""
         if self.verify_states:
             self.check_state(conf, threads, chans)
         else:
             self._keep_shape(conf, threads)  # read by the third-party check
         if self.verify_traces:
             self.check_traces(conf, threads)
+        self._entered.clear()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -712,7 +780,7 @@ class Monitor:
         self.theta[key_r] = sig_r.cont
         env_set_field(env_s.gamma, path_s, f_s, translate_channel(sig_s.cont))
         env_set_field(env_r.gamma, path_r, f_r, translate_channel(sig_r.cont))
-        self._reached = {phi.get(o, o): s for o, s in self._reached.items()}
+        self._reached.update({phi[o]: self._reached.pop(o) for o in phi if o in self._reached})
 
     # -- state checking ---------------------------------------------------------
 
@@ -720,28 +788,61 @@ class Monitor:
         """Check the given threads (ascending) and the duality of the given
         channels, every one when None; the others passed at an earlier step
         and have not changed since."""
-        if threads is None:
+        clash = self._keep_shape(conf, threads)
+        scan = threads is None
+        if scan:
             threads = range(len(conf.threads))
-        self._keep_shape(conf, threads)
-        self._check_global_shape(conf, threads)
+        self._check_global_shape(conf, threads, scan or clash)
         for i in threads:
             th, env = conf.threads[i], self.envs[i]
             self._check_heap_agreement(i, th, env)
             self._check_expression(i, th, env)
         self._check_duality(chans)
 
-    def _keep_shape(self, conf, threads):
+    def _keep_shape(self, conf, threads=None) -> bool:
+        """Move the heap summaries, the owner map and the endpoint sets of
+        the given threads to `conf`, every thread's rebuilt from scratch when
+        None, and note the objects new to their heaps. True when an object
+        or endpoint new to a thread may be held by another one too."""
+        if threads is None:
+            self._heaps, self._owner, self._eps = {}, {}, {}
+            threads = range(len(conf.threads))
+        entered = []
+        for i in threads:  # every removal first, so a moved id has no owner
+            s = self._heaps.get(i) or self._heaps.setdefault(i, HeapSummary())
+            for oid, old, new in s.update(conf.threads[i].heap):
+                if new is None:
+                    if self._owner.get(oid) == i:
+                        del self._owner[oid]
+                elif old is None:
+                    entered.append((i, oid))
+        clash = False
+        for i, oid in entered:
+            clash = self._owner.setdefault(oid, i) != i or clash
+        self._entered += entered
+        added = []
         for i in threads:
-            th = conf.threads[i]
-            self._ids[i] = th.heap.ids
-            self._eps[i] = sx.heap_endpoints(th.heap) | sx.endpoints_of(th.expr)
+            eps = sx.endpoints_of(conf.threads[i].expr).union(self._heaps[i].eps)
+            added += [(i, e) for e in eps - self._eps.get(i, frozenset())]
+            self._eps[i] = eps
+        for i, e in added:
+            clash = clash or any(e in eps for k, eps in self._eps.items() if k != i)
+        return clash
 
-    def _check_global_shape(self, conf, threads):
+    def _check_global_shape(self, conf, threads, scan):
+        """An incomplete heap among the given threads, an object in two
+        threads, an endpoint in two threads. The summaries and the clash
+        noted by `_keep_shape` show whether any of these can be; only then,
+        or when `scan` asks, are they looked for, in thread and heap order,
+        so the one reported is the first in that order."""
+        if not scan and not any(self._heaps[i].dangling for i in threads):
+            return
         seen = set()
         for i in range(len(conf.threads)):
-            if i in threads and not conf.threads[i].heap.is_complete():
+            s = self._heaps[i]
+            if i in threads and s.dangling:
                 self.fault(STATE_ILL_TYPED, i, "incomplete heap")
-            for oid in self._ids[i]:
+            for oid, _, _ in s.heap.changes():
                 if oid in seen:
                     self.fault(STATE_ILL_TYPED, i, f"object {oid} lives in two threads")
                 seen.add(oid)
@@ -754,7 +855,7 @@ class Monitor:
                 seen.add((c, p))
 
     def _check_heap_agreement(self, i, th, env: ThreadEnv):
-        roots = set(th.heap.roots())
+        summary = self._heaps[i]
         for key, t in list(env.gamma.items()):
             if key[0] != "obj":
                 c, p = key[1], key[2]
@@ -763,7 +864,7 @@ class Monitor:
                     self.fault(STATE_ILL_TYPED, i, f"endpoint {c}{p} disagrees with its channel type")
                 continue
             oid = key[1]
-            if oid not in roots:
+            if not summary.is_root(oid):
                 self.fault(STATE_ILL_TYPED, i, f"environment names {oid} which is not a root")
             rec = th.heap.record(oid)
             if isinstance(t, ObjectInternal):
@@ -811,13 +912,26 @@ class Monitor:
 
     def check_traces(self, conf, threads=None):
         """Check the objects and tracked roots of the given threads
-        (ascending), every thread when None."""
-        if threads is None:
+        (ascending), every thread when None. Of the given threads' objects,
+        only those new to their heap are looked up, unless one of them fails,
+        when every object is, in thread and heap order, so the one reported
+        is the first in that order. The others' reached states were found
+        at an earlier step and have not become empty since: a call or label
+        that none of them can fire faults as it is tracked (`_advance`), and
+        every other change of reached states is to an object that enters a
+        heap at that step (New, Spawn, object transfer)."""
+        scan = threads is None
+        if scan:
             threads = range(len(conf.threads))
+        else:
+            try:
+                for _, oid in self._entered:
+                    self._reached_states(oid)
+            except TypeErrorTransition:
+                scan = True
         # every heap object's calls have reached a state of its class session
-        for i in threads:
-            th = conf.threads[i]
-            for oid, rec in th.heap.entries:
+        for i in threads if scan else ():
+            for oid, _, rec in conf.threads[i].heap.changes():
                 try:
                     self._reached_states(oid)
                 except TypeErrorTransition as e:

@@ -440,19 +440,27 @@ class _Resolver:
         return t
 
     def _fold(self, raw, stack, bound):
-        """The type named by `raw`. `stack` maps each name being expanded to
-        its used mark; `bound` holds the variables of written binders."""
+        """The type named by `raw`. `stack` maps each name being expanded,
+        as its raw node, to its used mark, or to None beyond an access-point
+        type; `bound` holds the variables of written binders."""
         defs, resolve, rec, var, noun = self.folds[raw[0]]
         name = raw[1]
         if name in bound:
             return var(name)
-        if name in stack:
-            stack[name][0] = True
+        if raw in stack:
+            used = stack[raw]
+            if used is None:
+                raise ParseError(
+                    f"{noun} type name {name!r} refers to itself through an access-point type"
+                )
+            used[0] = True
             return var(name)
         if name not in defs:
             raise UnboundStateName(f"unknown {noun} type name {name!r}")
+        if isinstance(defs[name], sx.Type):
+            return defs[name]  # an alias resolved earlier, closed
         used = [False]
-        body = resolve(defs[name], {**stack, name: used}, bound)
+        body = resolve(defs[name], {**stack, raw: used}, bound)
         return self._binder(rec, name, body) if used[0] else body
 
     def _binder(self, rec, var, body):
@@ -511,7 +519,9 @@ class _Resolver:
         if tag == "access":
             from .channels import translate_access
 
-            return translate_access(self.channel(raw[1]))
+            # the access point's type is translated, not folded, so a name
+            # met again inside it cannot become a variable
+            return translate_access(self.channel(raw[1], dict.fromkeys(stack)))
         return self.session(raw, stack, bound)
 
     def channel(self, raw, stack=_NO_NAMES, bound=frozenset()):
@@ -532,14 +542,16 @@ class _Resolver:
         raise ParseError(f"not a channel type: {tag}")
 
     def payload(self, raw, stack, bound):
+        """A payload: a channel type, or a value type, which the channel's
+        written binders do not reach."""
         if raw[0] == "pname":
             name = raw[1]
-            if name in self.channel_defs or name in bound or name in stack:
+            if name in self.channel_defs or name in bound or ("cname", name) in stack:
                 return self.channel(("cname", name), stack, bound)
-            return self.session(("name", name))
+            return self.session(("name", name), stack)
         if raw[0] in ("end", "recv", "send", "offer", "select", "recc"):
             return self.channel(raw, stack, bound)
-        return self.vtype(raw)
+        return self.vtype(raw, stack)
 
 
 def _check_variant_components(s, what, seen):
@@ -917,6 +929,8 @@ def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
 
 
 def _session_resolver(program):
+    """A resolver in which each of the program's alias names stands for its
+    resolved type."""
     return _Resolver(dict(program.session_aliases), dict(program.channel_aliases))
 
 

@@ -1071,6 +1071,30 @@ class Heap:
     def ids(self):
         return tuple(self._objs())
 
+    def changes(self, since: "Heap | None" = None) -> list:
+        """(id, record in `since` or None, record here or None) for each id
+        whose record is not the same object in both heaps; with no `since`,
+        every record here, in insertion order. Reads both heaps as they are
+        kept, folding neither: when they share their base only the two
+        update maps are compared, else every id of both."""
+        if since is self:
+            return []
+        if since is None:
+            since = _EMPTY_HEAP
+        if since._base is self._base:
+            ids = list(since._new) + [o for o in self._new if o not in since._new]
+        else:
+            ids = list(self._base) + [o for o in self._new if o not in self._base]
+            ids += [o for o in since._base if not self.has(o)]
+            ids += [o for o in since._new if o not in since._base and not self.has(o)]
+        out = []
+        for oid in ids:
+            old = since._new.get(oid) or since._base.get(oid)
+            new = self._new.get(oid) or self._base.get(oid)
+            if old is not new:
+                out.append((oid, old, new))
+        return out
+
     def add(self, oid, rec: ObjectRecord) -> "Heap":
         if self.has(oid):
             raise HeapConflict(f"object {oid!r} already in heap")
@@ -1167,6 +1191,7 @@ class Heap:
         )
 
 
+_EMPTY_HEAP = Heap()
 _UNFOCUSED = object()  # a thread's focus not yet computed
 
 
@@ -1279,12 +1304,3 @@ def _store_endpoints(x, fields, subs) -> None:
             if c._eps:
                 out = out | c._eps if out else c._eps
     object.__setattr__(x, "_eps", out)
-
-
-def heap_endpoints(h: Heap) -> set:
-    out = set()
-    for rec in h._objs().values():
-        for _, v in rec.fields:
-            if isinstance(v, EndpointE):
-                out.add((v.chan, v.polarity))
-    return out

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import CORPUS
 from mstlang.cli import main
+from mstlang.parser import parse_file
+from mstlang.render import render_type
 
 
 def run(argv, capsys):
@@ -120,6 +122,23 @@ def test_dual_and_translate(capsys):
     assert "receive" in out
 
 
+def test_type_expressions_read_the_programs_aliases(capsys):
+    # an alias name stands for the program's resolved type, which prints and
+    # compares as its written-out text does
+    f = str(CORPUS / "remote1.mst")
+    prog = parse_file(f)
+    close_cl = render_type(prog.session_aliases["MustClose_cl"])
+    close_ch = render_type(prog.channel_aliases["MustCloseCh"])
+    assert run(["subtype", f, "MustClose_cl", "MustClose_cl"], capsys) == (0, "yes\n", "")
+    assert run(["equiv", f, "MustClose_cl", close_cl], capsys) == (0, "yes\n", "")
+    assert run(["subtype", f, "MustClose_cl", "FileRead_cl"], capsys) == run(
+        ["subtype", f, close_cl, render_type(prog.session_aliases["FileRead_cl"])], capsys
+    )
+    for command in ("dual", "translate"):
+        code, out, err = run([command, "--file", f, "MustCloseCh"], capsys)
+        assert (code, out, err) == run([command, close_ch], capsys) and code == 0
+
+
 def test_trace_valid_and_invalid(capsys):
     f = str(CORPUS / "file.mst")
     code, out, _ = run(["trace", f, "File", "open OK hasNext FALSE close"], capsys)
@@ -215,9 +234,13 @@ def test_parse_error_position_within_its_file(tmp_path, capsys):
         ("chantype T = End;\nchantype T = End;", "2:1: duplicate channel type alias 'T'"),
         ("type T = {};\n\ntype N = Nope;", "3:1: unknown session type name 'Nope'"),
         ("class M { session {Null go(Null): {}}\n  go(x) { y } }", "2:3: class M: unbound name 'y'"),
+        ("type S = {Null m(<!S.End>): {}};\nclass C { session S }",
+         "2:1: session type name 'S' refers to itself through an access-point type"),
+        ("chantype C = !{Null m(<C>): {}}.End;",
+         "1:1: channel type name 'C' refers to itself through an access-point type"),
     ],
     ids=["session-name", "not-a-branch", "access-point", "type-alias", "channel-alias",
-         "in-alias", "body-name"],
+         "in-alias", "body-name", "session-through-access", "channel-through-access"],
 )
 def test_name_resolution_error_names_its_declaration(tmp_path, capsys, text, error):
     a = tmp_path / "a.mst"

@@ -23,6 +23,7 @@ from mstlang.subtyping import equivalent
 from mstlang.syntax import (
     EndpointE,
     LabelE,
+    ObjIdE,
     ObjectInternal,
     Thread,
     VariantS,
@@ -134,6 +135,26 @@ def test_check_traces_reports_object_without_record():
         Monitor(prog, ctx).check_traces(conf)
     assert err.value.kind == "TraceInvalid"
     assert err.value.detail.startswith("object o (File): ")
+
+
+def test_spawned_root_its_session_cannot_call_is_trace_invalid():
+    # the spawned thread's root enters a heap with no reached state; a step
+    # re-checks the objects new to a heap, whatever the step's own objects
+    text = (
+        "class W { session {Null a(Null): {}} a(x) { null } b(x) { null } } "
+        "class M { session {Null go(Null): {}} go(x) { spawn W.b(null) } } main M.go;"
+    )
+    prog = parse_program(text)
+    report, ctx = check_program(prog)
+    assert report.lines()[1].startswith("CLASS M ERR SpawnUnavailable")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx, verify_states=False)
+    mon.start(interp.initial_config())
+    with pytest.raises(MonitorViolation) as err:
+        interp.run(10, observer=mon.on_step)
+    assert (err.value.kind, err.value.step, err.value.thread, err.value.detail) == (
+        "TraceInvalid", 1, 1, "object o0 (W): its calls reach no session state"
+    )
 
 
 # -- tracked environments -------------------------------------------------------
@@ -386,11 +407,11 @@ def test_duplicate_endpoint_across_threads_detected():
 
             ep = EndpointE(ev.chan, "+")
     # plant a second occurrence of the endpoint in an unrelated thread
-    from mstlang.syntax import Thread, heap_endpoints, endpoints_of
+    from mstlang.syntax import Thread
 
     victim = None
     for i, th in enumerate(conf.threads):
-        if (ep.chan, ep.polarity) in heap_endpoints(th.heap) | endpoints_of(th.expr):
+        if (ep.chan, ep.polarity) in mon._eps[i]:
             continue
         for oid in th.heap.ids:
             if th.heap.record(oid).field_names:
@@ -444,7 +465,9 @@ def test_state_rejected_by_source_rule_is_ill_typed(text, verdict):
 
 
 class FullRecheckMonitor(Monitor):
-    """Reference: re-checks every thread and channel after every step."""
+    """Reference: re-checks every thread and channel after every step, from
+    heap summaries, an owner map and endpoint sets rebuilt from scratch, and
+    looks at every object, id and endpoint of every thread."""
 
     def on_step(self, step_no, before, ev, after):
         self.step_no = step_no
@@ -487,6 +510,36 @@ def test_delta_recheck_matches_full_recheck_on_corpus():
         prog, _, ctx = load_checked(name)
         for outcome in assert_same_outcomes(prog, ctx, 200):
             assert outcome[0] in ("terminated", "blocked", "limit"), (name, outcome)
+    # a heap past several folds of its update map
+    prog = parse_program(HEAP_GROWTH)
+    report, ctx = check_program(prog)
+    assert assert_same_outcomes(prog, ctx, 400) == [("limit", 400)] * 9
+
+
+def test_heap_summaries_match_a_rebuild():
+    # after every step, what the monitor keeps of each heap equals what a
+    # rebuild from scratch reads off the configuration
+    growth = parse_program(HEAP_GROWTH)
+    programs = [load_checked(name)[::2] for name in RUNNABLE]
+    programs.append((growth, check_program(growth)[1]))
+    for prog, ctx in programs:
+        for seed in (None, 1):
+            kept, rebuilt = Monitor(prog, ctx), Monitor(prog, ctx)
+
+            def observer(step_no, before, ev, after):
+                kept.on_step(step_no, before, ev, after)
+                rebuilt._keep_shape(after)
+                assert kept._owner == rebuilt._owner and kept._eps == rebuilt._eps
+                for i, summary in rebuilt._heaps.items():
+                    mine = kept._heaps[i]
+                    assert mine.heap is summary.heap
+                    assert (mine.refs, mine.eps, mine.dangling) == (
+                        summary.refs, summary.eps, summary.dangling
+                    )
+
+            interp = Interpreter(prog)
+            kept.start(interp.initial_config())
+            interp.run(300, seed=seed, observer=observer)
 
 
 def test_monitored_runs_on_one_context_agree():
@@ -546,6 +599,35 @@ def test_linearity_checked_through_the_delta():
         mon.on_step(step_no, before, ev, bad)
     assert (err.value.kind, err.value.step, err.value.thread, err.value.detail) == (
         "LinearityViolation", step_no, max(i, holder), f"endpoint {chan}- occurs twice"
+    )
+
+
+@pytest.mark.parametrize("plant", ["object-of-another-thread", "dangling-id", "referenced-root"])
+def test_heap_shape_checked_through_the_delta(plant):
+    # a step whose heap holds what the event does not name: an object another
+    # thread holds, a field naming no object, or a record holding the object
+    # the step made, which the environment tracks as a root
+    mon, (step_no, before, ev, conf) = _monitor_until(
+        "progs/p05_transfer.mst", lambda ev: ev.rule == "New" and ev.threads[0] > 0
+    )
+    i = ev.threads[0]
+    th = conf.threads[i]
+    if plant == "object-of-another-thread":
+        other = conf.threads[0].path.root
+        heap = th.heap.add(other, conf.threads[0].heap.record(other))
+        want = f"object {other} lives in two threads"
+    elif plant == "dangling-id":
+        rec = th.heap.record(th.path.root)
+        heap = th.heap.replace(th.path.root, rec.set(rec.field_names[0], ObjIdE("gone")))
+        want = "incomplete heap"
+    else:
+        rec = th.heap.record(ev.oid)
+        heap = th.heap.add("holder", rec.set(rec.field_names[0], ObjIdE(ev.oid)))
+        want = f"environment names {ev.oid} which is not a root"
+    with pytest.raises(MonitorViolation) as err:
+        mon.on_step(step_no, before, ev, conf.with_thread(i, Thread(heap, th.path, th.expr)))
+    assert (err.value.kind, err.value.step, err.value.thread, err.value.detail) == (
+        "StateIllTyped", step_no, i, want
     )
 
 
@@ -728,6 +810,42 @@ def test_memo_starts_over_at_its_cap(monkeypatch):
     run, most, tables = growth_run(2000)
     assert most <= 300 and tables > 2
     assert run == growth_run(2000, FreshMemoMonitor)[0]
+
+
+def test_heap_reads_per_step_independent_of_heap_size(monkeypatch):
+    # a step looks up the reached states of, and counts the fields of, only
+    # the objects it changed, however many the heap holds
+    counts = [0, 0]
+    states, count = Monitor._reached_states, monitor.HeapSummary._count
+
+    def counted_states(self, oid):
+        counts[0] += 1
+        return states(self, oid)
+
+    def counted_count(self, *args):
+        counts[1] += 1
+        count(self, *args)
+
+    monkeypatch.setattr(Monitor, "_reached_states", counted_states)
+    monkeypatch.setattr(monitor.HeapSummary, "_count", counted_count)
+    busiest, objects = {}, {}
+    for steps in (200, 2000):
+        per_step = []
+
+        def observer(*step):
+            seen = list(counts)
+            mon.on_step(*step)
+            per_step.append(tuple(c - s for c, s in zip(counts, seen)))
+
+        prog = parse_program(HEAP_GROWTH)
+        _, ctx = check_program(prog)
+        interp = Interpreter(prog)
+        mon = Monitor(prog, ctx)
+        mon.start(interp.initial_config())
+        _, _, conf = interp.run(steps, observer=observer)
+        busiest[steps] = tuple(max(c) for c in zip(*per_step))
+        objects[steps] = len(conf.threads[0].heap.changes())
+    assert busiest[200] == busiest[2000] and objects[2000] > 5 * objects[200]
 
 
 @pytest.mark.slow

@@ -119,6 +119,37 @@ def test_non_contractive_rejected():
         parse_program(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "type S = {Null m(<!S.End>): {}}; class C { session S }",
+        "type S = {Null m(<!{Null k(S): {}}.End>): {}}; class C { session S }",
+        "chantype C = !S.End; type S = {Null m(<C>): {}}; class M { session S }",
+        "chantype C = !{Null m(<C>): {}}.End; class M { session {} }",
+        "access <!S.End> a; type S = {Null m(<!S.End>): {}};",
+    ],
+    ids=["payload", "payload-branch", "through-alias", "channel", "access-point"],
+)
+def test_name_reached_again_through_an_access_type_rejected(text):
+    # an access-point type is translated, not folded, so its names cannot
+    # become variables of an enclosing binder
+    with pytest.raises(ParseError, match="refers to itself through an access-point type"):
+        parse_program(text)
+
+
+def test_names_inside_access_types_still_fold():
+    # a cycle wholly inside or wholly outside an access type folds as before
+    prog = parse_program(
+        "type T = {Null k(T): {}}; chantype C = rec X.!T.X;"
+        "type S = {Null m(<!T.End>): S, Null n(<C>): {}};"
+    )
+    t = "rec T.{Null k(T): {}}"
+    assert prog.session_aliases["T"] == parse_session_type(t)
+    assert prog.session_aliases["S"] == parse_session_type(
+        f"rec S.{{Null m(<!{t}.End>): S, Null n(<rec X.!{t}.X>): {{}}}}"
+    )
+
+
 def test_duplicate_class_rejected():
     with pytest.raises(DuplicateClass):
         parse_program("class C { session {} } class C { session {} }")

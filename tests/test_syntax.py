@@ -271,6 +271,34 @@ def test_heap_updates_leave_the_source_heap_unchanged():
     assert len(set(heaps)) == len(heaps)
 
 
+def test_heap_changes_are_the_records_that_differ():
+    # heaps sharing a base, heaps after a fold, a split, a merge and a
+    # renaming; each compared with a plain record-by-record comparison
+    heaps = [Heap()]
+    for i in range(40):
+        heaps.append(heaps[-1].add(f"o{i}", ObjectRecord("C", (("f", NULL_E),))))
+        if i % 3 == 0:
+            oid = f"o{i // 2}"
+            heaps.append(heaps[-1].replace(oid, heaps[-1].record(oid).set("f", LabelE("A"))))
+    last = heaps[-1]
+    down, up = last.replace("o0", ObjectRecord("C", (("f", ObjIdE("o1")),))).split("o0")
+    heaps += [down, up, up.merge(down), last.rename({"o3": "x"})]
+    records = {id(h): {**h._base, **h._new} for h in heaps}  # read without folding
+    shared = 0
+    for since in [None] + heaps:
+        for h in heaps:
+            kept = (h._base, h._new)
+            old, new = records.get(id(since), {}), records[id(h)]
+            want = {o: (old.get(o), new.get(o)) for o in {**old, **new}
+                    if old.get(o) is not new.get(o)}
+            got = h.changes(since)
+            assert {o: (a, b) for o, a, b in got} == want and len(got) == len(want)
+            assert (h._base, h._new) == kept
+            shared += since is not None and since._base is h._base
+    assert 100 < shared < len(heaps) ** 2
+    assert [o for o, _, _ in last.changes()] == list(records[id(last)]) == list(last.ids)
+
+
 def test_heap_equality_is_ordered():
     a, b = ObjectRecord("A", ()), ObjectRecord("B", ())
     assert Heap.of({"a": a, "b": b}) == Heap().add("a", a).add("b", b)
