@@ -5,16 +5,18 @@ type aliases and an optional main designation. Session types are written in
 the signature-carrying style; ``where`` clauses introduce named states that
 are folded into rec types. One fold serves session and channel names: a name
 becomes the binder at its first expansion when the expansion refers back to
-it, and back references become variables. Every binder, written or folded,
-is checked to be contractive as it is made, so each resolved type (annotation
-types included) is closed and contractive, and unfolding it terminates.
+it, and back references become variables. One function, `head`, reads what a
+written type starts with on the source equations, scoped as the fold scopes
+them: it checks each declaration contractive and each variant case a branch,
+and it decides the linkthis sugar. So each resolved type (annotation types
+included) is closed and contractive, and unfolding it terminates.
 
 Sugar applied while parsing:
   f = e        =>  (f <-> e); null
   f            =>  f <-> null            (bare field read in expression position)
   f.m()        =>  f.m(null)             (missing argument)
   m(e), m()    =>  self-call
-  enum result on a signature whose continuation is a variant  =>  linkthis
+  enum result on a signature whose continuation starts with a variant  =>  linkthis
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from . import channels
 from . import syntax as sx
 
 
@@ -107,6 +110,11 @@ def _is_upper(name):
     return name[0].isupper()
 
 
+def _is_type_name(name):
+    # `_` and an uppercase letter: the names access-point types and joins bind
+    return _is_upper(name) or (name[0] == "_" and name[1:2].isupper())
+
+
 # Raw (unresolved) type trees: plain tuples, resolved in a second pass once
 # all aliases in the file are known.
 
@@ -141,10 +149,10 @@ class _P:
             raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
         return t.text
 
-    def uident(self, what="name"):
+    def uident(self, what="name", ok=_is_upper):
         t = self.peek()
         name = self.ident(what)
-        if not _is_upper(name):
+        if not ok(name):
             raise ParseError(f"{what} must start uppercase, found {name!r}", t.line, t.col)
         return name
 
@@ -157,21 +165,24 @@ class _P:
 
     # -- types (raw) ---------------------------------------------------------
 
-    def raw_session(self):
+    def raw_session(self, what="a session type"):
         t = self.peek()
         if self.at("{"):
             return self.raw_braced(session_only=True)
         if self.at("<"):
             return self.raw_variant_or_access()
         if self.at("rec"):
-            self.next()
-            var = self.uident("type variable")
-            self.expect(".")
-            return ("rec", var, self.raw_session())
-        if t.kind == "ident" and _is_upper(t.text):
+            return self.raw_rec("rec", self.raw_session)
+        if t.kind == "ident" and _is_type_name(t.text):
             self.next()
             return ("name", t.text)
-        raise ParseError(f"expected a session type, found {t.text!r}", t.line, t.col)
+        raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
+
+    def raw_rec(self, tag, body):
+        self.expect("rec")
+        var = self.uident("type variable", _is_type_name)
+        self.expect(".")
+        return (tag, var, body())
 
     def raw_braced(self, session_only=False):
         """Parse a '{...}' which is an enum, or a branch session type."""
@@ -181,12 +192,8 @@ class _P:
             return ("branch", ())
         # enum: uppercase idents separated by commas, then '}'
         t = self.peek()
-        if (
-            not session_only
-            and t.kind == "ident"
-            and _is_upper(t.text)
-            and self.peek(1).text in (",", "}")
-        ):
+        enum = t.kind == "ident" and _is_upper(t.text) and self.peek(1).text in (",", "}")
+        if enum and not session_only:
             labels = [self.uident("label")]
             while self.at(","):
                 self.next()
@@ -217,23 +224,11 @@ class _P:
         return (result, name, param, cont)
 
     def raw_vtype(self):
-        t = self.peek()
-        if self.at("Null"):
-            self.next()
-            return ("null",)
-        if self.at("linkthis"):
-            self.next()
-            return ("linkthis",)
+        if self.at("Null") or self.at("linkthis"):
+            return ("null",) if self.next().text == "Null" else ("linkthis",)
         if self.at("{"):
             return self.raw_braced()
-        if self.at("<"):
-            return self.raw_variant_or_access()
-        if self.at("rec"):
-            return self.raw_session()
-        if t.kind == "ident" and _is_upper(t.text):
-            self.next()
-            return ("name", t.text)
-        raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
+        return self.raw_session("a type")
 
     def raw_variant_or_access(self):
         self.expect("<")
@@ -282,16 +277,13 @@ class _P:
             self.expect("}")
             return ("offer" if op == "&" else "select", cases)
         if self.at("rec"):
-            self.next()
-            var = self.uident("type variable")
-            self.expect(".")
-            return ("recc", var, self.raw_channel())
+            return self.raw_rec("recc", self.raw_channel)
         if self.at("("):
             self.next()
             inner = self.raw_channel()
             self.expect(")")
             return inner
-        if t.kind == "ident" and _is_upper(t.text):
+        if t.kind == "ident" and _is_type_name(t.text):
             self.next()
             return ("cname", t.text)
         raise ParseError(f"expected a channel type, found {t.text!r}", t.line, t.col)
@@ -300,7 +292,7 @@ class _P:
         t = self.peek()
         if t.text in ("?", "!", "&", "+", "End", "("):
             return self.raw_channel()
-        if t.kind == "ident" and _is_upper(t.text):
+        if t.kind == "ident" and _is_type_name(t.text):
             self.next()
             return ("pname", t.text)  # channel alias or session name, decided later
         return self.raw_vtype()
@@ -409,172 +401,207 @@ class _P:
 # Name resolution / mu-folding
 # ---------------------------------------------------------------------------
 
-_NO_NAMES = MappingProxyType({})  # no name is being expanded
+_NO_NAMES = MappingProxyType({})  # no name in scope
+_RESOLVED = {sx.Branch: "branch", sx.VariantS: "variant"}  # see head
+_MAKE = {
+    "variant": sx.VariantS, "offer": sx.ChanOffer, "select": sx.ChanSelect,
+    "rec": sx.RecS, "recc": sx.RecC, "recv": sx.ChanRecv, "send": sx.ChanSend,
+}
+
+
+class _Scope:
+    """What a name in scope stands for: a written binder's variable its body,
+    a name being expanded its definition, as `raw` read in `stack` and `bound`.
+    `used` marks a scope the fold made a binder of: a written one, a name met
+    again."""
+
+    __slots__ = ("raw", "stack", "bound", "used")
+
+    def __init__(self, raw, stack, bound, used):
+        self.raw, self.stack, self.bound, self.used = raw, stack, bound, used
+
+
+def _open(resolver, raw, stack, bound):
+    """The scope that `raw`, a written binder or a name to expand, opens in
+    `stack` and `bound`. There is one per place, kept by `resolver`, so that
+    reading a type again meets the scopes, and marks, of its fold."""
+    key = (raw if raw[0] in ("name", "cname") else id(raw), id(stack), id(bound))
+    if key not in resolver.scopes:
+        if raw[0] in ("rec", "recc"):
+            scope = resolver.scopes[key] = _Scope(raw[2], stack, None, True)
+            scope.bound = {**bound, raw[1]: scope}
+        else:
+            scope = resolver.scopes[key] = _Scope(resolver.defs[raw[0]][raw[1]], None, bound, False)
+            scope.stack = {**stack, raw: scope}
+    return resolver.scopes[key]
+
+
+def _beyond(resolver, stack):
+    """`stack` inside an access-point type, which is translated, not folded:
+    its names map to None, so meeting one again is an error."""
+    return resolver.scopes.setdefault(("access", id(stack)), dict.fromkeys(stack))
+
+
+def _payload(resolver, raw, stack, bound):
+    """A channel payload as `(raw, stack, bound)`: a name is a channel name
+    when one of that name is defined or in scope, else a session name; the
+    channel's written binders reach a channel payload, not a value type."""
+    if raw[0] == "pname":
+        name = raw[1]
+        channel = name in resolver.defs["cname"] or name in bound or ("cname", name) in stack
+        raw = ("cname" if channel else "name", name)
+    if raw[0] in ("end", "recv", "send", "offer", "select", "recc", "cname"):
+        return raw, stack, bound
+    return raw, stack, _NO_NAMES
+
+
+def head(resolver, raw, stack=_NO_NAMES, bound=_NO_NAMES):
+    """The constructor that the written type `raw` starts with, read as
+    `resolver` folds it in `stack` and `bound`: through `rec`s, rec
+    variables and state, alias and channel names. Returns `(tag, at, term)`:
+    its raw tag ("channel" in a resolved channel type); `(raw, stack,
+    bound)` where it is written, None in a type resolved earlier; and the
+    resolved subterm `raw` is: the first scope on the way that the fold made
+    a binder of, else `at`. `(None, None, None)` when the chain comes back
+    to itself, that is when the type is not contractive."""
+    passed, term = set(), None
+    while raw[0] in ("rec", "recc", "name", "cname"):
+        scope = None
+        if raw[0] in resolver.defs:
+            scope = bound.get(raw[1]) or stack.get(raw)
+            t = resolver.defs[raw[0]].get(raw[1])
+            if scope is None and isinstance(t, sx.Type):
+                while isinstance(t, sx.Rec):
+                    t = t.body
+                return _RESOLVED.get(type(t), "channel"), None, None
+        scope = scope or _open(resolver, raw, stack, bound)
+        if scope in passed:
+            return None, None, None
+        passed.add(scope)
+        term = term or (scope if scope.used else None)
+        raw, stack, bound = scope.raw, scope.stack, scope.bound
+    return raw[0], (raw, stack, bound), term or (id(raw), id(stack), id(bound))
 
 
 class _Resolver:
-    """Turns raw type trees into closed, contractive types.
+    """Turns raw type trees into closed types.
 
     One fold serves session and channel names: a name is expanded from its
     definition unless it is bound by a written `rec` or already being
     expanded, when it becomes a variable. Meeting a name again while it is
     being expanded marks it used, and only a used expansion is wrapped in a
-    binder of that name. Every binder, written or folded, is checked to be
-    contractive as it is made; a failure is reported by `checked` once the
-    whole type has resolved, so an unknown name anywhere in it comes first.
+    binder of that name. The fold checks no shape; `_check_shape` does.
     """
 
     def __init__(self, session_defs, channel_defs):
-        self.folds = {
-            "name": (session_defs, self.session, sx.RecS, sx.VarS, "session"),
-            "cname": (channel_defs, self.channel, sx.RecC, sx.VarC, "channel"),
-        }
-        self.channel_defs = channel_defs
-        self.contractive = True
-
-    def checked(self, t, what):
-        """`t`, just resolved, unless a binder made for it is not contractive."""
-        contractive, self.contractive = self.contractive, True
-        if not contractive:
-            raise NonContractiveType(f"{what}: type is not contractive")
-        return t
+        self.defs = {"name": session_defs, "cname": channel_defs}
+        self.scopes = {}  # see _open
 
     def _fold(self, raw, stack, bound):
         """The type named by `raw`. `stack` maps each name being expanded,
-        as its raw node, to its used mark, or to None beyond an access-point
-        type; `bound` holds the variables of written binders."""
-        defs, resolve, rec, var, noun = self.folds[raw[0]]
-        name = raw[1]
+        as its raw node, to its scope, or to None beyond an access-point
+        type; `bound` maps the variables of written binders to theirs."""
+        session = raw[0] == "name"
+        var, noun = (sx.VarS, "session") if session else (sx.VarC, "channel")
+        defs, name = self.defs[raw[0]], raw[1]
         if name in bound:
             return var(name)
         if raw in stack:
-            used = stack[raw]
-            if used is None:
+            if stack[raw] is None:
                 raise ParseError(
                     f"{noun} type name {name!r} refers to itself through an access-point type"
                 )
-            used[0] = True
+            stack[raw].used = True
             return var(name)
         if name not in defs:
             raise UnboundStateName(f"unknown {noun} type name {name!r}")
         if isinstance(defs[name], sx.Type):
             return defs[name]  # an alias resolved earlier, closed
-        used = [False]
-        body = resolve(defs[name], {**stack, raw: used}, bound)
-        return self._binder(rec, name, body) if used[0] else body
+        scope = _open(self, raw, stack, bound)
+        body = self.resolve(scope.raw, scope.stack, bound)
+        return (sx.RecS if session else sx.RecC)(name, body) if scope.used else body
 
-    def _binder(self, rec, var, body):
-        """`rec var.body`, noting a non-contractive binder: one whose body,
-        under its leading binders, is a variable of that chain."""
-        chain = {var}
-        head = body
-        while isinstance(head, sx.Rec):
-            chain.add(head.var)
-            head = head.body
-        if isinstance(head, sx.TypeVar) and head.name in chain:
-            self.contractive = False
-        return rec(var, body)
-
-    def session(self, raw, stack=_NO_NAMES, bound=frozenset()):
+    def resolve(self, raw, stack=_NO_NAMES, bound=_NO_NAMES, value=False):
+        """The type `raw` stands for; an access-point type only as a `value`
+        type, a parameter, result or payload."""
         tag = raw[0]
         if tag == "branch":
-            entries = []
-            for result, name, param, cont in raw[1]:
-                entries.append(
-                    (result, name, param, self.session(cont, stack, bound))
-                )
+            conts = []
+            for _, _, _, cont in raw[1]:
+                conts.append(self.resolve(cont, stack, bound))
             sigs = []
-            for result, name, param, cont in entries:
-                r = self.vtype(result, stack, bound)
-                p = self.vtype(param, stack, bound)
+            for (result, name, param, cont), c in zip(raw[1], conts):
+                r = self.resolve(result, stack, bound, True)
+                p = self.resolve(param, stack, bound, True)
                 # a repeated (name, parameter) pair would make every call ambiguous
                 if any(q.name == name and q.param.canon() == p.canon() for q in sigs):
                     raise ParseError(f"repeated signature {name}({p!r}) in a branch")
                 # surface enum result + variant continuation means linkthis
-                if isinstance(r, sx.EnumType) and self._variant_like(cont):
+                if result[0] == "enum" and head(self, cont, stack, bound)[0] == "variant":
                     r = sx.LINK_THIS
-                sigs.append(sx.MethodSig(name, p, r, cont))
+                sigs.append(sx.MethodSig(name, p, r, c))
             return sx.Branch(tuple(sigs))
-        if tag == "variant":
-            return sx.VariantS(tuple((l, self.session(s, stack, bound)) for l, s in raw[1]))
-        if tag == "rec":
-            return self._binder(sx.RecS, raw[1], self.session(raw[2], stack, bound | {raw[1]}))
-        if tag == "name":
+        if tag in ("variant", "offer", "select"):
+            return _MAKE[tag](tuple((l, self.resolve(s, stack, bound)) for l, s in raw[1]))
+        if tag in ("rec", "recc"):
+            scope = _open(self, raw, stack, bound)
+            return _MAKE[tag](raw[1], self.resolve(scope.raw, stack, scope.bound))
+        if tag in ("name", "cname"):
             return self._fold(raw, stack, bound)
-        raise ParseError(f"not a session type: {tag}")
-
-    def _variant_like(self, s):
-        while isinstance(s, sx.RecS):
-            s = s.body
-        return isinstance(s, sx.VariantS)
-
-    def vtype(self, raw, stack=_NO_NAMES, bound=frozenset()):
-        tag = raw[0]
-        if tag == "null":
-            return sx.NULL_T
+        if tag in ("recv", "send"):
+            payload = self.resolve(*_payload(self, raw[1], stack, bound), True)
+            return _MAKE[tag](payload, self.resolve(raw[2], stack, bound))
+        if tag == "access" and not value:
+            raise ParseError(f"not a session type: {tag}")
+        if tag == "access":
+            return channels.translate_access(self.resolve(raw[1], _beyond(self, stack)))
         if tag == "enum":
             return sx.EnumType(frozenset(raw[1]))
-        if tag == "linkthis":
-            return sx.LINK_THIS
-        if tag == "access":
-            from .channels import translate_access
-
-            # the access point's type is translated, not folded, so a name
-            # met again inside it cannot become a variable
-            return translate_access(self.channel(raw[1], dict.fromkeys(stack)))
-        return self.session(raw, stack, bound)
-
-    def channel(self, raw, stack=_NO_NAMES, bound=frozenset()):
-        tag = raw[0]
-        if tag == "end":
-            return sx.CHAN_END
-        if tag in ("recv", "send"):
-            payload = self.payload(raw[1], stack, bound)
-            cont = self.channel(raw[2], stack, bound)
-            return sx.ChanRecv(payload, cont) if tag == "recv" else sx.ChanSend(payload, cont)
-        if tag in ("offer", "select"):
-            cases = tuple((l, self.channel(s, stack, bound)) for l, s in raw[1])
-            return sx.ChanOffer(cases) if tag == "offer" else sx.ChanSelect(cases)
-        if tag == "recc":
-            return self._binder(sx.RecC, raw[1], self.channel(raw[2], stack, bound | {raw[1]}))
-        if tag == "cname":
-            return self._fold(raw, stack, bound)
-        raise ParseError(f"not a channel type: {tag}")
-
-    def payload(self, raw, stack, bound):
-        """A payload: a channel type, or a value type, which the channel's
-        written binders do not reach."""
-        if raw[0] == "pname":
-            name = raw[1]
-            if name in self.channel_defs or name in bound or ("cname", name) in stack:
-                return self.channel(("cname", name), stack, bound)
-            return self.session(("name", name), stack)
-        if raw[0] in ("end", "recv", "send", "offer", "select", "recc"):
-            return self.channel(raw, stack, bound)
-        return self.vtype(raw, stack)
+        return {"null": sx.NULL_T, "linkthis": sx.LINK_THIS, "end": sx.CHAN_END}[tag]
 
 
-def _check_variant_components(s, what, seen):
-    key = s.canon()
-    if key in seen:
-        return
-    seen.add(key)
-    u = sx.unfold(s)
-    if isinstance(u, sx.VariantS):
-        for l, case in u.cases:
-            cu = sx.unfold(case)
-            if not isinstance(cu, sx.Branch):
-                raise ParseError(f"{what}: variant case {l!r} is not a branch type")
-    if isinstance(u, sx.Branch):
-        for e in u.entries:
-            _check_variant_components(e.cont, what, seen)
-            if isinstance(e.param, sx.SessionType):
-                _check_variant_components(e.param, what, seen)
-            if isinstance(e.result, sx.SessionType):
-                _check_variant_components(e.result, what, seen)
-    elif isinstance(u, sx.VariantS):
-        for _, case in u.cases:
-            _check_variant_components(case, what, seen)
+def _check_shape(resolver, raw, what, cases=True):
+    """Raise NonContractiveType when a chain of `rec`s and names in `raw`,
+    the written type of one declaration, comes back to itself, else, with
+    `cases`, a ParseError for the first variant case that does not start
+    with a branch. `raw` is read as `resolver` folded it, each resolved
+    subterm once, depth first in the order of the class session type it
+    resolves to: a variant's cases; a signature's continuation, parameter
+    and result; a channel's continuation, then its payload."""
+    bad, seen, todo = None, set(), [(raw, _NO_NAMES, _NO_NAMES)]
+    while todo:
+        tag, at, term = head(resolver, *todo.pop())
+        if tag is None:
+            raise NonContractiveType(f"{what}: type is not contractive")
+        if at is None or term in seen:
+            continue
+        seen.add(term)
+        raw, stack, bound = at
+        parts = []
+        if tag in ("variant", "offer", "select"):
+            parts = [(s, stack, bound) for _, s in raw[1]]
+            if tag == "variant" and cases and bad is None:
+                starts = [(l, head(resolver, *part)[0]) for (l, _), part in zip(raw[1], parts)]
+                bad = next((l for l, t in starts if t not in ("branch", None)), None)
+        elif tag == "branch":
+            parts = [(t, stack, bound) for r, _, p, c in raw[1] for t in (c, p, r)]
+        elif tag in ("recv", "send"):
+            parts = [(raw[2], stack, bound), _payload(resolver, raw[1], stack, bound)]
+        elif tag == "access":
+            parts = [(raw[1], _beyond(resolver, stack), _NO_NAMES)]
+        todo.extend(reversed(parts))
+    if bad is not None:
+        raise ParseError(f"{what}: variant case {bad!r} is not a branch type")
+
+
+def _read(resolver, raw, what, session=True):
+    """`raw`, a session type or else a value or channel type, resolved by
+    `resolver` once `_check_shape` has checked it. Each declaration is read
+    with scopes of its own."""
+    resolver.scopes.clear()
+    t = resolver.resolve(raw, value=not session)
+    _check_shape(resolver, raw, what, session)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +669,16 @@ def _parse_sources(sources) -> sx.Program:
                     name = p.lident("access point name")
                     p.expect(";")
                     raw_accesses.append((name, proto, where))
-                elif p.at("type"):
-                    p.next()
-                    name = p.uident("type alias name")
+                elif p.at("type") or p.at("chantype"):
+                    kw = p.next().text
+                    noun = "type alias" if kw == "type" else "channel type alias"
+                    raws = raw_type_aliases if kw == "type" else raw_chan_aliases
+                    name = p.uident(f"{noun} name")
                     p.expect("=")
-                    if name in raw_type_aliases:
-                        raise ParseError(f"duplicate type alias {name!r}", t.line, t.col)
-                    raw_type_aliases[name] = p.raw_session()
-                    alias_where[("type", name)] = where
-                    if p.at(";"):
-                        p.next()
-                elif p.at("chantype"):
-                    p.next()
-                    name = p.uident("channel type alias name")
-                    p.expect("=")
-                    if name in raw_chan_aliases:
-                        raise ParseError(f"duplicate channel type alias {name!r}", t.line, t.col)
-                    raw_chan_aliases[name] = p.raw_channel()
-                    alias_where[("chantype", name)] = where
+                    if name in raws:
+                        raise ParseError(f"duplicate {noun} {name!r}", t.line, t.col)
+                    raws[name] = p.raw_session() if kw == "type" else p.raw_channel()
+                    alias_where[(kw, name)] = where
                     if p.at(";"):
                         p.next()
                 elif t.kind == "ident" and t.text == "main":
@@ -684,32 +703,26 @@ def _parse_sources(sources) -> sx.Program:
         with _located(rc.where):
             classes[rc.name] = _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases)
 
-    top_resolver = _Resolver(dict(raw_type_aliases), raw_chan_aliases)
-    session_aliases = {}
-    for name in raw_type_aliases:
-        with _located(alias_where[("type", name)]):
-            what = f"type {name}"
-            s = top_resolver.checked(top_resolver.session(("name", name)), what)
-            _check_variant_components(s, what, set())
-        session_aliases[name] = s
-    channel_aliases = {}
-    for name in raw_chan_aliases:
-        with _located(alias_where[("chantype", name)]):
-            c = top_resolver.checked(top_resolver.channel(("cname", name)), f"chantype {name}")
-        channel_aliases[name] = c
+    top_resolver = _Resolver(raw_type_aliases, raw_chan_aliases)
+    aliases = {"type": {}, "chantype": {}}
+    kinds = (("type", raw_type_aliases, "name"), ("chantype", raw_chan_aliases, "cname"))
+    for kw, raws, tag in kinds:
+        for name in raws:
+            with _located(alias_where[(kw, name)]):
+                aliases[kw][name] = _read(top_resolver, (tag, name), f"{kw} {name}", kw == "type")
     access_points = {}
     for name, proto, where in raw_accesses:
         with _located(where):
             if name in access_points:
                 raise ParseError(f"duplicate access point {name!r}")
-            c = top_resolver.checked(top_resolver.channel(proto), f"access point {name}")
+            c = _read(top_resolver, proto, f"access point {name}", False)
         access_points[name] = c
 
     program = sx.Program(
         classes=classes,
         access_points=access_points,
-        session_aliases=session_aliases,
-        channel_aliases=channel_aliases,
+        session_aliases=aliases["type"],
+        channel_aliases=aliases["chantype"],
         main=main,
     )
     _resolve_bodies(program, raw_classes)
@@ -719,19 +732,13 @@ def _parse_sources(sources) -> sx.Program:
 def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassDecl:
     if rc.name in classes:
         raise DuplicateClass(f"class {rc.name!r} declared more than once")
-    session_defs = dict(raw_type_aliases)
-    session_defs.update(rc.states)
-    resolver = _Resolver(session_defs, raw_chan_aliases)
-    session = resolver.checked(resolver.session(rc.session), f"class {rc.name}")
-    _check_variant_components(session, f"class {rc.name}", set())
-    if not isinstance(sx.unfold(session), sx.Branch):
+    resolver = _Resolver({**raw_type_aliases, **rc.states}, raw_chan_aliases)
+    session = _read(resolver, rc.session, f"class {rc.name}")
+    if head(resolver, rc.session)[0] != "branch":
         raise ParseError(f"class {rc.name}: declared session must unfold to a branch")
     states = {}
     for sname in rc.states:
-        what = f"{rc.name}.{sname}"
-        st = resolver.checked(resolver.session(("name", sname)), what)
-        _check_variant_components(st, what, set())
-        states[sname] = st
+        states[sname] = _read(resolver, ("name", sname), f"{rc.name}.{sname}")
     methods = {}
     for annot_raw, mname, pname, body, tok in rc.methods:
         if mname in methods:
@@ -748,8 +755,8 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
                 annot = sx.MethodAnnotation(
                     req=req,
                     ens=ens,
-                    result=resolver.checked(resolver.vtype(result_raw), what),
-                    param_type=resolver.checked(resolver.vtype(ptype_raw), what),
+                    result=_read(resolver, result_raw, what, False),
+                    param_type=_read(resolver, ptype_raw, what, False),
                 )
         methods[mname] = sx.MethodDef(mname, pname, body, annot)
     return sx.ClassDecl(
@@ -770,18 +777,15 @@ def _parse_class(p: _P) -> _RawClass:
     states = {}
     if p.at("where"):
         p.next()
-        while True:
+        while p.peek().kind == "ident" and _is_upper(p.peek().text) and p.at("=", 1):
             t = p.peek()
-            if t.kind == "ident" and _is_upper(t.text) and p.at("=", 1):
-                sname = p.uident()
-                p.expect("=")
-                if sname in states:
-                    raise ParseError(f"duplicate state {sname!r}", t.line, t.col)
-                states[sname] = p.raw_session()
-                if p.at(","):
-                    p.next()
-                continue
-            break
+            sname = p.uident()
+            p.expect("=")
+            if sname in states:
+                raise ParseError(f"duplicate state {sname!r}", t.line, t.col)
+            states[sname] = p.raw_session()
+            if p.at(","):
+                p.next()
     fields = []
     methods = []
     while not p.at("}"):
@@ -837,17 +841,14 @@ def _parse_field_binds(p: _P):
     binds = []
     while True:
         t = p.raw_vtype()
-        f = p.fresh(p.lident("field name"), [f for f, _ in binds], "field")
-        binds.append((f, t))
-        if p.at(","):
-            p.next()
-            continue
-        break
-    return tuple(binds)
+        binds.append((p.fresh(p.lident("field name"), [f for f, _ in binds], "field"), t))
+        if not p.at(","):
+            return tuple(binds)
+        p.next()
 
 
 def _resolve_record(resolver, binds, fields, cls_name, what):
-    typed = {f: resolver.checked(resolver.vtype(t), what) for f, t in binds}
+    typed = {f: _read(resolver, t, what, False) for f, t in binds}
     missing = [f for f in fields if f not in typed]
     extra = [f for f in typed if f not in fields]
     if missing or extra:
@@ -896,13 +897,7 @@ def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
     program = program or sx.Program(classes={})
     p = _P(tokenize(text))
     t = p.peek()
-    if (
-        t.kind == "ident"
-        and _is_upper(t.text)
-        and p.at(".", 1)
-        and p.peek(2).kind == "ident"
-        and t.text in program.classes
-    ):
+    if t.text in program.classes and p.at(".", 1) and p.peek(2).kind == "ident":
         cls = p.uident()
         p.expect(".")
         state = p.uident("state name")
@@ -911,27 +906,23 @@ def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
         if state not in decl.states:
             raise UnboundStateName(f"class {cls} has no state {state!r}")
         return decl.states[state]
-    resolver = _session_resolver(program)
-    s = resolver.session(p.raw_session())
+    resolver = _Resolver(program.session_aliases, program.channel_aliases)
+    raw = p.raw_session()
+    s = resolver.resolve(raw)
     _expect_eof(p)
-    s = resolver.checked(s, "type expression")
-    _check_variant_components(s, "type expression", set())
+    _check_shape(resolver, raw, "type expression")
     return s
 
 
 def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
     program = program or sx.Program(classes={})
     p = _P(tokenize(text))
-    resolver = _session_resolver(program)
-    c = resolver.channel(p.raw_channel())
+    resolver = _Resolver(program.session_aliases, program.channel_aliases)
+    raw = p.raw_channel()
+    c = resolver.resolve(raw)
     _expect_eof(p)
-    return resolver.checked(c, "channel type expression")
-
-
-def _session_resolver(program):
-    """A resolver in which each of the program's alias names stands for its
-    resolved type."""
-    return _Resolver(dict(program.session_aliases), dict(program.channel_aliases))
+    _check_shape(resolver, raw, "channel type expression", False)
+    return c
 
 
 def _expect_eof(p):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import DEADLOCKS, RUNNABLE, load_checked
-from mstlang.channels import dual
+from mstlang.channels import dual, subtype_channel
 from mstlang.interpreter import Interpreter
 from mstlang.monitor import (
     Monitor,
@@ -219,13 +219,15 @@ def test_reduction_example_gamma_sequence():
 def test_theta_duality_during_delegation():
     outcome, events, conf, mon = monitored_run("progs/p04_delegate.mst")
     assert outcome.kind == "terminated"
-    # after the run, every channel that still has both endpoints is dual
+    # after the run, every channel that still has both endpoints is dual,
+    # compared as Monitor._check_duality compares them
+    pairs = 0
     for (c, p), sigma in mon.theta.items():
         if p == "+" and (c, "-") in mon.theta:
             other = mon.theta[(c, "-")]
-            assert dual(sigma).canon() == other.canon() or equivalent(
-                pt("{}"), pt("{}")
-            )
+            assert subtype_channel(dual(sigma), other) and subtype_channel(other, dual(sigma))
+            pairs += 1
+    assert pairs > 0
 
 
 def test_monitored_runs_clean():

@@ -7,7 +7,7 @@ import pytest
 import progen
 from conftest import CORPUS
 from gen import gen_channel, gen_session
-from mstlang import parser
+from mstlang import parser, syntax, typechecker
 from mstlang.parser import (
     DuplicateClass,
     NonContractiveType,
@@ -18,6 +18,7 @@ from mstlang.parser import (
     parse_session_type,
 )
 from mstlang.render import render_type
+from mstlang.subtyping import join_session
 from mstlang.syntax import (
     Branch,
     CallE,
@@ -89,6 +90,27 @@ def test_enum_result_with_branch_continuation_stays_enum(file_prog):
     assert entry.result == EnumType(frozenset({"ITEM", "NONE"}))
 
 
+def test_enum_result_before_a_back_reference_reads_as_linkthis():
+    # C1 reaches S first through go, so m's continuation is a back
+    # reference to S; C2 reaches T first. Both read m's result as linkthis.
+    prog = parse_program(
+        """
+        class C1 { session T0 where T0 = {{A, B} go(Null): S}, S = <A: T, B: {}>,
+                                    T = {{A, B} m(Null): S}
+                   go(x) { A }  m(x) { A } }
+        class C2 { session T0 where T0 = {Null go(Null): T}, S = <A: T, B: {}>,
+                                    T = {{A, B} m(Null): S}
+                   go(x) { null }  m(x) { A } }
+        """
+    )
+    report, _ = typechecker.check_program(prog)
+    assert report.lines()[:2] == ["CLASS C1 OK", "CLASS C2 OK"]
+    for cls in ("C1", "C2"):
+        assert render_type(prog.classes[cls].states["S"]) == "rec S.<A: {linkthis m(Null): S}, B: {}>"
+    written = parse_session_type("rec X.<A: {{A, B} m(Null): X}, B: {}>")
+    assert render_type(written) == "rec X.<A: {linkthis m(Null): X}, B: {}>"
+
+
 def test_variant_class_session_rejected():
     with pytest.raises(ParseError):
         parse_program("class C { session <A: {}> }")
@@ -150,6 +172,28 @@ def test_names_inside_access_types_still_fold():
     )
 
 
+def _ring(k):
+    """One class whose session is a loop of k named states."""
+    states = ", ".join(f"S{i} = {{Null m{i}(Null): S{(i + 1) % k}}}" for i in range(k))
+    return f"class Ring {{ session S0 where {states} }}"
+
+
+def test_parsing_unfolds_nothing(monkeypatch):
+    # shapes are read on the written equations, so no resolved type is unfolded
+    calls = []
+    real = syntax.unfold
+    monkeypatch.setattr(syntax, "unfold", lambda t: calls.append(t) or real(t))
+    for path in sorted(CORPUS.rglob("*.mst")):
+        parser.parse_file(path)
+    parse_program(_ring(60))
+    assert calls == []
+
+
+def test_long_ring_parses():
+    prog = parse_program(_ring(300))
+    assert render_type(prog.classes["Ring"].states["S7"]).startswith("rec S7.{Null m7(Null): {")
+
+
 def test_duplicate_class_rejected():
     with pytest.raises(DuplicateClass):
         parse_program("class C { session {} } class C { session {} }")
@@ -187,6 +231,23 @@ def test_render_round_trip_random():
     for _ in range(300):
         c = gen_channel(rng, 6)
         assert parse_channel_type(render_type(c)) == c
+
+
+def test_render_round_trip_bound_names():
+    # the names that access-point types and joins bind parse back
+    access = parse_session_type("{Null m(<!Null.End>): {}}")
+    assert "rec _AP." in render_type(access)
+    joined = join_session(
+        parse_session_type("rec X.{Null m(Null): <A: X, B: {}>}"),
+        parse_session_type("rec Y.{Null m(Null): <A: Y, C: {}>, Null n(Null): {}}"),
+    )
+    assert render_type(joined) == "rec _J0.{Null m(Null): <A: _J0, B: {}, C: {}>}"
+    for t in (access, joined):
+        assert parse_session_type(render_type(t)) == t
+    # other names keep their rules
+    for text in ["rec _x.{}", "rec x.{}"]:
+        with pytest.raises(ParseError, match="type variable must start uppercase"):
+            parse_session_type(text)
 
 
 def test_access_point_and_main(remote1):
