@@ -192,8 +192,12 @@ class _P:
             return ("branch", ())
         # enum: uppercase idents separated by commas, then '}'
         t = self.peek()
-        enum = t.kind == "ident" and _is_upper(t.text) and self.peek(1).text in (",", "}")
-        if enum and not session_only:
+        if (
+            not session_only
+            and t.kind == "ident"
+            and _is_upper(t.text)
+            and self.peek(1).text in (",", "}")
+        ):
             labels = [self.uident("label")]
             while self.at(","):
                 self.next()
@@ -224,8 +228,12 @@ class _P:
         return (result, name, param, cont)
 
     def raw_vtype(self):
-        if self.at("Null") or self.at("linkthis"):
-            return ("null",) if self.next().text == "Null" else ("linkthis",)
+        if self.at("Null"):
+            self.next()
+            return ("null",)
+        if self.at("linkthis"):
+            self.next()
+            return ("linkthis",)
         if self.at("{"):
             return self.raw_braced()
         return self.raw_session("a type")
@@ -462,8 +470,8 @@ def head(resolver, raw, stack=_NO_NAMES, bound=_NO_NAMES):
     its raw tag ("channel" in a resolved channel type); `(raw, stack,
     bound)` where it is written, None in a type resolved earlier; and the
     resolved subterm `raw` is: the first scope on the way that the fold made
-    a binder of, else `at`. `(None, None, None)` when the chain comes back
-    to itself, that is when the type is not contractive."""
+    a binder of, else the place `at`. `(None, None, None)` when the chain
+    comes back to itself, that is when the type is not contractive."""
     passed, term = set(), None
     while raw[0] in ("rec", "recc", "name", "cname"):
         scope = None
@@ -551,9 +559,9 @@ class _Resolver:
         if tag in ("recv", "send"):
             payload = self.resolve(*_payload(self, raw[1], stack, bound), True)
             return _MAKE[tag](payload, self.resolve(raw[2], stack, bound))
-        if tag == "access" and not value:
-            raise ParseError(f"not a session type: {tag}")
         if tag == "access":
+            if not value:
+                raise ParseError("not a session type: access")
             return channels.translate_access(self.resolve(raw[1], _beyond(self, stack)))
         if tag == "enum":
             return sx.EnumType(frozenset(raw[1]))
