@@ -54,10 +54,12 @@ object identifiers and endpoints, consumed on use. This module holds no
 expression typing rules of its own.
 
 Those judgements are memoised (`Judgements`); a full memo starts over with a
-fresh table before the next check. An answer, the result triple or the
+fresh table between two steps. An answer, the result triple or the
 CheckError, is kept under (expression key, class name, field typing,
 environment key). The expression key is a hash-consed int from the monitor's
-own table, equal exactly for structurally equal expressions. The environment
+own table, equal exactly for structurally equal expressions; the same table
+keeps each key's endpoint set, which `_keep_shape` reads, so a step reads
+each node it rebuilt once, to key it. The environment
 key is built from the value types and, per pending call, its field, class
 and continuation. Types compare by canonical form, as in the package's other
 tables (a detail message can show which of two equal types was judged
@@ -405,6 +407,7 @@ class Monitor:
         if self.verify_traces:
             self.check_traces(conf, threads)
         self._entered.clear()
+        self._judgements.begin()  # no key is held between steps
 
     # -- helpers ---------------------------------------------------------------
 
@@ -821,8 +824,9 @@ class Monitor:
             clash = self._owner.setdefault(oid, i) != i or clash
         self._entered += entered
         added = []
+        keys = self._judgements.keys
         for i in threads:
-            eps = sx.endpoints_of(conf.threads[i].expr).union(self._heaps[i].eps)
+            eps = keys.endpoints(conf.threads[i].expr).union(self._heaps[i].eps)
             added += [(i, e) for e in eps - self._eps.get(i, frozenset())]
             self._eps[i] = eps
         for i, e in added:
@@ -885,7 +889,6 @@ class Monitor:
         root_key = ("obj", th.path.root)
         root = env.gamma.get(root_key)
         values = {k: t for k, t in env.gamma.items() if k != root_key}
-        self._judgements.begin()
         rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds, self._judgements)
         try:
             if not isinstance(root, ObjectInternal):

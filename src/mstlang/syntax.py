@@ -12,10 +12,11 @@ its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
 A node's canonical form is composed from the forms already stored on its
 children wherever no `rec` binder is open, so a fresh node costs one level.
-Expressions likewise store their endpoint sets and hash-consed keys, built
-from their children's without recursion, and `map_expr` keeps the identity
-of every subtree it does not change. An evaluation context is a linked list
-of frames (`focus`, `plug`), and heaps share their records between versions
+Expressions likewise store their hash-consed keys, built from their
+children's without recursion; the table keeps each key's endpoint set, built
+once from the children's sets (`ExprKeys`). `map_expr` keeps the identity of
+every subtree it does not change. An evaluation context is a linked list of
+frames (`focus`, `plug`), and heaps share their records between versions
 (`Heap`).
 """
 
@@ -522,10 +523,6 @@ def _subst(t, var, repl, kind):
     return t
 
 
-def subst_session(body: SessionType, var: str, repl: SessionType) -> SessionType:
-    return _subst(body, var, repl, "s")
-
-
 def unfold(t):
     """Remove top-level rec binders by iterated substitution.
 
@@ -550,11 +547,12 @@ def unfold(t):
 
 
 class Expr:
-    """Base class for expressions. A node can store its endpoint set
-    (`endpoints_of`) and its key in a hash-consing table (`ExprKeys`); both
-    are built on first use from its children's stored ones."""
+    """Base class for expressions. A node can store its key in a
+    hash-consing table (`ExprKeys`), built on first use from its children's
+    stored keys; what depends only on its structure, such as its endpoint
+    set, the table keeps under that key."""
 
-    __slots__ = ("_eps", "_key", "_keyed_by")
+    __slots__ = ("_key", "_keyed_by")
 
     def __repr__(self):
         from .render import render_expr
@@ -771,22 +769,6 @@ def _parts(e: Expr) -> tuple:
     return tuple(getattr(e, f) for f in t.__slots__), ()
 
 
-def _bottom_up(e: Expr, done, build) -> None:
-    """Call build(x, fields, subexpressions) on each node x of e that `done`
-    rejects, children before their parent. The stack is explicit, so
-    neither a long statement spine nor deep nesting recurses, and a subtree
-    that `done` accepts is not entered."""
-    stack = [(e, None)]
-    while stack:
-        x, parts = stack.pop()
-        if parts is not None:
-            build(x, *parts)
-        elif not done(x):
-            parts = _parts(x)
-            stack.append((x, parts))
-            stack.extend([(c, None) for c in parts[1]])
-
-
 _KEY_TABLES = itertools.count()  # serial numbers of hash-consing tables
 
 
@@ -795,13 +777,19 @@ class ExprKeys:
     small int, so "the same expression" is an O(1) test however large the
     expressions are. A node's key is built from its own fields and its
     children's keys, and stored on the node with this table's serial
-    number; a table re-keys a node that another table keyed. The table
-    lives as long as its owner, and interns the owner's other keys too
-    (`intern`)."""
+    number; a table re-keys a node that another table keyed. What depends
+    only on an expression's structure is kept with its key: its endpoint
+    set, built from its children's sets when the key is first interned
+    (`endpoints`). The table lives as long as its owner, and interns the
+    owner's other keys too (`intern`)."""
 
     def __init__(self):
         self._ids = {}
+        self._eps = {}  # expression key -> the channel endpoints in it
         self._serial = next(_KEY_TABLES)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
     def intern(self, item) -> int:
         """The int that stands for a hashable item in this table."""
@@ -812,23 +800,47 @@ class ExprKeys:
         return k
 
     def key(self, e: Expr) -> int:
+        """The key of e. Only the nodes this table has not keyed are read,
+        each once, children before their parent; the stack is explicit, so
+        neither a long statement spine nor deep nesting recurses."""
         serial = self._serial
-        try:
-            if e._keyed_by == serial:
-                return e._key
-        except AttributeError:
-            pass
-
-        def done(x):
-            return getattr(x, "_keyed_by", None) == serial
-
-        def build(x, fields, subs):
-            k = self.intern((type(x),) + fields + tuple(c._key for c in subs))
+        if getattr(e, "_keyed_by", None) == serial:
+            return e._key
+        ids, eps = self._ids, self._eps
+        stack = [(e, None)]
+        while stack:
+            x, parts = stack.pop()
+            if parts is None:
+                if getattr(x, "_keyed_by", None) != serial:
+                    parts = _parts(x)
+                    stack.append((x, parts))
+                    stack.extend([(c, None) for c in parts[1]])
+                continue
+            fields, subs = parts
+            kids = tuple(c._key for c in subs)
+            item = (type(x),) + fields + kids
+            k = ids.get(item)
+            if k is None:
+                k = ids[item] = len(ids)
+                if type(x) is EndpointE:
+                    out = frozenset({(x.chan, x.polarity)})
+                else:
+                    out = _NO_ENDPOINTS
+                    for c in kids:
+                        sub = eps[c]
+                        if sub:
+                            out = out | sub if out else sub
+                eps[k] = out
             object.__setattr__(x, "_key", k)
             object.__setattr__(x, "_keyed_by", serial)
-
-        _bottom_up(e, done, build)
         return e._key
+
+    def endpoints(self, e: Expr) -> frozenset:
+        """The channel endpoints (channel, polarity) occurring in e."""
+        return self._eps[self.key(e)]
+
+
+_NO_ENDPOINTS = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -1274,33 +1286,3 @@ class Configuration:
         ts = list(self.threads)
         ts[i] = thread
         return Configuration(tuple(ts), self.next_obj, self.next_chan)
-
-
-_NO_ENDPOINTS = frozenset()
-
-
-def endpoints_of(e: Expr) -> frozenset:
-    """Channel endpoints occurring in an expression. The set is stored on
-    each node, built from its children's stored sets, so only nodes made
-    since the last call are visited."""
-    try:
-        return e._eps
-    except AttributeError:
-        pass
-    _bottom_up(e, _endpoints_stored, _store_endpoints)
-    return e._eps
-
-
-def _endpoints_stored(x) -> bool:
-    return hasattr(x, "_eps")
-
-
-def _store_endpoints(x, fields, subs) -> None:
-    if type(x) is EndpointE:
-        out = frozenset({(x.chan, x.polarity)})
-    else:
-        out = _NO_ENDPOINTS
-        for c in subs:
-            if c._eps:
-                out = out | c._eps if out else c._eps
-    object.__setattr__(x, "_eps", out)

@@ -260,13 +260,17 @@ class Judgements:
     form. `infer_expr` reads it at every compound expression and at every
     suffix of a statement sequence.
 
-    At most `CAP` answers are kept. Past that, new answers are dropped until
-    the next check begins (`begin`), which starts over with a fresh key
-    table and no answers: never the old table's ints under a new table, nor
-    the reverse. A run that makes fresh objects forever would otherwise grow
-    the memo on every iteration. The cap is above what one check of a
-    10,000-statement body keeps (an answer per suffix), and no run of the
-    benchmark's workloads reaches it (the largest keeps about 1,100)."""
+    The key table also gives the monitor the endpoint sets of the threads'
+    expressions, with or without state checks. `CAP` bounds both the
+    answers and the table's keys. Past it, new answers are dropped, and
+    between two steps, when no key is held (`begin`), the memo starts over
+    with a fresh key table and no answers: never the old table's ints under
+    a new table, nor the reverse. A run that makes fresh objects forever
+    would otherwise grow the memo on every iteration. The cap is above what
+    one check of a 10,000-statement body keeps (an answer per suffix), and
+    no run of the benchmark's workloads reaches it: the largest keep 398
+    keys and 426 answers on `monitor` (remote2) and 1,488 keys and 1,117
+    answers on `scale` (the 2,000-step heap run)."""
 
     CAP = 16384
 
@@ -275,9 +279,10 @@ class Judgements:
         self.answers = {}
 
     def begin(self) -> None:
-        """Called before each check, when no key of the current table is
-        held: start over once the memo is full."""
-        if len(self.answers) >= self.CAP:
+        """Called when no key of the current table is held (the monitor
+        calls it between steps): start over once the answers or the keys
+        reach the cap."""
+        if len(self.answers) >= self.CAP or len(self.keys) >= self.CAP:
             self.keys = sx.ExprKeys()
             self.answers = {}
 
@@ -686,8 +691,7 @@ def consistency(
 
     if isinstance(session, sx.RecS):
         delta.add(key)
-        unfolded = sx.subst_session(session.body, session.var, session)
-        consistency(ctx, cls, unfolded, ftyping, delta, _steps, _found)
+        consistency(ctx, cls, sx.unfold(session), ftyping, delta, _steps, _found)
     elif isinstance(session, Branch):
         if not isinstance(ftyping, RecordF):
             raise CheckError(

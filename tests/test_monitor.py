@@ -21,6 +21,7 @@ from mstlang.parser import parse_channel_type, parse_program
 from mstlang.parser import parse_session_type as pt
 from mstlang.subtyping import equivalent
 from mstlang.syntax import (
+    ChanEnd,
     EndpointE,
     LabelE,
     ObjIdE,
@@ -217,17 +218,29 @@ def test_reduction_example_gamma_sequence():
 
 
 def test_theta_duality_during_delegation():
-    outcome, events, conf, mon = monitored_run("progs/p04_delegate.mst")
+    # after every step, every channel that has both endpoints is dual,
+    # compared as Monitor._check_duality compares them; mid-run the ends are
+    # not yet End, which is its own dual (from step 15, c0 is ?{PING}.End
+    # against !{PING}.End)
+    prog, report, ctx = load_checked("progs/p04_delegate.mst")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    pairs, open_pairs = 0, 0
+
+    def observer(*step):
+        nonlocal pairs, open_pairs
+        mon.on_step(*step)
+        for (c, p), sigma in mon.theta.items():
+            if p == "+" and (c, "-") in mon.theta:
+                other = mon.theta[(c, "-")]
+                assert subtype_channel(dual(sigma), other) and subtype_channel(other, dual(sigma))
+                pairs += 1
+                open_pairs += not isinstance(unfold(sigma), ChanEnd)
+
+    mon.start(interp.initial_config())
+    outcome, _, _ = interp.run(2000, observer=observer)
     assert outcome.kind == "terminated"
-    # after the run, every channel that still has both endpoints is dual,
-    # compared as Monitor._check_duality compares them
-    pairs = 0
-    for (c, p), sigma in mon.theta.items():
-        if p == "+" and (c, "-") in mon.theta:
-            other = mon.theta[(c, "-")]
-            assert subtype_channel(dual(sigma), other) and subtype_channel(other, dual(sigma))
-            pairs += 1
-    assert pairs > 0
+    assert pairs > 0 and open_pairs > 0
 
 
 def test_monitored_runs_clean():
@@ -785,19 +798,19 @@ main Main.go;
 """
 
 
-def growth_run(steps, cls=Monitor):
+def growth_run(steps, cls=Monitor, states=True, size=lambda memo: len(memo.answers)):
     """(outcome, events) of a monitored heap-growth run; the largest memo
-    after a step; how many key tables the memo used."""
+    size after a step; how many key tables the memo used."""
     prog = parse_program(HEAP_GROWTH)
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
     interp = Interpreter(prog)
-    mon = cls(prog, ctx)
+    mon = cls(prog, ctx, verify_states=states)
     sizes, tables = [0], set()
 
     def observer(*step):
         mon.on_step(*step)
-        sizes.append(len(mon._judgements.answers))
+        sizes.append(size(mon._judgements))
         tables.add(mon._judgements.keys)
 
     mon.start(interp.initial_config())
@@ -812,6 +825,16 @@ def test_memo_starts_over_at_its_cap(monkeypatch):
     run, most, tables = growth_run(2000)
     assert most <= 300 and tables > 2
     assert run == growth_run(2000, FreshMemoMonitor)[0]
+
+
+def test_key_table_starts_over_at_its_cap_without_state_checks(monkeypatch):
+    # with only traces verified, the table is read for the threads' endpoint
+    # sets alone, and is bounded by the same cap, on its keys
+    run = growth_run(2000, states=False)[0]
+    monkeypatch.setattr(Judgements, "CAP", 300)
+    capped, most, tables = growth_run(2000, states=False, size=lambda memo: len(memo.keys))
+    assert most <= 300 and tables > 2
+    assert capped == run
 
 
 def test_heap_reads_per_step_independent_of_heap_size(monkeypatch):
@@ -867,25 +890,26 @@ def straight_line(n):
 
 
 def busiest_step(monkeypatch, n, steps=50):
-    """The most infer_expr calls, and endpoint sets built, in any monitored
-    step after the first on a straight-line body of n statements."""
+    """The most infer_expr calls, and expression nodes read to key them, in
+    any monitored step after the first on a straight-line body of n
+    statements."""
     prog = parse_program(straight_line(n))
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
     counts = [0, 0]
-    infer, store = typechecker.infer_expr, syntax._store_endpoints
+    infer, parts = typechecker.infer_expr, syntax._parts
 
     def counted_infer(*args):
         counts[0] += 1
         return infer(*args)
 
-    def counted_store(*args):
+    def counted_parts(x):
         counts[1] += 1
-        store(*args)
+        return parts(x)
 
     for module in (typechecker, monitor):
         monkeypatch.setattr(module, "infer_expr", counted_infer)
-    monkeypatch.setattr(syntax, "_store_endpoints", counted_store)
+    monkeypatch.setattr(syntax, "_parts", counted_parts)
     interp = Interpreter(prog)
     mon = Monitor(prog, ctx)
     conf = interp.initial_config()
@@ -906,8 +930,34 @@ def test_step_cost_independent_of_body_length(monkeypatch):
     assert busiest_step(monkeypatch, 10_000) == small
 
 
+def test_rebuilt_nodes_read_once_per_step(monkeypatch):
+    # a step keys each node the interpreter rebuilt, and the same walk gives
+    # its endpoint set: no node is read twice within one step
+    prog, report, ctx = load_checked("remote1.mst")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    parts, read, total = syntax._parts, [], 0
+
+    def counted_parts(x):
+        read.append(x)
+        return parts(x)
+
+    def observer(*step):
+        nonlocal total
+        read.clear()
+        mon.on_step(*step)
+        assert len({id(x) for x in read}) == len(read), step[0]
+        total += len(read)
+
+    monkeypatch.setattr(syntax, "_parts", counted_parts)
+    mon.start(interp.initial_config())
+    outcome, events, _ = interp.run(300, observer=observer)
+    assert len(events) == 300 and total > 300
+
+
 def test_long_body_monitored_in_bounded_stack():
-    # neither the expression keys nor the endpoint sets recurse per statement
+    # the walk that builds expression keys and endpoint sets does not
+    # recurse per statement
     prog = parse_program(straight_line(10_000))
     report, ctx = check_program(prog)
     interp = Interpreter(prog)

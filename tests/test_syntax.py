@@ -441,17 +441,23 @@ def test_expression_keys_are_structural_per_table():
     assert two.key(d) == two.key(a) != two.key(c)
     assert two.key(b.second) == two.key(d.second) == two.key(c.second)
     assert [one.key(x) for x in (a, b, c, c.second)] == before
+    # structurally equal expressions get equal endpoint sets
+    e, e2 = (syntax.SeqE(syntax.SwapE("f", syntax.EndpointE("c1", "+")), x) for x in (a, d))
+    for table in (one, two):
+        assert table.endpoints(e) == table.endpoints(e2) == {("c1", "+")}
+        assert table.endpoints(a) == table.endpoints(d) == frozenset()
 
 
 def test_endpoint_sets_are_stored_and_not_rebuilt(monkeypatch):
     from mstlang.syntax import CallE, EndpointE, SeqE, SwapE
 
     body = syntax.seq([SwapE("f", EndpointE("c1", "+"))] + [SwapE("g", NULL_E)] * 5000 + [NULL_E])
-    assert syntax.endpoints_of(body) == {("c1", "+")}
-    assert syntax.endpoints_of(body.second) == frozenset()
-    built = []
-    store = syntax._store_endpoints
-    monkeypatch.setattr(syntax, "_store_endpoints", lambda x, *parts: built.append(x) or store(x, *parts))
+    keys = syntax.ExprKeys()
+    assert keys.endpoints(body) == {("c1", "+")}
+    assert keys.endpoints(body.second) == frozenset()
+    read = []
+    parts = syntax._parts
+    monkeypatch.setattr(syntax, "_parts", lambda x: read.append(x) or parts(x))
     fresh = SeqE(CallE("f", "send", EndpointE("c2", "-")), body)
-    assert syntax.endpoints_of(fresh) == {("c1", "+"), ("c2", "-")}
-    assert len(built) == 3  # the new sequence node, the call and its argument
+    assert keys.endpoints(fresh) == {("c1", "+"), ("c2", "-")}
+    assert len(read) == 3  # the new sequence node, the call and its argument
