@@ -8,12 +8,13 @@ in-flight endpoints) to types; objects currently executing a method appear
 as nested internal types along the current path. A global channel
 environment maps endpoints to channel session types, advanced in lockstep on
 both sides of every communication. Protocol progress lives in one global map
-from object identifiers (configuration-unique) to the session states the
+from object identifiers (configuration-unique) to the session state the
 object's calls and returned labels have reached, stepped through `lts_step`
-as each call or labelled return happens; entries move (renamed) with object
-transfer. The calls themselves are not kept. One handler per reduction rule
-(`_track_*`) advances everything its rule changes: the environments, the
-channel types and the reached states.
+as each call (with its parameter type, so never forking over overloads) or
+labelled return happens; entries move (renamed) with object transfer. The
+calls themselves are not kept. One handler per reduction rule (`_track_*`)
+advances everything its rule changes: the environments, the channel types
+and the reached states.
 
 `start` checks every thread and channel of the initial configuration; after
 each step only the threads that took part in it (and a spawned one) and the
@@ -61,10 +62,10 @@ own table, equal exactly for structurally equal expressions; the same table
 keeps each key's endpoint set, which `_keep_shape` reads, so a step reads
 each node it rebuilt once, to key it. The environment
 key is built from the value types and, per pending call, its field, class
-and continuation. Types compare by canonical form, as in the package's other
-tables (a detail message can show which of two equal types was judged
-first). A hit is exact: `infer_expr` reads nothing else but the program and
-the return rule's consistency judgement, `_consistency_holds`, whose cache
+and continuation. A type is its own key, as in the package's other tables
+(a detail message can show which of two equal types was judged first). A
+hit is exact: `infer_expr` reads nothing else but the program and the
+return rule's consistency judgement, `_consistency_holds`, whose cache
 never evicts, so once asked about some arguments it answers the same for the
 monitor's lifetime. A step rebuilds only the path to its redex; the
 interpreter and `map_expr` keep every other node, and a walk along a
@@ -201,15 +202,6 @@ def _fire(states, action) -> tuple:
     if not nxt:
         raise last_err or TypeErrorTransition(f"{action} from no reachable state")
     return tuple(nxt)
-
-
-def _called(session: SessionType, method: str) -> tuple:
-    """Reached states of a root whose method has just been called with
-    null; () when the session cannot fire the call."""
-    try:
-        return _fire((session,), TraceCall(method, sx.NULL_T))
-    except TypeErrorTransition:
-        return ()
 
 
 def replay_trace(session: SessionType, trace) -> tuple:
@@ -375,7 +367,7 @@ class Monitor:
         self.step_no = 0
         self._consistency_cache = {}
         self._judgements = Judgements()  # expression judgements, up to its cap
-        self._reached = {}  # oid -> session states its calls reached; () when stuck
+        self._reached = {}  # oid -> session state its calls reached; None when stuck
         self._heaps = {}  # thread -> HeapSummary of its heap, as of its last step
         self._owner = {}  # oid -> the thread whose heap holds it, likewise
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
@@ -395,7 +387,10 @@ class Monitor:
         env = ThreadEnv()
         env.gamma[("obj", oid)] = ObjectInternal(cls, decl.initial_field_typing())
         self.envs.append(env)
-        self._reached[oid] = _called(decl.session, method)
+        try:
+            self._reached[oid] = lts_step(decl.session, TraceCall(method, sx.NULL_T))[0]
+        except TypeErrorTransition:
+            self._reached[oid] = None  # reported by the trace check
 
     def _recheck(self, conf, threads=None, chans=None):
         """Check the given threads (ascending) and channels; every one, with
@@ -415,19 +410,22 @@ class Monitor:
         raise MonitorViolation(kind, self.step_no, thread, detail)
 
     def _advance(self, thread, oid, action):
+        state = self._reached.get(oid)
         try:
-            self._reached[oid] = _fire(self._reached.get(oid, ()), action)
+            state = None if state is None else lts_step(state, action)[0]
         except TypeErrorTransition:
-            self._reached[oid] = ()
-            if self.verify_traces:
-                self.fault(TRACE_INVALID, thread, f"object {oid}: trace cannot fire {action}")
+            state = None
+        self._reached[oid] = state
+        if state is None and self.verify_traces:
+            self.fault(TRACE_INVALID, thread, f"object {oid}: trace cannot fire {action}")
 
-    def _reached_states(self, oid):
-        states = self._reached.get(oid)
-        if not states:
-            why = "no record of its calls" if states is None else "its calls reach no session state"
+    def _reached_state(self, oid):
+        state = self._reached.get(oid)
+        if state is None:
+            stuck = oid in self._reached
+            why = "its calls reach no session state" if stuck else "no record of its calls"
             raise TypeErrorTransition(why)
-        return states
+        return state
 
     def _consistency_holds(self, cls_name, session, ftyping):
         """Does `ftyping` support viewing the object as `session`? Raises
@@ -441,7 +439,7 @@ class Monitor:
         any recorded witness the runtime typing refines, and only otherwise
         run the algorithm directly.
         """
-        key = (cls_name, session.canon(), ftyping.canon())
+        key = (cls_name, session, ftyping)
         hit = self._consistency_cache.get(key)
         if hit is None:
             witnesses = self.ctx.witnesses_for(cls_name, unfold(session))
@@ -510,7 +508,7 @@ class Monitor:
     def _track_new(self, before, ev, after):
         session = self.program.cls(ev.cls).session
         self.envs[ev.threads[0]].gamma[("obj", ev.oid)] = session
-        self._reached[ev.oid] = (session,)
+        self._reached[ev.oid] = session
 
     def _track_seq(self, before, ev, after):
         i = ev.threads[0]
@@ -642,10 +640,9 @@ class Monitor:
                 if not heap.has(v.oid):
                     return False
                 try:
-                    reached = self._reached_states(v.oid)
+                    return subtype_session(self._reached_state(v.oid), t)
                 except TypeErrorTransition:
                     return False
-                return any(subtype_session(r, t) for r in reached)
             if isinstance(v, sx.EndpointE):
                 sigma = self.theta.get((v.chan, v.polarity))
                 if sigma is None:
@@ -929,14 +926,14 @@ class Monitor:
         else:
             try:
                 for _, oid in self._entered:
-                    self._reached_states(oid)
+                    self._reached_state(oid)
             except TypeErrorTransition:
                 scan = True
         # every heap object's calls have reached a state of its class session
         for i in threads if scan else ():
             for oid, _, rec in conf.threads[i].heap.changes():
                 try:
-                    self._reached_states(oid)
+                    self._reached_state(oid)
                 except TypeErrorTransition as e:
                     self.fault(TRACE_INVALID, i, f"object {oid} ({rec.cls}): {e}")
         # consistency with the tracked environments: a session-typed root's
@@ -952,10 +949,10 @@ class Monitor:
                 if not th.heap.has(key[1]):
                     continue  # cross-thread shape errors are reported by check_state
                 try:
-                    reached = self._reached_states(key[1])
+                    reached = self._reached_state(key[1])
                 except TypeErrorTransition as e:
                     self.fault(TRACE_INVALID, i, str(e))
-                if not any(subtype_session(r, t) for r in reached):
+                if not subtype_session(reached, t):
                     self.fault(
                         TRACE_INVALID, i, f"trace of {key[1]} does not reach {render_type(t)}"
                     )

@@ -421,12 +421,13 @@ class _Scope:
     """What a name in scope stands for: a written binder's variable its body,
     a name being expanded its definition, as `raw` read in `stack` and `bound`.
     `used` marks a scope the fold made a binder of: a written one, a name met
-    again."""
+    again. `type` is the type a name's expansion folded to, once it has, so
+    a state reached again from one place is one shared node."""
 
-    __slots__ = ("raw", "stack", "bound", "used")
+    __slots__ = ("raw", "stack", "bound", "used", "type")
 
     def __init__(self, raw, stack, bound, used):
-        self.raw, self.stack, self.bound, self.used = raw, stack, bound, used
+        self.raw, self.stack, self.bound, self.used, self.type = raw, stack, bound, used, None
 
 
 def _open(resolver, raw, stack, bound):
@@ -526,8 +527,10 @@ class _Resolver:
         if isinstance(defs[name], sx.Type):
             return defs[name]  # an alias resolved earlier, closed
         scope = _open(self, raw, stack, bound)
-        body = self.resolve(scope.raw, scope.stack, bound)
-        return (sx.RecS if session else sx.RecC)(name, body) if scope.used else body
+        if scope.type is None:
+            body = self.resolve(scope.raw, scope.stack, bound)
+            scope.type = (sx.RecS if session else sx.RecC)(name, body) if scope.used else body
+        return scope.type
 
     def resolve(self, raw, stack=_NO_NAMES, bound=_NO_NAMES, value=False):
         """The type `raw` stands for; an access-point type only as a `value`
@@ -542,7 +545,7 @@ class _Resolver:
                 r = self.resolve(result, stack, bound, True)
                 p = self.resolve(param, stack, bound, True)
                 # a repeated (name, parameter) pair would make every call ambiguous
-                if any(q.name == name and q.param.canon() == p.canon() for q in sigs):
+                if any(q.name == name and q.param == p for q in sigs):
                     raise ParseError(f"repeated signature {name}({p!r}) in a branch")
                 # surface enum result + variant continuation means linkthis
                 if result[0] == "enum" and head(self, cont, stack, bound)[0] == "variant":

@@ -3,10 +3,10 @@ plus the join operator used when merging variant branches.
 
 The sub-session check follows the standard assumption-set construction for
 coinductively defined relations: a pair is assumed before its components are
-checked, so cycles through rec types terminate. Assumption keys are the
-canonical forms of both sides, which are alpha-normalized, making membership
-sound for recursive types. `coinductive` is that construction once, for
-this relation and for channel subtyping. `serving_entry` is the one
+checked, so cycles through rec types terminate. An assumption is the pair
+of types itself; types compare up to alpha-renaming (`==`), making
+membership sound for recursive types. `coinductive` is that construction
+once, for this relation and for channel subtyping. `serving_entry` is the one
 overload resolution: sub-session matching and the checker's call rule both
 ask it which entry of a branch serves a call.
 """
@@ -42,23 +42,22 @@ class JoinUndefined(Exception):
 def coinductive(step, s, t, assumptions) -> bool:
     """Decide the pair (s, t) of a coinductive relation on types, whose
     `step(unfold(s), unfold(t), assumptions)` relates the components with the
-    pair assumed. `assumptions` holds the canonical pairs on the current proof
-    path; it is extended per path, never shared across siblings, so a failed
-    branch cannot leak unproven assumptions into another one. A verdict is
-    memoised on `s`, keyed by `step` and the canonical form of `t`, only when
-    its proof closed with no assumptions; it is read at any depth."""
-    key = (s.canon(), t.canon())
-    if key[0] == key[1]:
+    pair assumed. `assumptions` holds the pairs on the current proof path; it
+    is extended per path, never shared across siblings, so a failed branch
+    cannot leak unproven assumptions into another one. A verdict is memoised
+    on `s`, keyed by `step` and `t`, only when its proof closed with no
+    assumptions; it is read at any depth."""
+    if s == t:
         return True
     memo = s.memo()
-    result = memo.get((step, key[1]))
+    result = memo.get((step, t))
     if result is not None:
         return result
-    if key in assumptions:
+    if (s, t) in assumptions:
         return True
-    result = step(unfold(s), unfold(t), assumptions | {key})
+    result = step(unfold(s), unfold(t), assumptions | {(s, t)})
     if not assumptions:
-        memo[(step, key[1])] = result
+        memo[(step, t)] = result
     return result
 
 
@@ -121,7 +120,7 @@ def _compatible_signature(sig: MethodSig, sig_t: MethodSig, assumptions) -> bool
 
 
 def _compatible_value(t, t_sup, assumptions) -> bool:
-    if t.canon() == t_sup.canon():
+    if t == t_sup:
         return True
     if isinstance(t, EnumType) and isinstance(t_sup, EnumType):
         return t.labels <= t_sup.labels
@@ -174,7 +173,7 @@ def equivalent(x, y) -> bool:
 
 
 def join_value(t, u):
-    if t.canon() == u.canon():
+    if t == u:
         return t
     if isinstance(t, EnumType) and isinstance(u, EnumType):
         return EnumType(t.labels | u.labels)
@@ -185,7 +184,7 @@ def join_value(t, u):
 
 def meet_value(t, u):
     """Greatest lower bound of parameter types; only enums meet non-trivially."""
-    if t.canon() == u.canon():
+    if t == u:
         return t
     if isinstance(t, EnumType) and isinstance(u, EnumType):
         inter = t.labels & u.labels
@@ -203,7 +202,7 @@ def join_session(s: SessionType, t: SessionType, _memo=None) -> SessionType:
     either side cannot serve unambiguously is left out."""
     if _memo is None:
         _memo = {}
-    key = (s.canon(), t.canon())
+    key = (s, t)
     if key in _memo:
         name, state = _memo[key]
         state["used"] = True

@@ -6,6 +6,8 @@ configurations, together with the pure structural operations on them
 Branch entries keep their source order but compare as sets keyed by
 (method name, parameter type); variants compare as label-keyed maps.
 Recursive types compare up to alpha-renaming of their bound variables.
+Callers compare types with `==` and key tables by the type itself; the
+canonical forms behind that are private to this module.
 All values here are immutable; heap/configuration updates build new values.
 A pure function of a type (unfolding, duality, translation, subtyping) keeps
 its result on the node it was applied to (`Type.memo()`), so a result depends

@@ -1,9 +1,10 @@
 """Static checking: per-class driver (check_class), the consistency algorithm
 relating field typings to session types, and the expression checker.
 
-The consistency algorithm carries a set of assumed (field typing, session
-type) pairs so recursion through rec types terminates; the expression checker
-is syntax-directed, with labels eagerly given type linkthis and a singleton
+The consistency algorithm keeps every (field typing, session type) pair it
+has met and assumes a pair it meets again, so recursion through rec types
+terminates and each pair is proved once. The expression checker is
+syntax-directed, with labels eagerly given type linkthis and a singleton
 variant field typing, collapsed by join at the points of use. A tag that is
 the operand of a swap, call, self-call or spawn, or a discarded statement,
 collapses in `infer_expr` to the enumeration of its labels before the rule
@@ -75,7 +76,7 @@ MAIN_MISSING = "MainMissing"
 MAIN_UNAVAILABLE = "MainUnavailable"
 CONSISTENCY = "ConsistencyFailure"
 
-# steps one top-level consistency proof may take before DEPTH_LIMIT
+# pairs one top-level consistency proof may meet before DEPTH_LIMIT
 MAX_CONSISTENCY_STEPS = 10_000
 
 
@@ -126,17 +127,17 @@ class CheckReport:
 @dataclass
 class CheckContext:
     program: sx.Program
-    # (class name, canon of branch session) -> list of (session, field typing)
+    # (class name, branch session) -> list of (session, field typing), the
+    # distinct field typings the branch was established consistent under
     witnesses: dict = field(default_factory=dict)
 
     def record_witness(self, cls_name, session, ftyping):
-        key = (cls_name, session.canon())
-        bucket = self.witnesses.setdefault(key, [])
-        if all(f.canon() != ftyping.canon() for _, f in bucket):
+        bucket = self.witnesses.setdefault((cls_name, session), [])
+        if all(f != ftyping for _, f in bucket):
             bucket.append((session, ftyping))
 
     def witnesses_for(self, cls_name, session):
-        return self.witnesses.get((cls_name, session.canon()), [])
+        return self.witnesses.get((cls_name, session), [])
 
 
 def resolve_signature(branch: Branch, method: str, arg_type) -> sx.MethodSig:
@@ -202,7 +203,7 @@ def _branch_of(t, what):
 def _same_results(ts):
     first = ts[0]
     return all(
-        t.canon() == first.canon()
+        t == first
         or (isinstance(t, SessionType) and isinstance(first, SessionType) and equivalent(t, first))
         for t in ts[1:]
     )
@@ -256,9 +257,9 @@ class Judgements:
     """Memo of runtime expression judgements, for environments that share
     one `consistent` judgement (one per monitor). An answer, the result
     triple or the CheckError, is kept under (expression key, class name,
-    field typing, environment key); types in a key compare by canonical
-    form. `infer_expr` reads it at every compound expression and at every
-    suffix of a statement sequence.
+    field typing, environment key); a type is its own key. `infer_expr`
+    reads it at every compound expression and at every suffix of a
+    statement sequence.
 
     The key table also gives the monitor the endpoint sets of the threads'
     expressions, with or without state checks. `CAP` bounds both the
@@ -668,36 +669,29 @@ _RUNTIME_FORMS = frozenset({sx.ObjIdE, sx.EndpointE, sx.ReturnE})
 # ---------------------------------------------------------------------------
 
 
-def consistency(
-    ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, delta=None, _steps=None, _found=None
-):
+def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, met=None):
     """Establish that an object of this class with fields `ftyping` can be
-    viewed as `session`; returns the extended assumption set. The branch
-    witnesses a top-level call establishes enter `ctx.witnesses` only when
-    the whole call succeeds, so a failed attempt leaves the table as it was."""
-    if delta is None:
-        delta = set()
-    if _steps is None:
-        _steps = [0]
-    top = _found is None
+    viewed as `session`. `met` maps every (field typing, state) pair the
+    proof has met, in the order met; a pair met again is assumed, as in
+    recursive subtyping (Pierce, TAPL ch. 21). Its branch pairs are the
+    witnesses, and they enter `ctx.witnesses` only when the whole top-level
+    call succeeds, so a failed attempt leaves the table as it was."""
+    top = met is None
     if top:
-        _found = []
-    key = (ftyping.canon(), session.canon())
-    if key in delta:
-        return delta
-    _steps[0] += 1
-    if _steps[0] > MAX_CONSISTENCY_STEPS:
+        met = {}
+    if (ftyping, session) in met:
+        return
+    met[(ftyping, session)] = None
+    if len(met) > MAX_CONSISTENCY_STEPS:
         raise CheckError(DEPTH_LIMIT, f"consistency exceeded {MAX_CONSISTENCY_STEPS} steps")
 
     if isinstance(session, sx.RecS):
-        delta.add(key)
-        consistency(ctx, cls, sx.unfold(session), ftyping, delta, _steps, _found)
+        consistency(ctx, cls, sx.unfold(session), ftyping, met)
     elif isinstance(session, Branch):
         if not isinstance(ftyping, RecordF):
             raise CheckError(
                 VARIANT_SHAPE_MISMATCH, f"state {session!r} needs a record field typing"
             )
-        _found.append((session, ftyping))
         for entry in session.entries:
             mdef = cls.method(entry.name)
             if mdef is None:
@@ -714,7 +708,7 @@ def consistency(
                 if err.method is None:
                     err.method = entry.name
                 raise
-            _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found)
+            _continue_consistency(ctx, cls, entry, t, f_out, met)
     elif isinstance(session, VariantS):
         if not isinstance(ftyping, VariantF):
             raise CheckError(
@@ -726,25 +720,25 @@ def consistency(
                 f"field typing labels {_labels(ftyping.labels)} exceed state labels",
             )
         for l, rec in ftyping.cases:
-            consistency(ctx, cls, session.case(l), rec, delta, _steps, _found)
+            consistency(ctx, cls, session.case(l), rec, met)
     else:
         raise CheckError(CONSISTENCY, f"cannot relate field typing to {session!r}")
     if top:
-        for branch, f in _found:
-            ctx.record_witness(cls.name, branch, f)
-    return delta
+        for f, state in met:
+            if isinstance(state, Branch):
+                ctx.record_witness(cls.name, state, f)
 
 
-def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found):
+def _continue_consistency(ctx, cls, entry, t, f_out, met):
     name = entry.name
     if _result_subtype(t, entry.result):
-        consistency(ctx, cls, entry.cont, f_out, delta, _steps, _found)
+        consistency(ctx, cls, entry.cont, f_out, met)
         return
     if isinstance(t, EnumType) and isinstance(entry.result, LinkThis):
         if not isinstance(f_out, RecordF):
             raise CheckError(VARIANT_SHAPE_MISMATCH, "enumeration with variant fields", method=name)
         uniform = VariantF(tuple((l, f_out) for l in sorted(t.labels)))
-        consistency(ctx, cls, entry.cont, uniform, delta, _steps, _found)
+        consistency(ctx, cls, entry.cont, uniform, met)
         return
     if isinstance(t, LinkThis) and isinstance(entry.result, EnumType):
         if not isinstance(f_out, VariantF) or not f_out.labels <= entry.result.labels:
@@ -753,7 +747,7 @@ def _continue_consistency(ctx, cls, entry, t, f_out, delta, _steps, _found):
                 f"body of {name!r} yields labels outside {entry.result!r}",
                 method=name,
             )
-        consistency(ctx, cls, entry.cont, _collapse(f_out, name), delta, _steps, _found)
+        consistency(ctx, cls, entry.cont, _collapse(f_out, name), met)
         return
     raise CheckError(
         RESULT_TYPE_MISMATCH,

@@ -204,3 +204,12 @@ def widen_channel(rng, c: ChannelType, fuel=6) -> ChannelType:
         cases[i] = (l, widen_channel(rng, k, fuel - 1))
         return ChanSelect(tuple(cases))
     return u
+
+
+def rejoining_class(n):
+    """Class D, whose protocol branches and re-joins n times: state S_i
+    offers `a` and `b`, both leading to S_(i+1), and S_n offers nothing. Its
+    n + 1 states lie on 2^n paths."""
+    rows = [f"S{i} = {{Null a(Null): S{i + 1}, Null b(Null): S{i + 1}}}" for i in range(n)]
+    where = ",\n        ".join(rows + [f"S{n} = {{}}"])
+    return f"class D {{\n  session S0\n  where {where}\n  a(x) {{ null }}\n  b(x) {{ null }}\n}}\n"

@@ -80,8 +80,9 @@ def test_replay_file_traces(file_prog):
     assert "position 3" in str(err.value)
 
 
-def _successors(states, action):
-    return tuple(nxt for st in states for nxt in lts_step(st, action))
+def _successor(state, action):
+    (nxt,) = lts_step(state, action)  # a tracked call or label never forks
+    return nxt
 
 
 def test_reached_state_clauses():
@@ -95,7 +96,7 @@ def test_reached_state_clauses():
         conf = interp.initial_config()
         mon.start(conf)
         cname, mname = prog.main
-        assert mon._reached == {"top": lts_step(prog.classes[cname].session, TraceCall(mname))}
+        assert mon._reached == {"top": _successor(prog.classes[cname].session, TraceCall(mname))}
         step_no = 0
         while (step := interp.step(conf)) is not None:
             step_no += 1
@@ -104,16 +105,16 @@ def test_reached_state_clauses():
             mon.on_step(step_no, before, ev, conf)
             new = mon._reached
             if ev.rule == "New":
-                assert new == {**old, ev.oid: (prog.classes[ev.cls].session,)}
+                assert new == {**old, ev.oid: prog.classes[ev.cls].session}
             elif ev.rule == "Call":
-                assert new == {**old, ev.oid: _successors(old[ev.oid], TraceCall(ev.method))}
+                assert new == {**old, ev.oid: _successor(old[ev.oid], TraceCall(ev.method))}
             elif ev.rule == "Return" and isinstance(ev.value, LabelE):
                 th = before.threads[ev.threads[0]]
                 oid = th.heap.resolve_id(th.path)
-                assert new == {**old, oid: _successors(old[oid], TraceLabel(ev.value.label))}
+                assert new == {**old, oid: _successor(old[oid], TraceLabel(ev.value.label))}
             elif ev.rule == "Spawn":
                 cls = prog.classes[ev.cls]
-                assert new == {**old, ev.oid: lts_step(cls.session, TraceCall(ev.method))}
+                assert new == {**old, ev.oid: _successor(cls.session, TraceCall(ev.method))}
             elif ev.rule == "ComObj":
                 phi = dict(ev.phi)
                 assert set(phi) <= set(old) and not set(phi.values()) & set(old)
@@ -320,7 +321,7 @@ def test_trace_violation_detected_on_bad_trace():
         mon.on_step(i + 1, before, ev, conf)
     # corrupt the recorded progress of the file object: no state reached
     target = next(oid for th in conf.threads for oid, rec in th.heap.entries if rec.cls == "File")
-    mon._reached[target] = ()
+    mon._reached[target] = None
     with pytest.raises(MonitorViolation) as err:
         mon.check_traces(conf)
     assert err.value.kind == "TraceInvalid"
@@ -838,20 +839,20 @@ def test_key_table_starts_over_at_its_cap_without_state_checks(monkeypatch):
 
 
 def test_heap_reads_per_step_independent_of_heap_size(monkeypatch):
-    # a step looks up the reached states of, and counts the fields of, only
+    # a step looks up the reached state of, and counts the fields of, only
     # the objects it changed, however many the heap holds
     counts = [0, 0]
-    states, count = Monitor._reached_states, monitor.HeapSummary._count
+    state, count = Monitor._reached_state, monitor.HeapSummary._count
 
-    def counted_states(self, oid):
+    def counted_state(self, oid):
         counts[0] += 1
-        return states(self, oid)
+        return state(self, oid)
 
     def counted_count(self, *args):
         counts[1] += 1
         count(self, *args)
 
-    monkeypatch.setattr(Monitor, "_reached_states", counted_states)
+    monkeypatch.setattr(Monitor, "_reached_state", counted_state)
     monkeypatch.setattr(monitor.HeapSummary, "_count", counted_count)
     busiest, objects = {}, {}
     for steps in (200, 2000):

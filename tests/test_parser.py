@@ -6,7 +6,7 @@ import pytest
 
 import progen
 from conftest import CORPUS
-from gen import gen_channel, gen_session
+from gen import gen_channel, gen_session, rejoining_class
 from mstlang import parser, syntax, typechecker
 from mstlang.parser import (
     DuplicateClass,
@@ -318,6 +318,33 @@ def _programs(seeds):
         yield path.name, parser.parse_file(path)
     for seed in range(seeds):
         yield f"seed {seed}", parse_program(progen.generate(seed))
+
+
+def test_rejoined_state_folded_once(monkeypatch):
+    # a state reached from one place along many paths is expanded once and
+    # is one shared node: the class session's 13 states are 13 expansions,
+    # not one per path, and so is every state declaration read on its own
+    reads, read, resolve = [], parser._read, parser._Resolver.resolve
+
+    def counted_read(*args, **kw):
+        reads.append([])
+        return read(*args, **kw)
+
+    def counted_resolve(self, raw, *args, **kw):
+        if raw[0] == "branch":  # each state is written as a branch
+            reads[-1].append(raw)
+        return resolve(self, raw, *args, **kw)
+
+    monkeypatch.setattr(parser, "_read", counted_read)
+    monkeypatch.setattr(parser._Resolver, "resolve", counted_resolve)
+    s = parse_program(rejoining_class(12)).classes["D"].session
+    assert [len(r) for r in reads] == [13] + list(range(13, 0, -1))
+    assert all(len(r) == len({id(raw) for raw in r}) for r in reads)
+    for _ in range(12):
+        a, b = s.entries
+        assert a.cont is b.cont
+        s = a.cont
+    assert s == Branch(())
 
 
 def test_resolved_types_are_closed():

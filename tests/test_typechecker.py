@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import load_checked
+from gen import rejoining_class
 from oracles import Universe, consistency_oracle, derive
-from mstlang import parser
+from mstlang import parser, typechecker
 from mstlang.parser import parse_program
 from mstlang.subtyping import subtype_any
 from mstlang.syntax import (
@@ -487,3 +488,22 @@ def test_failed_consistency_records_no_witness():
     assert ctx.witnesses == {}
     report, ctx = check_program(prog)
     assert not report.verdict("K").ok and ctx.witnesses == {}
+
+
+def test_rejoining_protocol_proves_each_pair_once(monkeypatch):
+    # a (field typing, state) pair met again is assumed, however many paths
+    # reach it: each method body is typed once per (field typing, state,
+    # entry), here 16 branching states x 2 entries under one field typing
+    prog = parse_program(rejoining_class(16))
+    bodies = {id(m.body) for m in prog.classes["D"].methods.values()}
+    typed, infer = [], typechecker.infer_expr
+
+    def counted(ctx, cls, e, F, V):
+        if id(e) in bodies:
+            typed.append(e)
+        return infer(ctx, cls, e, F, V)
+
+    monkeypatch.setattr(typechecker, "infer_expr", counted)
+    report, _ = check_program(prog)
+    assert report.verdict("D").line() == "CLASS D OK"
+    assert len(typed) == 32
