@@ -54,24 +54,40 @@ consumes the outermost pending call; the other entries are the in-flight
 object identifiers and endpoints, consumed on use. This module holds no
 expression typing rules of its own.
 
+A step re-types only what replaced its redex, as the replacement lemma of
+subject reduction allows (Wright and Felleisen, 1994). For each frame of a
+thread's evaluation context (`syntax.focus`) the monitor keeps a record
+(`KeptFrame`) under the frame cell's identity: the judgement its hole was
+typed to, for a return also its pending call and caller's fields, and the
+endpoints of the frame and of every frame outward of it. After a step the
+replacement is typed in its frames, which are then left outward
+(`typechecker.leave_frame`, the part of each rule after its hole) only while
+a hole's judgement differs from the one kept: a frame whose hole keeps its
+judgement keeps its own (Reps, Teitelbaum and Demers, 1983). A self-call
+whose body meets its annotation stops at once, so a step's cost does not
+grow with the depth of its context. The endpoints of a thread's expression
+are its redex's and its innermost frame's, so the expression itself is never
+rebuilt. The frames inside a replacement are judged when a later step needs
+them. Heap agreement is re-checked likewise, for the environment entries
+whose type or whose reads the step changed (`_check_heap_agreement`).
+
 Those judgements are memoised (`Judgements`); a full memo starts over with a
 fresh table between two steps. An answer, the result triple or the
 CheckError, is kept under (expression key, class name, field typing,
-environment key). The expression key is a hash-consed int from the monitor's
-own table, equal exactly for structurally equal expressions; the same table
-keeps each key's endpoint set, which `_keep_shape` reads, so a step reads
-each node it rebuilt once, to key it. The environment
-key is built from the value types and, per pending call, its field, class
-and continuation. A type is its own key, as in the package's other tables
-(a detail message can show which of two equal types was judged first). A
-hit is exact: `infer_expr` reads nothing else but the program and the
-return rule's consistency judgement, `_consistency_holds`, whose cache
-never evicts, so once asked about some arguments it answers the same for the
-monitor's lifetime. A step rebuilds only the path to its redex; the
-interpreter and `map_expr` keep every other node, and a walk along a
-statement sequence keeps its answer at every suffix. So a step re-types the
-rebuilt nodes and looks up the rest, and its cost does not grow with the
-remaining body.
+environment key), and a frame's judgement under its hole's
+(`Judgements.frame_key`). The expression key is a hash-consed int from the
+monitor's own table, equal exactly for structurally equal expressions, so a
+loop's next iteration or the body of a repeated call is one lookup; the same
+table keeps each key's endpoint set. The environment key is built from the
+value types and, per pending call, its field, class and continuation. A
+type is its own key, as in the package's other tables (a detail message can
+show which of two equal types was judged first). A hit is exact:
+`infer_expr` reads nothing else but the program and the return rule's
+consistency judgement, `_consistency_holds`, whose cache never evicts, so
+once asked about some arguments it answers the same for the monitor's
+lifetime. A walk along a statement sequence keeps its answer at every
+suffix, so the statement after the one a step finished is one lookup, and a
+step's cost does not grow with the remaining body either.
 
 Monitoring always starts from the initial configuration, whose current path
 is a bare root, so every later path extends it and trace conformance is
@@ -112,8 +128,11 @@ from .typechecker import (
     Judgements,
     RuntimeEnv,
     consistency,
+    enter_frame,
     infer_expr,
+    leave_frame,
     resolve_signature,
+    same_judgement,
 )
 
 
@@ -348,6 +367,71 @@ class HeapSummary:
         return self.heap.has(oid) and oid not in self.refs
 
 
+class KeptFrame:
+    """What the monitor keeps of one context frame of a thread's focus, a
+    cell `(outer, node)` of `syntax.focus`, held so that its id, the key it
+    is kept under, stays its own.
+
+    `eps` are the endpoints of this frame and of every frame outward of it,
+    hole excluded; `calls` counts the returns among them, the pending calls
+    its hole runs under, and `opener` is the innermost return frame outward
+    of it. `hole` is the judgement its hole was last typed to, None until
+    it is judged; a return frame also keeps what its rule reads besides
+    that (`reads`): its pending call and the caller's field typing."""
+
+    __slots__ = ("cell", "outer", "eps", "calls", "returns", "opener", "hole", "reads")
+
+    def __init__(self, cell, outer, keys):
+        node = cell[1]
+        eps = _NO_ENDPOINTS
+        if outer is not None:
+            eps = outer.eps
+            self.calls = outer.calls
+            self.opener = outer if outer.returns else outer.opener
+        else:
+            self.calls, self.opener = 0, None
+        for x in sx.frame_rest(node):
+            sub = keys.endpoints(x)
+            if sub:
+                eps = eps | sub
+        self.cell = cell
+        self.outer = outer
+        self.eps = eps
+        self.returns = type(node) is sx.ReturnE
+        self.calls += self.returns
+        self.hole = self.reads = None
+
+
+_NO_ENDPOINTS = frozenset()
+
+
+def _open_objects(root, path: Path) -> list:
+    """The open objects along the path from its root, each caller before
+    its callee, up to the first that is not open."""
+    out = [root]
+    for f in path.fields:
+        t = out[-1].typing
+        try:
+            child = t.get(f) if isinstance(t, RecordF) else None
+        except KeyError:
+            break
+        if not isinstance(child, ObjectInternal):
+            break
+        out.append(child)
+    return out
+
+
+def _same_but(a, b, f) -> bool:
+    """Are two record field typings alike in every field but f?"""
+    if a is b:
+        return True
+    if not isinstance(a, RecordF) or not isinstance(b, RecordF) or len(a.items) != len(b.items):
+        return False
+    return all(
+        n == m and (n == f or s is t or s == t) for (n, s), (m, t) in zip(a.items, b.items)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Monitor
 # ---------------------------------------------------------------------------
@@ -372,6 +456,12 @@ class Monitor:
         self._owner = {}  # oid -> the thread whose heap holds it, likewise
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
         self._entered = []  # (thread, oid) for each object new to a heap at this step
+        self._changed = set()  # threads whose heap records or reached states changed, likewise
+        self._contexts = {}  # thread -> (KeptFrame by cell id, innermost KeptFrame), likewise
+        self._values = {}  # thread -> its in-flight values, pending calls and RuntimeEnvs, likewise
+        self._opened = {}  # thread -> the open objects along its path, likewise
+        self._agreed = {}  # thread -> environment entry -> the type it last agreed at
+        self.outward_walks = 0  # steps whose re-check re-typed a kept frame
 
     # -- setup ----------------------------------------------------------------
 
@@ -402,6 +492,7 @@ class Monitor:
         if self.verify_traces:
             self.check_traces(conf, threads)
         self._entered.clear()
+        self._changed.clear()
         self._judgements.begin()  # no key is held between steps
 
     # -- helpers ---------------------------------------------------------------
@@ -416,6 +507,7 @@ class Monitor:
         except TypeErrorTransition:
             state = None
         self._reached[oid] = state
+        self._changed.add(thread)
         if state is None and self.verify_traces:
             self.fault(TRACE_INVALID, thread, f"object {oid}: trace cannot fire {action}")
 
@@ -599,10 +691,14 @@ class Monitor:
         session type), then objects are checked by their reached session states."""
         if not isinstance(ftyping, RecordF):
             return False
-        if set(rec.field_names) != set(ftyping.fields):
+        names = rec.field_names
+        if names == ftyping.fields:  # both in declaration order
+            types = [t for _, t in ftyping.items]
+        elif set(names) == set(ftyping.fields):
+            types = [ftyping.get(name) for name in names]
+        else:
             return False
-        for name, v in rec.fields:
-            t = ftyping.get(name)
+        for (name, v), t in zip(rec.fields, types):
             tu = unfold(t) if isinstance(t, SessionType) else None
             if isinstance(tu, VariantS):
                 sel = self._actual_case(rec, ftyping, name, tu)
@@ -795,7 +891,7 @@ class Monitor:
         self._check_global_shape(conf, threads, scan or clash)
         for i in threads:
             th, env = conf.threads[i], self.envs[i]
-            self._check_heap_agreement(i, th, env)
+            self._check_heap_agreement(i, th, env, chans)
             self._check_expression(i, th, env)
         self._check_duality(chans)
 
@@ -806,11 +902,15 @@ class Monitor:
         or endpoint new to a thread may be held by another one too."""
         if threads is None:
             self._heaps, self._owner, self._eps = {}, {}, {}
+            self._contexts, self._values, self._opened = {}, {}, {}
             threads = range(len(conf.threads))
         entered = []
         for i in threads:  # every removal first, so a moved id has no owner
             s = self._heaps.get(i) or self._heaps.setdefault(i, HeapSummary())
-            for oid, old, new in s.update(conf.threads[i].heap):
+            changes = s.update(conf.threads[i].heap)
+            if changes:
+                self._changed.add(i)
+            for oid, old, new in changes:
                 if new is None:
                     if self._owner.get(oid) == i:
                         del self._owner[oid]
@@ -821,14 +921,36 @@ class Monitor:
             clash = self._owner.setdefault(oid, i) != i or clash
         self._entered += entered
         added = []
-        keys = self._judgements.keys
         for i in threads:
-            eps = keys.endpoints(conf.threads[i].expr).union(self._heaps[i].eps)
+            eps = self._keep_context(i, conf.threads[i]).union(self._heaps[i].eps)
             added += [(i, e) for e in eps - self._eps.get(i, frozenset())]
             self._eps[i] = eps
         for i, e in added:
             clash = clash or any(e in eps for k, eps in self._eps.items() if k != i)
         return clash
+
+    def _keep_context(self, i, th) -> frozenset:
+        """Move thread i's kept frames to its focus: the frames it left are
+        dropped, and each frame new to it is kept, its endpoint set built
+        from the one outward of it. Returns the endpoints of the thread's
+        expression: its redex's and those of the innermost kept frame."""
+        keys = self._judgements.keys
+        found = th.focus
+        x, cell = (th.made_from[1], None) if found is None else found  # a value, no frames
+        table, inner = self._contexts.get(i) or ({}, None)
+        new = []
+        while cell is not None and id(cell) not in table:
+            new.append(cell)
+            cell = cell[0]
+        meet = None if cell is None else table[id(cell)]
+        while inner is not meet:
+            del table[id(inner.cell)]
+            inner = inner.outer
+        for cell in reversed(new):
+            inner = table[id(cell)] = KeptFrame(cell, inner, keys)
+        self._contexts[i] = (table, inner)
+        eps = keys.endpoints(x)
+        return eps | inner.eps if inner is not None and inner.eps else eps
 
     def _check_global_shape(self, conf, threads, scan):
         """An incomplete heap among the given threads, an object in two
@@ -855,14 +977,35 @@ class Monitor:
                     self.fault(LINEARITY, i, f"endpoint {c}{p} occurs twice")
                 seen.add((c, p))
 
-    def _check_heap_agreement(self, i, th, env: ThreadEnv):
+    def _check_heap_agreement(self, i, th, env: ThreadEnv, chans):
+        """Each environment entry agrees with the heap and the channel
+        types. Only the entries that can have changed are looked at: those
+        whose type is not == to the one they last agreed at, every object
+        entry when the step changed a record of the thread's heap, a reached
+        state of one of its objects or the channel type of an endpoint the
+        heap holds, and the endpoint entries of the step's channels. Every
+        entry when `chans` is None."""
         summary = self._heaps[i]
+        last = {} if chans is None else self._agreed.get(i, {})
+        chans = chans or ()
+        objects = i in self._changed or any(
+            (c, "+") in summary.eps or (c, "-") in summary.eps for c in chans
+        )
+        if not objects and not chans and env.gamma == last:
+            return  # every entry as it last agreed, and nothing it reads changed
+        agreed = {}
         for key, t in list(env.gamma.items()):
+            agreed[key] = t
+            was = last.get(key)
             if key[0] != "obj":
                 c, p = key[1], key[2]
+                if c not in chans and was is not None and was == t:
+                    continue
                 sigma = self.theta.get((c, p))
                 if sigma is None or not equivalent(translate_channel(sigma), t):
                     self.fault(STATE_ILL_TYPED, i, f"endpoint {c}{p} disagrees with its channel type")
+                continue
+            if not objects and was is not None and was == t:
                 continue
             oid = key[1]
             if not summary.is_root(oid):
@@ -878,25 +1021,118 @@ class Monitor:
                     self.fault(STATE_ILL_TYPED, i, f"object {oid} does not inhabit {render_type(t)}")
             else:
                 self.fault(STATE_ILL_TYPED, i, f"environment entry {oid} has value type {t!r}")
+        self._agreed[i] = agreed
 
     def _check_expression(self, i, th, env: ThreadEnv):
         """Re-check the thread's expression with the expression checker, from
         the root object: the pending calls lead down the current path, and
-        the other environment entries are the in-flight values."""
+        the other environment entries are the in-flight values. Only what
+        replaced the last redex is typed, and frames are left outward while
+        a hole's judgement changed (module docstring). Stopping early needs
+        the return frames outward to read what they read (`_reads_hold`);
+        the tracking changes only the current object and the field that
+        opened it, so they do unless the root's type was changed otherwise.
+        Frames not yet judged are entered outermost first, so a return's
+        checks before its hole come in the order of a whole-expression
+        check, and the first error is the one that check finds."""
         root_key = ("obj", th.path.root)
         root = env.gamma.get(root_key)
-        values = {k: t for k, t in env.gamma.items() if k != root_key}
-        rt = RuntimeEnv(values, tuple(env.frames), self._consistency_holds, self._judgements)
+        calls = env.frames
         try:
             if not isinstance(root, ObjectInternal):
                 raise CheckError(INTERNAL_FORM, f"current object {th.path.root} is not open")
-            if tuple(fr.field for fr in env.frames) != th.path.fields:
+            if (calls or th.path.fields) and tuple([fr.field for fr in calls]) != th.path.fields:
                 raise CheckError(INTERNAL_FORM, f"pending calls do not lead to {th.path}")
-            _, _, rest = infer_expr(self.ctx, self.program.cls(root.cls), th.expr, root.typing, rt)
-            if rest.frames:
+            ctx, classes = self.ctx, self.program.classes
+            cell, x = th.made_from
+            if cell is not None and sx.is_value(x):  # the innermost frame is the redex now
+                x, cell = th.focus
+            kept, new = None, []
+            if cell is not None:
+                kept = self._contexts[i][0][id(cell)]
+                while kept is not None and kept.hole is None:
+                    new.append(kept)
+                    kept = kept.outer
+            opened = self._opened.get(i)
+            moved = opened is None or opened[0] is not root  # the root's type changed
+            if moved:
+                opened = self._opened[i] = _open_objects(root, th.path)
+            if kept is not None and kept.calls and (
+                kept.calls >= len(opened) or moved and not self._reads_hold(kept, opened, calls)
+            ):
+                while kept is not None:  # judge every frame again
+                    new.append(kept)
+                    kept = kept.outer
+            envs = self._runtime_envs(i, root_key, env)
+            d = 0 if kept is None else kept.calls
+            obj = opened[d]
+            cls, F, V = classes[obj.cls], obj.typing, self._env_at(envs, d)
+            inputs = []
+            for frame in reversed(new):
+                inputs.append((cls, F, V))
+                cls, F, V = enter_frame(ctx, cls, frame.cell[1], F, V)
+            out = infer_expr(ctx, cls, x, F, V)
+            for frame in new:
+                cls, F, V = inputs.pop()
+                frame.hole = out
+                if frame.returns:
+                    frame.reads = (V.frames[0], F)
+                out = leave_frame(ctx, cls, frame.cell[1], out, F, V)
+            if kept is not None and out is not kept.hole and not same_judgement(out, kept.hole):
+                self.outward_walks += 1
+                while kept is not None and not same_judgement(out, kept.hole):
+                    d = kept.calls - kept.returns
+                    obj = opened[d]
+                    V = self._env_at(envs, d)
+                    kept.hole = out
+                    if kept.returns:
+                        kept.reads = (V.frames[0], obj.typing)
+                    out = leave_frame(ctx, classes[obj.cls], kept.cell[1], out, obj.typing, V)
+                    kept = kept.outer
+            if kept is None and out[2].frames:
                 raise CheckError(INTERNAL_FORM, "a pending call has no return")
         except CheckError as e:
             self.fault(STATE_ILL_TYPED, i, f"expression re-check failed: {e}")
+
+    @staticmethod
+    def _reads_hold(kept, opened, calls) -> bool:
+        """Do the return frames at and outward of `kept` still read what
+        they were judged under: the same pending call, and a caller whose
+        field typing differs at most in the field the call opened?"""
+        frame = kept if kept.returns else kept.opener
+        while frame is not None:
+            call, caller = frame.reads
+            d = frame.calls - 1
+            if calls[d] is not call or not _same_but(opened[d].typing, caller, call.field):
+                return False
+            frame = frame.opener
+        return True
+
+    def _runtime_envs(self, i, root_key, env) -> tuple:
+        """Thread i's in-flight values, pending calls and memo, with its
+        runtime environments by depth (`_env_at`). Those of its last check
+        are used again while the values, the pending calls and the memo are
+        the same, so each environment is keyed once."""
+        values = {k: t for k, t in env.gamma.items() if k != root_key}
+        last = self._values.get(i)
+        if (
+            last is None
+            or last[0] is not self._judgements
+            or last[1] != values
+            or last[2] != env.frames
+        ):
+            last = self._values[i] = (self._judgements, values, list(env.frames), {})
+        return last
+
+    def _env_at(self, envs, d) -> RuntimeEnv:
+        """The runtime environment at depth d: the pending calls from d in."""
+        V = envs[3].get(d)
+        if V is None:
+            judgements, values, calls, by_depth = envs
+            V = by_depth[d] = RuntimeEnv(
+                values, tuple(calls[d:]), self._consistency_holds, judgements
+            )
+        return V
 
     def _check_duality(self, chans):
         if chans is None:

@@ -100,9 +100,16 @@ class Type:
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash(self.canon())
+            h = self._hashed()
             object.__setattr__(self, "_hash", h)
         return h
+
+    def _hashed(self) -> int:
+        """A hash that types with equal canonical forms share. A tuple does
+        not keep its hash, so hashing a canonical form walks all of it; the
+        forms that the monitor builds afresh at every step instead combine
+        their children's kept hashes."""
+        return hash(self.canon())
 
     def __repr__(self):
         from .render import render_type
@@ -145,7 +152,7 @@ class Labelled:
 
     @property
     def labels(self):
-        return frozenset(l for l, _ in self.cases)
+        return frozenset([l for l, _ in self.cases])
 
     def case(self, label):
         for l, c in self.cases:
@@ -184,6 +191,13 @@ class EnumType(ValueType):
 
     def _canonical(self, bound):
         return ("enum", tuple(sorted(self.labels)))
+
+    def __eq__(self, other):
+        if type(other) is not EnumType:
+            return Type.__eq__(self, other)
+        return self.labels == other.labels
+
+    __hash__ = Type.__hash__
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -423,17 +437,38 @@ class RecordF(FieldTyping):
         return any(name == f for name, _ in self.items)
 
     def set(self, f, t):
-        if not self.has(f):
-            raise KeyError(f)
-        return RecordF(tuple((n, t if n == f else old) for n, old in self.items))
+        items = self.items
+        for k, (name, _) in enumerate(items):
+            if name == f:
+                return RecordF(items[:k] + ((f, t),) + items[k + 1 :])
+        raise KeyError(f)
 
     @property
     def fields(self):
-        return tuple(n for n, _ in self.items)
+        return tuple([n for n, _ in self.items])
 
     def _canonical(self, bound):
         its = sorted((n, _form(t, bound)) for n, t in self.items)
         return ("record", tuple(its))
+
+    def _hashed(self):
+        return hash(("record", frozenset(self.items)))
+
+    def __eq__(self, other):
+        # the typings of one class list its fields in one order, so they
+        # compare field by field, without building their canonical forms
+        if self is other:
+            return True
+        if type(other) is not RecordF:
+            return Type.__eq__(self, other)
+        if self.items == other.items:
+            return True
+        names = self.fields
+        if names == other.fields and len(set(names)) == len(names):
+            return False
+        return Type.__eq__(self, other)
+
+    __hash__ = Type.__hash__
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -457,6 +492,9 @@ class VariantF(Labelled, FieldTyping):
         cs = sorted((l, _form(f, bound)) for l, f in self.cases)
         return ("variantf", tuple(cs))
 
+    def _hashed(self):
+        return hash(("variantf", frozenset(self.cases)))
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ObjectInternal(Type):
@@ -469,6 +507,16 @@ class ObjectInternal(Type):
 
     def _canonical(self, bound):
         return ("object", self.cls, _form(self.typing, bound))
+
+    def _hashed(self):
+        return hash(("object", self.cls, hash(self.typing)))
+
+    def __eq__(self, other):
+        if type(other) is not ObjectInternal:
+            return Type.__eq__(self, other)
+        return self is other or (self.cls == other.cls and self.typing == other.typing)
+
+    __hash__ = Type.__hash__
 
 
 def null_record(fields: Iterable[str]) -> RecordF:
@@ -788,7 +836,7 @@ class ExprKeys:
     def __init__(self):
         self._ids = {}
         self._eps = {}  # expression key -> the channel endpoints in it
-        self._serial = next(_KEY_TABLES)
+        self.serial = next(_KEY_TABLES)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -805,7 +853,7 @@ class ExprKeys:
         """The key of e. Only the nodes this table has not keyed are read,
         each once, children before their parent; the stack is explicit, so
         neither a long statement spine nor deep nesting recurses."""
-        serial = self._serial
+        serial = self.serial
         if getattr(e, "_keyed_by", None) == serial:
             return e._key
         ids, eps = self._ids, self._eps
@@ -819,7 +867,7 @@ class ExprKeys:
                     stack.extend([(c, None) for c in parts[1]])
                 continue
             fields, subs = parts
-            kids = tuple(c._key for c in subs)
+            kids = tuple([c._key for c in subs])
             item = (type(x),) + fields + kids
             k = ids.get(item)
             if k is None:
@@ -871,6 +919,16 @@ _FILL = {
     SwitchE: lambda f, x: SwitchE(x, f.cases),
     ReturnE: lambda f, x: ReturnE(x),
 }
+
+
+def frame_rest(f: Expr) -> tuple:
+    """The subexpressions of a context frame other than its hole."""
+    t = type(f)
+    if t is SeqE:
+        return (f.second,)
+    if t is SwitchE:
+        return tuple(b for _, b in f.cases)
+    return ()
 
 
 def focus(e: Expr, frames=None):
@@ -984,7 +1042,7 @@ class ObjectRecord:
 
     @property
     def field_names(self):
-        return tuple(n for n, _ in self.fields)
+        return tuple([n for n, _ in self.fields])
 
 
 @dataclass(frozen=True)
@@ -1250,6 +1308,12 @@ class Thread:
         if e is None:
             e = self._expr = plug(self._frames, self._hole)
         return e
+
+    @property
+    def made_from(self):
+        """(frames, x): the context the thread was made from and what fills
+        its hole (`plugged`); (None, expression) when made from that."""
+        return self._frames, self._hole
 
     @property
     def focus(self):

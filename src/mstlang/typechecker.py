@@ -244,13 +244,15 @@ class RuntimeEnv:
     def key(self) -> int:
         """What a judgement can read of this environment, interned in the
         memo's table: the value types and, per pending call, its field,
-        class and continuation. Computed once per environment."""
+        class and continuation. Computed once per environment and table, so
+        an environment kept past the table's restart is keyed again."""
+        keys = self.memo.keys
         k = self.__dict__.get("_key")
-        if k is None:
-            frames = tuple((fr.field, fr.cls, fr.cont) for fr in self.frames)
-            k = self.memo.keys.intern((frozenset(self.values.items()), frames))
+        if k is None or k[0] != keys.serial:
+            frames = tuple([(fr.field, fr.cls, fr.cont) for fr in self.frames])
+            k = (keys.serial, keys.intern((frozenset(self.values.items()), frames)))
             object.__setattr__(self, "_key", k)
-        return k
+        return k[1]
 
 
 class Judgements:
@@ -259,19 +261,21 @@ class Judgements:
     triple or the CheckError, is kept under (expression key, class name,
     field typing, environment key); a type is its own key. `infer_expr`
     reads it at every compound expression and at every suffix of a
-    statement sequence.
+    statement sequence, and `leave_frame` at every context frame it leaves
+    but a sequence's (`frame_key`).
 
     The key table also gives the monitor the endpoint sets of the threads'
-    expressions, with or without state checks. `CAP` bounds both the
-    answers and the table's keys. Past it, new answers are dropped, and
-    between two steps, when no key is held (`begin`), the memo starts over
-    with a fresh key table and no answers: never the old table's ints under
-    a new table, nor the reverse. A run that makes fresh objects forever
+    redexes and context frames, with or without state checks. `CAP` bounds
+    both the answers and the table's keys. Past it, new answers are
+    dropped, and between two steps (`begin`) the memo starts over with a
+    fresh key table and no answers: never the old table's ints under a new
+    table, nor the reverse (an environment keyed under the old table is
+    keyed again, `RuntimeEnv.key`). A run that makes fresh objects forever
     would otherwise grow the memo on every iteration. The cap is above what
     one check of a 10,000-statement body keeps (an answer per suffix), and
-    no run of the benchmark's workloads reaches it: the largest keep 398
-    keys and 426 answers on `monitor` (remote2) and 1,488 keys and 1,117
-    answers on `scale` (the 2,000-step heap run)."""
+    no run of the benchmark's workloads reaches it: the largest keep 191
+    keys and 221 answers on `monitor` and 753 keys and 513 answers on
+    `scale`."""
 
     CAP = 16384
 
@@ -289,6 +293,16 @@ class Judgements:
 
     def key(self, cls, e, F, V) -> tuple:
         return (self.keys.key(e), cls.name, F, V.key())
+
+    def frame_key(self, cls, e, hole, F, V) -> tuple:
+        """The key of a context frame's judgement given its hole's
+        (`leave_frame`): the frame's expression key and class and the
+        hole's judgement, a resolved tag's label and variant included; for
+        a return also the caller's field typing and environment."""
+        t, f1, v1 = hole
+        tag = (t.label, t.variant) if type(t) is _ResolvedLink else None
+        key = (self.keys.key(e), cls.name, t, tag, f1, v1.key())
+        return key + (F, V.key()) if type(e) is sx.ReturnE else key
 
     def recall(self, key):
         """The answer kept under `key`, raised when it is an error; None when
@@ -349,19 +363,13 @@ def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):
                 passed.append(key)
             if form is sx.SeqE:
                 t, F, V = infer_expr(ctx, cls, e.first, F, V)
-                if isinstance(t, LinkField):
-                    raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
-                if isinstance(t, LinkThis):
-                    F = _collapse(F)
+                F = _discarded(t, F)
                 e = e.second
             elif form in _RUNTIME_FORMS and not isinstance(V, RuntimeEnv):
                 raise CheckError(INTERNAL_FORM, f"internal form {form.__name__} in a source program")
             elif form in _OPERAND_RULES:
                 operand = e.expr if form is sx.SwapE else e.arg
-                t, f1, v1 = infer_expr(ctx, cls, operand, F, V)
-                if isinstance(t, LinkThis):
-                    f1, t = _collapse(f1), EnumType(f1.labels)
-                answer = _OPERAND_RULES[form](ctx, cls, e, t, f1, v1)
+                answer = _operand_rule(ctx, cls, e, *infer_expr(ctx, cls, operand, F, V))
             elif form in _COMPOUND_RULES:
                 answer = _COMPOUND_RULES[form](ctx, cls, e, F, V)
             else:
@@ -423,6 +431,21 @@ def _endpoint_rule(ctx, e, F, V):
 # -- forms with one operand, given the operand's judgement ---------------------
 
 
+def _discarded(t, F):
+    """The field typing after a statement of type t is discarded."""
+    if isinstance(t, LinkField):
+        raise CheckError(DISCARDED_LINK, "discarding a tag bound to a field")
+    return _collapse(F) if isinstance(t, LinkThis) else F
+
+
+def _operand_rule(ctx, cls, e, t, f1, v1):
+    """The rule of a form with one operand, given the operand's judgement; a
+    tag operand is first collapsed to the enumeration of its labels."""
+    if isinstance(t, LinkThis):
+        f1, t = _collapse(f1), EnumType(f1.labels)
+    return _OPERAND_RULES[type(e)](ctx, cls, e, t, f1, v1)
+
+
 def _swap_rule(ctx, cls, e, t, f1, v1):
     old = _field_type(f1, e.field)
     if _is_variant_session(old):
@@ -481,7 +504,11 @@ def _spawn_rule(ctx, cls, e, t, f1, v1):
 
 
 def _infer_switch(ctx, cls, e, F, V):
-    u, f1, v1 = infer_expr(ctx, cls, e.subject, F, V)
+    return _switch_rule(ctx, cls, e, *infer_expr(ctx, cls, e.subject, F, V))
+
+
+def _switch_rule(ctx, cls, e, u, f1, v1):
+    """The switch rule, given the subject's judgement."""
     case_labels = e.labels
 
     if isinstance(u, EnumType):
@@ -598,15 +625,25 @@ def _infer_return(ctx, cls, e, F, V):
     opened, a field of the current object. Its fields must support the
     call's continuation, which the field holds afterwards; a returned tag
     selects within a variant continuation."""
+    callee_cls, fc, vc = enter_frame(ctx, cls, e, F, V)
+    return _return_rule(ctx, infer_expr(ctx, callee_cls, e.expr, fc, vc), F, V)
+
+
+def _opened(F, V):
+    """The pending call a `return` consumes, and the open object it runs in."""
     if not V.frames:
         raise CheckError(INTERNAL_FORM, "return without a pending call")
     frame = V.frames[0]
     callee = _field_type(F, frame.field)
     if not isinstance(callee, ObjectInternal):
         raise CheckError(INTERNAL_FORM, f"field {frame.field!r} holds no open object")
-    t, fc, V = infer_expr(
-        ctx, ctx.program.cls(callee.cls), e.expr, callee.typing, replace(V, frames=V.frames[1:])
-    )
+    return frame, callee
+
+
+def _return_rule(ctx, body, F, V):
+    """The return rule, given the judgement of the returning body."""
+    frame, callee = _opened(F, V)
+    t, fc, V = body
     cont_u = unfold(frame.cont)
     if isinstance(t, LinkThis):
         if not isinstance(fc, VariantF):
@@ -642,6 +679,65 @@ def _infer_return(ctx, cls, e, F, V):
         return LinkField(frame.field), F.set(frame.field, frame.cont), V
     V.consistent(callee.cls, frame.cont, fc)
     return t, F.set(frame.field, frame.cont), V
+
+
+# -- context frames, as the monitor re-checks them ---------------------------------
+
+
+def enter_frame(ctx, cls, e, F, V):
+    """The class, field typing and environment under which the hole of the
+    context frame `e` (`syntax.focus`) is typed, given those of `e`: the
+    same, except under `return`, whose hole runs in the object its pending
+    call opened. The return rule's checks of that call come first here, as
+    they do in the whole rule."""
+    if type(e) is not sx.ReturnE:
+        return cls, F, V
+    frame, callee = _opened(F, V)
+    opened = RuntimeEnv(V.values, V.frames[1:], V.consistent, V.memo)
+    return ctx.program.cls(callee.cls), callee.typing, opened
+
+
+def leave_frame(ctx, cls, e, hole, F, V):
+    """The judgement of the context frame `e` under (cls, F, V), given the
+    judgement `hole` of its hole: the part of e's rule after its hole.
+    `infer_expr` applies the same rules, so typing the hole and then
+    leaving each frame outward answers as typing the whole expression. The
+    answer is kept in V's memo (`Judgements.frame_key`); a sequence's is
+    its continuation's, which `infer_expr` keeps."""
+    form = type(e)
+    if form is sx.SeqE:
+        t, f1, v1 = hole
+        return infer_expr(ctx, cls, e.second, _discarded(t, f1), v1)
+    memo = V.memo
+    key = memo.frame_key(cls, e, hole, F, V)
+    answer = memo.recall(key)
+    if answer is None:
+        try:
+            if form is sx.SwitchE:
+                answer = _switch_rule(ctx, cls, e, *hole)
+            elif form is sx.ReturnE:
+                answer = _return_rule(ctx, hole, F, V)
+            else:
+                answer = _operand_rule(ctx, cls, e, *hole)
+        except CheckError as err:
+            memo.keep((key,), err)
+            raise
+        memo.keep((key,), answer)
+    return answer
+
+
+def same_judgement(a, b) -> bool:
+    """Does judgement `a` answer as `b` for every rule that reads it? Types,
+    field typings and environments compare by ==, and a tag the run has
+    resolved also by its label and variant, which the rules read too."""
+    if a is b:
+        return True
+    (t, f, v), (t0, f0, v0) = a, b
+    if t is not t0 and (type(t) is not type(t0) or t != t0):
+        return False
+    if (f is not f0 and f != f0) or (v is not v0 and v != v0):
+        return False
+    return type(t) is not _ResolvedLink or (t.label, t.variant) == (t0.label, t0.variant)
 
 
 _LEAF_RULES = {

@@ -213,3 +213,18 @@ def rejoining_class(n):
     rows = [f"S{i} = {{Null a(Null): S{i + 1}, Null b(Null): S{i + 1}}}" for i in range(n)]
     where = ",\n        ".join(rows + [f"S{n} = {{}}"])
     return f"class D {{\n  session S0\n  where {where}\n  a(x) {{ null }}\n  b(x) {{ null }}\n}}\n"
+
+
+def self_recursion(n=1):
+    """Class R, whose method `step` sets field k n times, the last time to A,
+    then calls itself and returns null: each call leaves one more frame
+    `_; null` around the next, so a run deepens its context by one frame
+    per call. n = 1 is ROADMAP item 2's program."""
+    body = " ".join([f"k = {'A' if (n - i) % 2 else 'B'};" for i in range(n)] + ["step(null); null"])
+    return (
+        "class R { session {Null go(Null): {}}  k;\n"
+        "  go(x) { k = A; step(null) }\n"
+        "  req {A} k ens Null k\n"
+        f"  Null step(Null y) {{ {body} }} }}\n"
+        "main R.go;\n"
+    )

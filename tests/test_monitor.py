@@ -21,17 +21,22 @@ from mstlang.parser import parse_channel_type, parse_program
 from mstlang.parser import parse_session_type as pt
 from mstlang.subtyping import equivalent
 from mstlang.syntax import (
+    EMPTY_BRANCH,
+    Branch,
     ChanEnd,
     EndpointE,
+    EnumType,
     LabelE,
     ObjIdE,
     ObjectInternal,
+    SessionType,
     Thread,
     VariantS,
     unfold,
 )
 from mstlang import monitor, syntax, typechecker
 from mstlang.typechecker import Judgements, check_program
+from gen import rejoining_class, self_recursion
 from progen import generate
 
 
@@ -576,6 +581,15 @@ def test_monitored_runs_on_one_context_agree():
     assert outcomes[0] == outcomes[1]
 
 
+def rejoining_program(n):
+    """`gen.rejoining_class(n)` with a main that walks D's protocol to its end."""
+    calls = " ".join("d.a(null);" if i % 2 == 0 else "d.b(null);" for i in range(n))
+    return rejoining_class(n) + (
+        f"class M {{ session {{Null go(Null): {{}}}} d; go(x) {{ d = new D(); {calls} null }} }}"
+        " main M.go;"
+    )
+
+
 def test_delta_recheck_matches_full_recheck_on_generated_programs():
     verdicts = set()
     violations = 0
@@ -586,6 +600,13 @@ def test_delta_recheck_matches_full_recheck_on_generated_programs():
         outcomes = assert_same_outcomes(prog, ctx, 60)
         violations += sum(o[0] == "violation" for o in outcomes)
     assert verdicts == {True, False} and violations > 0
+    # protocols that branch and re-join, and a context that deepens by a
+    # frame per self-call
+    for text in [rejoining_program(n) for n in (2, 5)] + [self_recursion(n) for n in range(3)]:
+        prog = parse_program(text)
+        report, ctx = check_program(prog)
+        assert report.ok, report.lines()
+        assert all(o[0] in ("terminated", "limit") for o in assert_same_outcomes(prog, ctx, 60))
 
 
 def test_linearity_checked_through_the_delta():
@@ -782,6 +803,88 @@ def test_memo_matches_fresh_memo_on_generated_programs():
     assert verdicts == {True, False} and violations > 0
 
 
+def test_outward_walk_passes_kept_frames_on_the_corpus():
+    # a step whose replacement is typed unlike the hole it replaced walks out
+    # past kept frames: a loop's finer typing widened, a returned label that
+    # resolves a variant
+    walks = {}
+    for name in RUNNABLE:
+        walks[name] = monitored_run(name, limit=300)[3].outward_walks
+    assert walks["progs/p13_while_enum.mst"] > 0 and walks["remote1.mst"] > 0, walks
+
+
+def planted_outcome(monitor_cls, prog, ctx, at, plant, limit=400):
+    """The violation, as (kind, step, thread, detail), of a monitored run
+    whose tracked environment `plant(monitor, conf, event)` changes after
+    step `at`; None when the run ends without one."""
+    ctx = replace(ctx, witnesses={k: list(v) for k, v in ctx.witnesses.items()})
+    interp = Interpreter(prog)
+    mon = monitor_cls(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    try:
+        for step_no in range(1, limit + 1):
+            before = conf
+            conf, ev = interp.step(conf)
+            mon.on_step(step_no, before, ev, conf)
+            if step_no == at:
+                plant(mon, conf, ev)
+    except MonitorViolation as v:
+        return (v.kind, v.step, v.thread, v.detail)
+    return None
+
+
+@pytest.mark.parametrize("labels", [{"A", "B"}, {"B"}])
+def test_wrong_field_typing_in_a_deep_body_found_as_by_a_full_recheck(labels):
+    # after the 50th self-call's assignment the field is typed wrong: the
+    # step that reads it next, 50 frames deep, fails as a full re-check does
+    prog = parse_program(self_recursion(1))
+    _, ctx = check_program(prog)
+
+    def plant(mon, conf, ev):
+        root = mon.envs[0].gamma[("obj", "top")]
+        wrong = root.typing.set("k", EnumType(frozenset(labels)))
+        mon.envs[0].gamma[("obj", "top")] = ObjectInternal(root.cls, wrong)
+
+    interp = Interpreter(prog)
+    _, events, _ = interp.run(400)
+    swaps = [n for n, ev in enumerate(events, 1) if ev.rule == "Swap"]
+    found = [planted_outcome(m, prog, ctx, swaps[50], plant) for m in (Monitor, FullRecheckMonitor)]
+    assert found[0] == found[1] and found[0] is not None, found
+    assert found[0][:3] == ("StateIllTyped", swaps[50] + 1, 0)
+
+
+def test_wrong_caller_typing_found_as_by_a_full_recheck():
+    # while a call is pending, a field of the caller that the call did not
+    # open is typed {}, and the same thread steps next: the kept frames'
+    # judgements are not reused past that caller
+    prog, report, ctx = load_checked("remote1.mst")
+    interp = Interpreter(prog)
+    conf, plants = interp.initial_config(), []
+    for at in range(1, 120):
+        conf, ev = interp.step(conf)
+        i = ev.threads[0]
+        if conf.threads[i].path.fields and interp.step(conf)[1].threads[0] == i:
+            plants.append(at)
+
+    def plant(mon, conf, ev):
+        path, env = conf.threads[ev.threads[0]].path, mon.envs[ev.threads[0]]
+        root = env.gamma[("obj", path.root)]
+        for name, t in root.typing.items:
+            if name != path.fields[0] and isinstance(t, SessionType) and t != EMPTY_BRANCH:
+                if isinstance(unfold(t), Branch):
+                    wrong = root.typing.set(name, EMPTY_BRANCH)
+                    env.gamma[("obj", path.root)] = ObjectInternal(root.cls, wrong)
+                    return
+
+    found = [
+        [planted_outcome(m, prog, ctx, at, plant) for m in (Monitor, FullRecheckMonitor)]
+        for at in plants
+    ]
+    assert all(delta == full for delta, full in found), found
+    assert sum(delta is not None for delta, _ in found) >= 10
+
+
 # `while (c.more(null)) { t = new Junk(); t <-> null; null }` forever: every
 # iteration drops a fresh object, so judgements under new ids never stop coming
 HEAP_GROWTH = """
@@ -831,9 +934,9 @@ def test_memo_starts_over_at_its_cap(monkeypatch):
 def test_key_table_starts_over_at_its_cap_without_state_checks(monkeypatch):
     # with only traces verified, the table is read for the threads' endpoint
     # sets alone, and is bounded by the same cap, on its keys
-    run = growth_run(2000, states=False)[0]
+    run = growth_run(4000, states=False)[0]
     monkeypatch.setattr(Judgements, "CAP", 300)
-    capped, most, tables = growth_run(2000, states=False, size=lambda memo: len(memo.keys))
+    capped, most, tables = growth_run(4000, states=False, size=lambda memo: len(memo.keys))
     assert most <= 300 and tables > 2
     assert capped == run
 
@@ -878,9 +981,9 @@ def test_heap_reads_per_step_independent_of_heap_size(monkeypatch):
 def test_memo_stays_under_its_cap(monkeypatch):
     run, most, tables = growth_run(20_000)
     assert most <= Judgements.CAP and tables == 1
-    monkeypatch.setattr(Judgements, "CAP", 4096)
+    monkeypatch.setattr(Judgements, "CAP", 2048)
     restarted, most, tables = growth_run(20_000)
-    assert most <= 4096 and tables > 2 and restarted == run
+    assert most <= 2048 and tables > 2 and restarted == run
 
 
 def straight_line(n):
@@ -931,29 +1034,89 @@ def test_step_cost_independent_of_body_length(monkeypatch):
     assert busiest_step(monkeypatch, 10_000) == small
 
 
+def deepest_busiest_step(monkeypatch, depth, skip=20):
+    """The most infer_expr calls, and expression nodes read to key them, in
+    any monitored step of `gen.self_recursion(1)` after its first `skip`
+    self-calls, until `depth` self-calls have deepened its context."""
+    prog = parse_program(self_recursion(1))
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    counts = [0, 0]
+    infer, parts = typechecker.infer_expr, syntax._parts
+
+    def counted_infer(*args):
+        counts[0] += 1
+        return infer(*args)
+
+    def counted_parts(x):
+        counts[1] += 1
+        return parts(x)
+
+    for module in (typechecker, monitor):
+        monkeypatch.setattr(module, "infer_expr", counted_infer)
+    monkeypatch.setattr(syntax, "_parts", counted_parts)
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    calls, step_no, most = 0, 0, [0, 0]
+    while calls < depth:
+        step_no += 1
+        before, seen = conf, list(counts)
+        conf, ev = interp.step(conf)
+        mon.on_step(step_no, before, ev, conf)
+        calls += ev.rule == "SelfCall"
+        if calls > skip:
+            most = [max(m, c - s) for m, c, s in zip(most, counts, seen)]
+    assert len(mon._contexts[0][0]) >= depth  # a frame kept per pending self-call
+    return most
+
+
+def test_monitored_step_cost_independent_of_context_depth(monkeypatch):
+    # a step types what replaced its redex and stops at the first frame
+    # whose hole keeps its judgement: a self-call whose body meets its
+    # annotation stops at once, however deep the context
+    shallow = deepest_busiest_step(monkeypatch, 100)
+    monkeypatch.undo()
+    assert deepest_busiest_step(monkeypatch, 5000) == shallow
+
+
 def test_rebuilt_nodes_read_once_per_step(monkeypatch):
-    # a step keys each node the interpreter rebuilt, and the same walk gives
-    # its endpoint set: no node is read twice within one step
+    # a step keys the nodes that replaced its redex, and the same walk gives
+    # their endpoint sets: every node of a replacement that the key table
+    # had not keyed is read in the step, and no node is read twice
     prog, report, ctx = load_checked("remote1.mst")
     interp = Interpreter(prog)
     mon = Monitor(prog, ctx)
-    parts, read, total = syntax._parts, [], 0
+    parts, read, built = syntax._parts, [], 0
+
+    def unkeyed(x, serial):
+        out, todo = [], [x]
+        while todo:
+            y = todo.pop()
+            if getattr(y, "_keyed_by", None) != serial:
+                out.append(id(y))
+                todo.extend(parts(y)[1])
+        return out
 
     def counted_parts(x):
         read.append(x)
         return parts(x)
 
-    def observer(*step):
-        nonlocal total
+    def observer(step_no, before, ev, after):
+        nonlocal built
+        serial = mon._judgements.keys.serial
+        fresh = {y for i in ev.threads for y in unkeyed(after.threads[i].made_from[1], serial)}
         read.clear()
-        mon.on_step(*step)
-        assert len({id(x) for x in read}) == len(read), step[0]
-        total += len(read)
+        mon.on_step(step_no, before, ev, after)
+        ids = {id(x) for x in read}
+        assert len(ids) == len(read) and fresh <= ids, step_no
+        built += len(fresh)
 
     monkeypatch.setattr(syntax, "_parts", counted_parts)
     mon.start(interp.initial_config())
     outcome, events, _ = interp.run(300, observer=observer)
-    assert len(events) == 300 and total > 300
+    assert len(events) == 300 and built > 100
 
 
 def test_long_body_monitored_in_bounded_stack():
