@@ -1,5 +1,11 @@
 """Parser for the surface language (.mst files).
 
+Tokens are plain strings, from one `re.findall` pass over the text, and ""
+is end of input. A token's kind is read from its text: a word is an
+identifier unless it is a keyword, and every other token is an operator.
+A token's line and column are computed only when a ParseError needs them,
+from its index, by reading the text again.
+
 One file holds class declarations, access point declarations, standalone
 type aliases and an optional main designation. Session types are written in
 the signature-carrying style; ``where`` clauses introduce named states that
@@ -25,6 +31,7 @@ import errno
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 
 from . import channels
@@ -64,55 +71,49 @@ KEYWORDS = {
     "access", "type", "chantype",
 }
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<op><->|[{}<>(),;:.=?!&+])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'op', 'ident', 'kw', 'eof'
-    text: str
-    line: int
-    col: int
+_OPS = {"<->", *"{}<>(),;:.=?!&+"}
+_NOT_IDENT = KEYWORDS | _OPS | {""}  # "" is end of input
+_SPACE = r"(?:\s+|//[^\n]*)*"  # whitespace and comments
+# One match per token, with the space after it; `.` is a character that no
+# token starts with.
+_TOKEN_RE = re.compile(r"(<->|[{}<>(),;:.=?!&+]|[A-Za-z_][A-Za-z0-9_]*|.)" + _SPACE, re.S)
+_LEADING_SPACE = re.compile(_SPACE)
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_STARTS = {t[0] for t in _OPS} | set(_LETTERS) | {""}  # what a token starts with
 
 
 def tokenize(text: str):
-    toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        value = m.group(0)
-        if m.lastgroup == "op":
-            toks.append(Token("op", value, line, col))
-        elif m.lastgroup == "ident":
-            kind = "kw" if value in KEYWORDS else "ident"
-            toks.append(Token(kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    """The tokens of `text` as strings, then "" for end of input."""
+    toks = _TOKEN_RE.findall(text, _LEADING_SPACE.match(text).end())
+    toks.append("")
+    bad = {t for t in set(toks) if t[:1] not in _STARTS}
+    if bad:
+        first = next(i for i, t in enumerate(toks) if t in bad)
+        raise ParseError(f"unexpected character {toks[first]!r}", *_line_col(text, first))
     return toks
 
 
-def _is_upper(name):
-    return name[0].isupper()
+def _line_col(text, index):
+    """The line and column in `text` of its token `index`, end of input
+    included, found by reading `text` again up to that token."""
+    start = _LEADING_SPACE.match(text).end()
+    m = next(islice(_TOKEN_RE.finditer(text, start), index, None), None)
+    at = m.start() if m else len(text)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _is_type_name(name):
+def _is_upper(t):
+    """Whether the token `t` is an identifier that starts uppercase."""
+    return t not in _NOT_IDENT and t[0].isupper()
+
+
+def _is_lower(t):
+    return t not in _NOT_IDENT and not t[0].isupper()
+
+
+def _is_type_name(t):
     # `_` and an uppercase letter: the names access-point types and joins bind
-    return _is_upper(name) or (name[0] == "_" and name[1:2].isupper())
+    return _is_upper(t) or (t[:1] == "_" and t[1:2].isupper())
 
 
 # Raw (unresolved) type trees: plain tuples, resolved in a second pass once
@@ -120,63 +121,72 @@ def _is_type_name(name):
 
 
 class _P:
-    def __init__(self, tokens):
-        self.toks = tokens
+    """The parser's place in the tokens of `text`, read from `file`. Two
+    more "" pad the end of input, so looking two tokens ahead needs no
+    bound."""
+
+    def __init__(self, text, file=None):
+        self.text, self.file = text, file
+        self.toks = tokenize(text)
+        self.toks += ("", "")
         self.i = 0
 
     def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def at(self, text, ahead=0):
-        t = self.peek(ahead)
-        return t.text == text and t.kind in ("op", "kw")
+        return self.toks[self.i + ahead] == text
+
+    def where(self):
+        """The place of the next token: its file, text and index."""
+        return self.file, self.text, self.i
+
+    def error(self, msg, at=None):
+        """A ParseError at token `at`, by default the next one."""
+        return ParseError(msg, *_line_col(self.text, self.i if at is None else at))
 
     def expect(self, text):
-        t = self.next()
-        if t.text != text or t.kind not in ("op", "kw"):
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
+        if self.toks[self.i] != text:
+            raise self.error(f"expected {text!r}, found {self.toks[self.i]!r}")
+        self.i += 1
 
     def ident(self, what="identifier"):
-        t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
-        return t.text
+        t = self.toks[self.i]
+        if t in _NOT_IDENT:
+            raise self.error(f"expected {what}, found {t!r}")
+        self.i += 1
+        return t
 
     def uident(self, what="name", ok=_is_upper):
-        t = self.peek()
         name = self.ident(what)
         if not ok(name):
-            raise ParseError(f"{what} must start uppercase, found {name!r}", t.line, t.col)
+            raise self.error(f"{what} must start uppercase, found {name!r}", self.i - 1)
         return name
 
     def lident(self, what="name"):
-        t = self.peek()
         name = self.ident(what)
         if _is_upper(name):
-            raise ParseError(f"{what} must start lowercase, found {name!r}", t.line, t.col)
+            raise self.error(f"{what} must start lowercase, found {name!r}", self.i - 1)
         return name
 
     # -- types (raw) ---------------------------------------------------------
 
     def raw_session(self, what="a session type"):
         t = self.peek()
-        if self.at("{"):
+        if t == "{":
             return self.raw_braced(session_only=True)
-        if self.at("<"):
+        if t == "<":
             return self.raw_variant_or_access()
-        if self.at("rec"):
+        if t == "rec":
             return self.raw_rec("rec", self.raw_session)
-        if t.kind == "ident" and _is_type_name(t.text):
+        if _is_type_name(t):
             self.next()
-            return ("name", t.text)
-        raise ParseError(f"expected {what}, found {t.text!r}", t.line, t.col)
+            return ("name", t)
+        raise self.error(f"expected {what}, found {t!r}")
 
     def raw_rec(self, tag, body):
         self.expect("rec")
@@ -192,12 +202,7 @@ class _P:
             return ("branch", ())
         # enum: uppercase idents separated by commas, then '}'
         t = self.peek()
-        if (
-            not session_only
-            and t.kind == "ident"
-            and _is_upper(t.text)
-            and self.peek(1).text in (",", "}")
-        ):
+        if not session_only and _is_upper(t) and self.peek(1) in (",", "}"):
             labels = [self.uident("label")]
             while self.at(","):
                 self.next()
@@ -220,7 +225,7 @@ class _P:
         else:
             param = self.raw_vtype()
             # the parameter may carry a name in annotated headers; ignore it
-            if self.peek().kind == "ident" and not _is_upper(self.peek().text):
+            if _is_lower(self.peek()):
                 self.next()
         self.expect(")")
         self.expect(":")
@@ -241,7 +246,7 @@ class _P:
     def raw_variant_or_access(self):
         self.expect("<")
         t = self.peek()
-        if t.kind == "ident" and _is_upper(t.text) and self.at(":", 1):
+        if _is_upper(t) and self.at(":", 1):
             cases = self.raw_cases("variant label", self.raw_session)
             self.expect(">")
             return ("variant", cases)
@@ -252,8 +257,7 @@ class _P:
     def fresh(self, name, taken, noun):
         """`name`, the token just read, unless it is one of `taken`."""
         if name in taken:
-            t = self.toks[self.i - 1]
-            raise ParseError(f"repeated {noun} {name!r}", t.line, t.col)
+            raise self.error(f"repeated {noun} {name!r}", self.i - 1)
         return name
 
     def raw_cases(self, what, item):
@@ -269,40 +273,40 @@ class _P:
 
     def raw_channel(self):
         t = self.peek()
-        if self.at("End"):
+        if t == "End":
             self.next()
             return ("end",)
-        if self.at("?") or self.at("!"):
-            op = self.next().text
+        if t == "?" or t == "!":
+            op = self.next()
             payload = self.raw_payload()
             self.expect(".")
             cont = self.raw_channel()
             return ("recv" if op == "?" else "send", payload, cont)
-        if self.at("&") or self.at("+"):
-            op = self.next().text
+        if t == "&" or t == "+":
+            op = self.next()
             self.expect("{")
             cases = self.raw_cases("label", self.raw_channel)
             self.expect("}")
             return ("offer" if op == "&" else "select", cases)
-        if self.at("rec"):
+        if t == "rec":
             return self.raw_rec("recc", self.raw_channel)
-        if self.at("("):
+        if t == "(":
             self.next()
             inner = self.raw_channel()
             self.expect(")")
             return inner
-        if t.kind == "ident" and _is_type_name(t.text):
+        if _is_type_name(t):
             self.next()
-            return ("cname", t.text)
-        raise ParseError(f"expected a channel type, found {t.text!r}", t.line, t.col)
+            return ("cname", t)
+        raise self.error(f"expected a channel type, found {t!r}")
 
     def raw_payload(self):
         t = self.peek()
-        if t.text in ("?", "!", "&", "+", "End", "("):
+        if t in ("?", "!", "&", "+", "End", "("):
             return self.raw_channel()
-        if t.kind == "ident" and _is_type_name(t.text):
+        if _is_type_name(t):
             self.next()
-            return ("pname", t.text)  # channel alias or session name, decided later
+            return ("pname", t)  # channel alias or session name, decided later
         return self.raw_vtype()
 
     # -- expressions ---------------------------------------------------------
@@ -315,12 +319,10 @@ class _P:
             elif not isinstance(parts[-1], (sx.SwitchE, sx.WhileE)):
                 break
             t = self.peek()
-            if t.kind == "eof" or t.text in stop:
+            if not t or t in stop or t == "case":
                 break
-            if t.kind == "ident" and _is_upper(t.text) and self.at(":", 1):
+            if _is_upper(t) and self.at(":", 1):
                 break  # next switch case
-            if self.at("case"):
-                break
             parts.append(self.stmt())
         return sx.seq(parts)
 
@@ -338,15 +340,15 @@ class _P:
                 body = self.stmt()
             return sx.WhileE(cond, body)
         t = self.peek()
-        if t.kind == "ident" and not _is_upper(t.text) and self.at("=", 1):
+        if _is_lower(t) and self.at("=", 1):
             f = self.lident("field name")
             self.next()  # '='
             return sx.SeqE(sx.SwapE(f, self.expr()), sx.NULL_E)
         return self.expr()
 
     def expr(self):
-        t = self.peek()
-        if self.at("null"):
+        start, t = self.i, self.peek()
+        if t == "null":
             self.next()
             return sx.NULL_E
         if self.at("new"):
@@ -379,12 +381,12 @@ class _P:
                 cases.append((label, self.stmts()))
             self.expect("}")
             if not cases:
-                raise ParseError("switch needs at least one case", t.line, t.col)
+                raise self.error("switch needs at least one case", start)
             return sx.SwitchE(subject, tuple(cases))
-        if t.kind == "ident" and _is_upper(t.text):
+        if _is_upper(t):
             self.next()
-            return sx.LabelE(t.text)
-        if t.kind == "ident":
+            return sx.LabelE(t)
+        if _is_lower(t):
             name = self.lident()
             if self.at("<->"):
                 self.next()
@@ -402,7 +404,7 @@ class _P:
                 self.expect(")")
                 return sx.SelfCallE(name, arg)
             return sx.VarE(name)  # param, bare field read, or access name
-        raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
+        raise self.error(f"expected an expression, found {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -626,20 +628,21 @@ class _RawClass:
     session: tuple
     states: dict
     fields: list
-    methods: list  # (annot raw or None, name, param name, body, token)
-    where: tuple = (None, None)  # (file, first token) of the declaration
+    methods: list  # (annot raw or None, name, param name, body, where)
+    where: tuple  # (file, text, index) of the declaration's first token
 
 
 @contextmanager
 def _located(where):
     """Fill in what a ParseError raised while resolving a declaration lacks:
-    the position of the declaration's first token, and its file."""
+    the position of the declaration's first token, computed from its `where`,
+    `(file, text, index)`, only then; and its file."""
     try:
         yield
     except ParseError as err:
-        filename, tok = where
+        filename, text, index = where
         if err.line is None:
-            err.line, err.col = tok.line, tok.col
+            err.line, err.col = _line_col(text, index)
         if err.file is None:
             err.file = filename
         raise
@@ -664,15 +667,12 @@ def _parse_sources(sources) -> sx.Program:
 
     for text, filename in sources:
         try:
-            p = _P(tokenize(text))
-            while p.peek().kind != "eof":
-                t = p.peek()
-                where = (filename, t)
-                if p.at("class"):
-                    rc = _parse_class(p)
-                    rc.where = where
-                    raw_classes.append(rc)
-                elif p.at("access"):
+            p = _P(text, filename)
+            while p.peek():
+                t, where = p.peek(), p.where()
+                if t == "class":
+                    raw_classes.append(_parse_class(p))
+                elif t == "access":
                     p.next()
                     p.expect("<")
                     proto = p.raw_channel()
@@ -680,29 +680,29 @@ def _parse_sources(sources) -> sx.Program:
                     name = p.lident("access point name")
                     p.expect(";")
                     raw_accesses.append((name, proto, where))
-                elif p.at("type") or p.at("chantype"):
-                    kw = p.next().text
+                elif t == "type" or t == "chantype":
+                    kw = p.next()
                     noun = "type alias" if kw == "type" else "channel type alias"
                     raws = raw_type_aliases if kw == "type" else raw_chan_aliases
                     name = p.uident(f"{noun} name")
                     p.expect("=")
                     if name in raws:
-                        raise ParseError(f"duplicate {noun} {name!r}", t.line, t.col)
+                        raise p.error(f"duplicate {noun} {name!r}", where[2])
                     raws[name] = p.raw_session() if kw == "type" else p.raw_channel()
                     alias_where[(kw, name)] = where
                     if p.at(";"):
                         p.next()
-                elif t.kind == "ident" and t.text == "main":
+                elif t == "main":
                     p.next()
                     if main is not None:
-                        raise ParseError("repeated main designation", t.line, t.col)
+                        raise p.error("repeated main designation", where[2])
                     cls = p.uident("class name")
                     p.expect(".")
                     m = p.lident("method name")
                     p.expect(";")
                     main = (cls, m)
                 else:
-                    raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
+                    raise p.error(f"expected a declaration, found {t!r}")
         except ParseError as err:
             err.file = filename
             raise
@@ -751,14 +751,14 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
     for sname in rc.states:
         states[sname] = _read(resolver, ("name", sname), f"{rc.name}.{sname}")
     methods = {}
-    for annot_raw, mname, pname, body, tok in rc.methods:
-        if mname in methods:
-            raise ParseError(f"duplicate method {mname!r} in class {rc.name}", tok.line, tok.col)
-        annot = None
-        if annot_raw is not None:
-            req_raw, ens_raw, result_raw, ptype_raw = annot_raw
-            what = f"{rc.name}.{mname} annotation"
-            with _located((rc.where[0], tok)):
+    for annot_raw, mname, pname, body, where in rc.methods:
+        with _located(where):
+            if mname in methods:
+                raise ParseError(f"duplicate method {mname!r} in class {rc.name}")
+            annot = None
+            if annot_raw is not None:
+                req_raw, ens_raw, result_raw, ptype_raw = annot_raw
+                what = f"{rc.name}.{mname} annotation"
                 req = _resolve_record(resolver, req_raw, rc.fields, rc.name, what)
                 ens = _resolve_record(resolver, ens_raw, rc.fields, rc.name, what)
                 if isinstance(ens, sx.VariantF):
@@ -780,6 +780,7 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
 
 
 def _parse_class(p: _P) -> _RawClass:
+    where = p.where()
     p.expect("class")
     name = p.uident("class name")
     p.expect("{")
@@ -788,29 +789,29 @@ def _parse_class(p: _P) -> _RawClass:
     states = {}
     if p.at("where"):
         p.next()
-        while p.peek().kind == "ident" and _is_upper(p.peek().text) and p.at("=", 1):
-            t = p.peek()
+        while _is_upper(p.peek()) and p.at("=", 1):
+            at = p.i
             sname = p.uident()
             p.expect("=")
             if sname in states:
-                raise ParseError(f"duplicate state {sname!r}", t.line, t.col)
+                raise p.error(f"duplicate state {sname!r}", at)
             states[sname] = p.raw_session()
             if p.at(","):
                 p.next()
     fields = []
     methods = []
     while not p.at("}"):
-        t = p.peek()
-        if p.at("req"):
+        t, at = p.peek(), p.where()
+        if t == "req":
             methods.append(_parse_annotated_method(p))
-        elif t.kind == "ident" and not _is_upper(t.text) and p.peek(1).text in (";", ","):
+        elif _is_lower(t) and p.peek(1) in (";", ","):
             while True:
                 fields.append(p.fresh(p.lident("field name"), fields, "field"))
                 if not p.at(","):
                     break
                 p.next()
             p.expect(";")
-        elif t.kind == "ident" and not _is_upper(t.text) and p.at("(", 1):
+        elif _is_lower(t) and p.at("(", 1):
             mname = p.lident("method name")
             p.expect("(")
             pname = "_x" if p.at(")") else p.lident("parameter name")
@@ -818,17 +819,15 @@ def _parse_class(p: _P) -> _RawClass:
             p.expect("{")
             body = p.stmts()
             p.expect("}")
-            methods.append((None, mname, pname, body, t))
+            methods.append((None, mname, pname, body, at))
         else:
-            raise ParseError(
-                f"expected a field, method or '}}', found {t.text!r}", t.line, t.col
-            )
+            raise p.error(f"expected a field, method or '}}', found {t!r}")
     p.expect("}")
-    return _RawClass(name, session, states, fields, methods)
+    return _RawClass(name, session, states, fields, methods, where)
 
 
 def _parse_annotated_method(p: _P):
-    tok = p.peek()
+    where = p.where()
     p.expect("req")
     req = _parse_field_binds(p)
     p.expect("ens")
@@ -845,7 +844,7 @@ def _parse_annotated_method(p: _P):
     p.expect("{")
     body = p.stmts()
     p.expect("}")
-    return ((req, ens, result, ptype), mname, pname, body, tok)
+    return ((req, ens, result, ptype), mname, pname, body, where)
 
 
 def _parse_field_binds(p: _P):
@@ -874,9 +873,9 @@ def _resolve_bodies(program: sx.Program, raw_classes):
     """Rewrite bare identifiers to parameter refs, field reads or access names."""
     for rc in raw_classes:
         cls = program.classes[rc.name]
-        for _, mname, _, _, tok in rc.methods:
+        for _, mname, _, _, where in rc.methods:
             m = cls.methods[mname]
-            with _located((rc.where[0], tok)):
+            with _located(where):
                 body = _resolve_expr(m.body, m.param, cls, program)
             cls.methods[mname] = sx.MethodDef(m.name, m.param, body, m.annotation)
 
@@ -906,9 +905,8 @@ def _resolve_expr(e, param, cls, program):
 def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
     """Parse a session type expression; `Class.State` resolves declared states."""
     program = program or sx.Program(classes={})
-    p = _P(tokenize(text))
-    t = p.peek()
-    if t.text in program.classes and p.at(".", 1) and p.peek(2).kind == "ident":
+    p = _P(text)
+    if p.peek() in program.classes and p.at(".", 1) and p.peek(2) not in _NOT_IDENT:
         cls = p.uident()
         p.expect(".")
         state = p.uident("state name")
@@ -927,7 +925,7 @@ def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
 
 def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
     program = program or sx.Program(classes={})
-    p = _P(tokenize(text))
+    p = _P(text)
     resolver = _Resolver(program.session_aliases, program.channel_aliases)
     raw = p.raw_channel()
     c = resolver.resolve(raw)
@@ -937,9 +935,8 @@ def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
 
 
 def _expect_eof(p):
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    if p.peek():
+        raise p.error(f"trailing input {p.peek()!r}")
 
 
 def parse_file(path) -> sx.Program:
