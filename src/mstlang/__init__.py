@@ -24,11 +24,9 @@ from .syntax import (  # noqa: F401
     ObjectInternal,
     Path,
     Program,
-    RecC,
-    RecS,
     RecordF,
-    VarC,
-    VarS,
+    SessionState,
+    ChannelState,
     VariantF,
     VariantS,
     unfold,

@@ -13,49 +13,58 @@ from .syntax import (
     ChanSend,
     ChannelType,
     EnumType,
-    RecC,
-    RecS,
     SessionType,
-    VarC,
-    VarS,
 )
 from .subtyping import coinductive, subtype_value
 
 
+def _map_graph(root, key, build, state):
+    """The image of a channel type graph, from one worklist, children first:
+    `build(t, image)` makes a constructor's from its channel children's, and
+    a state's is `state(name)`, made before its body's so a cycle closes on
+    it. Each node keeps its image in its memo under `key`."""
+    todo = [root]
+    while todo:
+        t = todo[-1]
+        memo = t.memo()
+        out = memo.get(key)
+        if isinstance(t, sx.State):
+            if out is None:
+                memo[key] = state(t.name)
+                todo.append(t.body)
+                continue
+            body = t.body.memo().get(key)
+            if out.body is None and body is not None:
+                out.define(body)
+            todo.pop()  # else met again inside its own body: defined further down
+            continue
+        if out is None:
+            kids = [c for c in sx.children(t) if isinstance(c, ChannelType)]
+            missing = [c for c in kids if key not in c.memo()]
+            if missing:
+                todo.extend(missing)
+                continue
+            memo[key] = build(t, lambda c: c.memo()[key])
+        todo.pop()
+    return root.memo()[key]
+
+
 def dual(sigma: ChannelType) -> ChannelType:
     """The other endpoint's view: send/receive and offer/select exchanged,
-    payloads unchanged. An involution."""
-    memo = sigma.memo()
-    out = memo.get("dual")
-    if out is None:
-        out = memo["dual"] = _dual(sigma)
-    return out
+    payloads unchanged. An involution. Memoised on sigma's nodes, each
+    state's image keeping its name."""
+    return _map_graph(sigma, "dual", _dual, sx.ChannelState)
 
 
-def _dual(sigma: ChannelType) -> ChannelType:
-    if isinstance(sigma, ChanEnd):
-        return sigma
-    if isinstance(sigma, VarC):
-        return sigma
-    if isinstance(sigma, RecC):
-        return RecC(sigma.var, dual(sigma.body))
-    if isinstance(sigma, ChanSend):
-        return ChanRecv(sigma.payload, dual(sigma.cont))
-    if isinstance(sigma, ChanRecv):
-        return ChanSend(sigma.payload, dual(sigma.cont))
-    if isinstance(sigma, ChanSelect):
-        return ChanOffer(tuple((l, dual(c)) for l, c in sigma.cases))
-    if isinstance(sigma, ChanOffer):
-        return ChanSelect(tuple((l, dual(c)) for l, c in sigma.cases))
-    raise TypeError(f"not a channel type: {sigma!r}")
+_DUAL = {ChanSend: ChanRecv, ChanRecv: ChanSend, ChanSelect: ChanOffer, ChanOffer: ChanSelect}
 
 
-def translate_payload(t):
-    """Payload types of sends/receives, with channel payloads translated so
-    the resulting signature is a pure class type (delegation)."""
-    if isinstance(t, ChannelType):
-        return translate_channel(t)
-    return t
+def _dual(sigma, image):
+    if isinstance(sigma, (ChanRecv, ChanSend)):
+        return _DUAL[type(sigma)](sigma.payload, image(sigma.cont))
+    if isinstance(sigma, (ChanOffer, ChanSelect)):
+        return _DUAL[type(sigma)](tuple((l, image(c)) for l, c in sigma.cases))
+    return sigma  # end
 
 
 def translate_channel(sigma: ChannelType) -> SessionType:
@@ -64,68 +73,48 @@ def translate_channel(sigma: ChannelType) -> SessionType:
     end is the empty branch; ?T.S becomes a receive returning T; !T.S a send
     taking T; an offer is a receive whose result selects a variant; a select
     is a family of send overloads, one singleton parameter type per label.
-    The result is memoised on sigma and keeps sigma's bound variable names
-    and case order.
+    A channel state becomes a session state of the same name and case
+    order is kept; each node, channel payloads too, keeps its translation.
     """
-    memo = sigma.memo()
-    out = memo.get("translate")
-    if out is None:
-        out = memo["translate"] = _translate_channel(sigma)
-    return out
+    return _map_graph(sigma, "translate", _translate, sx.SessionState)
 
 
-def _translate_channel(sigma: ChannelType) -> SessionType:
+def _translate(sigma, image):
     if isinstance(sigma, ChanEnd):
         return sx.EMPTY_BRANCH
-    if isinstance(sigma, VarC):
-        return VarS(sigma.name)
-    if isinstance(sigma, RecC):
-        return RecS(sigma.var, translate_channel(sigma.body))
-    if isinstance(sigma, ChanRecv):
-        return sx.Branch(
-            (sx.MethodSig("receive", sx.NULL_T, translate_payload(sigma.payload),
-                          translate_channel(sigma.cont)),)
-        )
-    if isinstance(sigma, ChanSend):
-        return sx.Branch(
-            (sx.MethodSig("send", translate_payload(sigma.payload), sx.NULL_T,
-                          translate_channel(sigma.cont)),)
-        )
+    if isinstance(sigma, (ChanRecv, ChanSend)):
+        p = sigma.payload
+        p = image(p) if isinstance(p, ChannelType) else p
+        if isinstance(sigma, ChanRecv):
+            entry = sx.MethodSig("receive", sx.NULL_T, p, image(sigma.cont))
+        else:
+            entry = sx.MethodSig("send", p, sx.NULL_T, image(sigma.cont))
+        return sx.Branch((entry,))
     if isinstance(sigma, ChanOffer):
-        variant = sx.VariantS(tuple((l, translate_channel(c)) for l, c in sigma.cases))
+        variant = sx.VariantS(tuple((l, image(c)) for l, c in sigma.cases))
         return sx.Branch((sx.MethodSig("receive", sx.NULL_T, sx.LINK_THIS, variant),))
-    if isinstance(sigma, ChanSelect):
-        return sx.Branch(
-            tuple(
-                sx.MethodSig("send", EnumType(frozenset({l})), sx.NULL_T, translate_channel(c))
-                for l, c in sigma.cases
-            )
+    return sx.Branch(
+        tuple(
+            sx.MethodSig("send", EnumType(frozenset({l})), sx.NULL_T, image(c))
+            for l, c in sigma.cases
         )
-    raise TypeError(f"not a channel type: {sigma!r}")
+    )
 
 
 def translate_access(sigma: ChannelType) -> SessionType:
     """Class session type of an access point: request and accept are always
     available; request yields the dual endpoint, accept the declared one.
-    The result is memoised on sigma, so each protocol has one such node."""
+    The result, a state `_AP` whose methods lead back to it, is memoised on
+    sigma, so each protocol has one such node."""
     memo = sigma.memo()
     out = memo.get("access")
     if out is None:
-        out = memo["access"] = _translate_access(sigma)
+        out = memo["access"] = sx.SessionState("_AP")
+        out.define(sx.Branch((
+            sx.MethodSig("request", sx.NULL_T, translate_channel(dual(sigma)), out),
+            sx.MethodSig("accept", sx.NULL_T, translate_channel(sigma), out),
+        )))
     return out
-
-
-def _translate_access(sigma: ChannelType) -> SessionType:
-    var = "_AP"
-    return RecS(
-        var,
-        sx.Branch(
-            (
-                sx.MethodSig("request", sx.NULL_T, translate_channel(dual(sigma)), VarS(var)),
-                sx.MethodSig("accept", sx.NULL_T, translate_channel(sigma), VarS(var)),
-            )
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +129,7 @@ def subtype_channel(a: ChannelType, b: ChannelType) -> bool:
     of the translation above. Receive payloads are covariant, send payloads
     contravariant; offers are covariant and selects contravariant in their
     label sets."""
-    return _subtype_channel(a, b, frozenset())
+    return _subtype_channel(a, b, None)
 
 
 def _subtype_channel(a, b, assumptions):

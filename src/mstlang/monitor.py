@@ -209,13 +209,13 @@ def lts_step(s: SessionType, action) -> tuple:
 
 
 def _fire(states, action) -> tuple:
-    """Successor states of one trace element from a set of states: forks over
-    the states and drops those that cannot fire; raises when none is left."""
-    nxt = []
+    """Successor states of one trace element from a set of states, each once,
+    first reached first; drops states that cannot fire, raises if none can."""
+    nxt = {}
     last_err = None
     for st in states:
         try:
-            nxt.extend(lts_step(st, action))
+            nxt.update(dict.fromkeys(lts_step(st, action)))
         except TypeErrorTransition as e:
             last_err = e
     if not nxt:

@@ -8,14 +8,13 @@ from its index, by reading the text again.
 
 One file holds class declarations, access point declarations, standalone
 type aliases and an optional main designation. Session types are written in
-the signature-carrying style; ``where`` clauses introduce named states that
-are folded into rec types. One fold serves session and channel names: a name
-becomes the binder at its first expansion when the expansion refers back to
-it, and back references become variables. One function, `head`, reads what a
-written type starts with on the source equations, scoped as the fold scopes
-them: it checks each declaration contractive and each variant case a branch,
-and it decides the linkthis sugar. So each resolved type (annotation types
-included) is closed and contractive, and unfolding it terminates.
+the signature-carrying style; ``where`` clauses introduce named states. A
+class's states, with the file's aliases, are one system of equations
+(`_Equations`): each name, and each written ``rec``, is one state node whose
+definition is resolved once. What each declaration adds is checked once:
+every state contractive, no cycle through an access-point type, no repeated
+signature, every variant case a branch. So every resolved type (annotation
+types included) has each state defined and unfolds in finitely many steps.
 
 Sugar applied while parsing:
   f = e        =>  (f <-> e); null
@@ -408,213 +407,183 @@ class _P:
 
 
 # ---------------------------------------------------------------------------
-# Name resolution / mu-folding
+# Name resolution: equation systems
 # ---------------------------------------------------------------------------
 
-_NO_NAMES = MappingProxyType({})  # no name in scope
-_RESOLVED = {sx.Branch: "branch", sx.VariantS: "variant"}  # see head
-_MAKE = {
-    "variant": sx.VariantS, "offer": sx.ChanOffer, "select": sx.ChanSelect,
-    "rec": sx.RecS, "recc": sx.RecC, "recv": sx.ChanRecv, "send": sx.ChanSend,
-}
+_NO_NAMES = MappingProxyType({})  # no written binder in scope
+_MAKE = {"variant": sx.VariantS, "offer": sx.ChanOffer, "select": sx.ChanSelect,
+         "recv": sx.ChanRecv, "send": sx.ChanSend}
+_CHANNEL = ("end", "recv", "send", "offer", "select", "recc", "cname")  # raw channel tags
 
 
-class _Scope:
-    """What a name in scope stands for: a written binder's variable its body,
-    a name being expanded its definition, as `raw` read in `stack` and `bound`.
-    `used` marks a scope the fold made a binder of: a written one, a name met
-    again. `type` is the type a name's expansion folded to, once it has, so
-    a state reached again from one place is one shared node."""
-
-    __slots__ = ("raw", "stack", "bound", "used", "type")
-
-    def __init__(self, raw, stack, bound, used):
-        self.raw, self.stack, self.bound, self.used, self.type = raw, stack, bound, used, None
-
-
-def _open(resolver, raw, stack, bound):
-    """The scope that `raw`, a written binder or a name to expand, opens in
-    `stack` and `bound`. There is one per place, kept by `resolver`, so that
-    reading a type again meets the scopes, and marks, of its fold."""
-    key = (raw if raw[0] in ("name", "cname") else id(raw), id(stack), id(bound))
-    if key not in resolver.scopes:
-        if raw[0] in ("rec", "recc"):
-            scope = resolver.scopes[key] = _Scope(raw[2], stack, None, True)
-            scope.bound = {**bound, raw[1]: scope}
-        else:
-            scope = resolver.scopes[key] = _Scope(resolver.defs[raw[0]][raw[1]], None, bound, False)
-            scope.stack = {**stack, raw: scope}
-    return resolver.scopes[key]
-
-
-def _beyond(resolver, stack):
-    """`stack` inside an access-point type, which is translated, not folded:
-    its names map to None, so meeting one again is an error."""
-    return resolver.scopes.setdefault(("access", id(stack)), dict.fromkeys(stack))
-
-
-def _payload(resolver, raw, stack, bound):
-    """A channel payload as `(raw, stack, bound)`: a name is a channel name
-    when one of that name is defined or in scope, else a session name; the
-    channel's written binders reach a channel payload, not a value type."""
-    if raw[0] == "pname":
-        name = raw[1]
-        channel = name in resolver.defs["cname"] or name in bound or ("cname", name) in stack
-        raw = ("cname" if channel else "name", name)
-    if raw[0] in ("end", "recv", "send", "offer", "select", "recc", "cname"):
-        return raw, stack, bound
-    return raw, stack, _NO_NAMES
-
-
-def head(resolver, raw, stack=_NO_NAMES, bound=_NO_NAMES):
-    """The constructor that the written type `raw` starts with, read as
-    `resolver` folds it in `stack` and `bound`: through `rec`s, rec
-    variables and state, alias and channel names. Returns `(tag, at, term)`:
-    its raw tag ("channel" in a resolved channel type); `(raw, stack,
-    bound)` where it is written, None in a type resolved earlier; and the
-    resolved subterm `raw` is: the first scope on the way that the fold made
-    a binder of, else the place `at`. `(None, None, None)` when the chain
-    comes back to itself, that is when the type is not contractive."""
-    passed, term = set(), None
-    while raw[0] in ("rec", "recc", "name", "cname"):
-        scope = None
-        if raw[0] in resolver.defs:
-            scope = bound.get(raw[1]) or stack.get(raw)
-            t = resolver.defs[raw[0]].get(raw[1])
-            if scope is None and isinstance(t, sx.Type):
-                while isinstance(t, sx.Rec):
-                    t = t.body
-                return _RESOLVED.get(type(t), "channel"), None, None
-        scope = scope or _open(resolver, raw, stack, bound)
-        if scope in passed:
-            return None, None, None
-        passed.add(scope)
-        term = term or (scope if scope.used else None)
-        raw, stack, bound = scope.raw, scope.stack, scope.bound
-    return raw[0], (raw, stack, bound), term or (id(raw), id(stack), id(bound))
-
-
-class _Resolver:
-    """Turns raw type trees into closed types.
-
-    One fold serves session and channel names: a name is expanded from its
-    definition unless it is bound by a written `rec` or already being
-    expanded, when it becomes a variable. Meeting a name again while it is
-    being expanded marks it used, and only a used expansion is wrapped in a
-    binder of that name. The fold checks no shape; `_check_shape` does.
-    """
+class _Equations:
+    """The named types of one scope, a class's states with the file's
+    aliases or the aliases alone. Each name, and each written `rec`, is one
+    state node whose definition is resolved once, from a worklist, so no
+    chain of names recurses; a `rec` variable means its node in the binder's
+    body only."""
 
     def __init__(self, session_defs, channel_defs):
         self.defs = {"name": session_defs, "cname": channel_defs}
-        self.scopes = {}  # see _open
+        self.nodes = {}  # (tag, name), or id of a written rec -> its state
+        self.pending = {}  # id of a state -> (raw, binders) of its definition
+        self.todo = []  # states whose definitions are pending, in the order met
+        self.access = {}  # id of an access type's state -> its protocol
+        self.named = set()  # ids of the states of names
+        self.new = []  # states and branches made since the last check
+        self.cased = set()  # ids of nodes whose variant cases were checked
 
-    def _fold(self, raw, stack, bound):
-        """The type named by `raw`. `stack` maps each name being expanded,
-        as its raw node, to its scope, or to None beyond an access-point
-        type; `bound` maps the variables of written binders to theirs."""
-        session = raw[0] == "name"
-        var, noun = (sx.VarS, "session") if session else (sx.VarC, "channel")
-        defs, name = self.defs[raw[0]], raw[1]
-        if name in bound:
-            return var(name)
-        if raw in stack:
-            if stack[raw] is None:
-                raise ParseError(
-                    f"{noun} type name {name!r} refers to itself through an access-point type"
-                )
-            stack[raw].used = True
-            return var(name)
-        if name not in defs:
-            raise UnboundStateName(f"unknown {noun} type name {name!r}")
-        if isinstance(defs[name], sx.Type):
-            return defs[name]  # an alias resolved earlier, closed
-        scope = _open(self, raw, stack, bound)
-        if scope.type is None:
-            body = self.resolve(scope.raw, scope.stack, bound)
-            scope.type = (sx.RecS if session else sx.RecC)(name, body) if scope.used else body
-        return scope.type
+    def read(self, raw, what, session=True):
+        """`raw` resolved and checked; `session` unless a value or channel type."""
+        t = self.resolve_all(raw, not session)
+        self.check(t, what, session)
+        return t
 
-    def resolve(self, raw, stack=_NO_NAMES, bound=_NO_NAMES, value=False):
-        """The type `raw` stands for; an access-point type only as a `value`
-        type, a parameter, result or payload."""
+    def resolve_all(self, raw, value=False):
+        """`raw` resolved with every definition it reaches, depth first."""
+        t, stack = self.resolve(raw, _NO_NAMES, value), []
+        while self.todo or stack:
+            stack.extend(reversed(self.todo))
+            self.todo.clear()
+            node = stack.pop()
+            node.define(self.resolve(*self.pending[id(node)]))
+            del self.pending[id(node)]
+        return t
+
+    def _state(self, key, tag, name, raw, binders):
+        node = (sx.SessionState if tag in ("name", "rec") else sx.ChannelState)(name)
+        self.nodes[key] = node
+        if tag in ("rec", "recc"):
+            binders = {**binders, name: node}
+        self.pending[id(node)] = (raw, binders)
+        self.todo.append(node)
+        self.new.append(node)
+        return node
+
+    def resolve(self, raw, binders=_NO_NAMES, value=False):
+        """The type `raw` stands for under the written binders `binders`
+        (variable -> state); an access-point type only as a `value` type. A
+        state is returned before its definition is resolved."""
         tag = raw[0]
         if tag == "branch":
-            conts = []
-            for _, _, _, cont in raw[1]:
-                conts.append(self.resolve(cont, stack, bound))
+            conts = [self.resolve(cont, binders) for _, _, _, cont in raw[1]]
             sigs = []
-            for (result, name, param, cont), c in zip(raw[1], conts):
-                r = self.resolve(result, stack, bound, True)
-                p = self.resolve(param, stack, bound, True)
-                # a repeated (name, parameter) pair would make every call ambiguous
-                if any(q.name == name and q.param == p for q in sigs):
-                    raise ParseError(f"repeated signature {name}({p!r}) in a branch")
+            for (result, name, param, _), c in zip(raw[1], conts):
+                r = self.resolve(result, binders, True)
+                p = self.resolve(param, binders, True)
                 # surface enum result + variant continuation means linkthis
-                if result[0] == "enum" and head(self, cont, stack, bound)[0] == "variant":
+                if result[0] == "enum" and self.starts(c) is sx.VariantS:
                     r = sx.LINK_THIS
                 sigs.append(sx.MethodSig(name, p, r, c))
-            return sx.Branch(tuple(sigs))
+            self.new.append(sx.Branch(tuple(sigs)))
+            return self.new[-1]
         if tag in ("variant", "offer", "select"):
-            return _MAKE[tag](tuple((l, self.resolve(s, stack, bound)) for l, s in raw[1]))
+            return _MAKE[tag](tuple((l, self.resolve(s, binders)) for l, s in raw[1]))
         if tag in ("rec", "recc"):
-            scope = _open(self, raw, stack, bound)
-            return _MAKE[tag](raw[1], self.resolve(scope.raw, stack, scope.bound))
+            node = self.nodes.get(id(raw))
+            return node or self._state(id(raw), tag, raw[1], raw[2], binders)
         if tag in ("name", "cname"):
-            return self._fold(raw, stack, bound)
+            name, defs = raw[1], self.defs[tag]
+            if name in binders:
+                return binders[name]
+            if name not in defs:
+                noun = "session" if tag == "name" else "channel"
+                raise UnboundStateName(f"unknown {noun} type name {name!r}")
+            if isinstance(defs[name], sx.Type):
+                return defs[name]  # an alias resolved earlier
+            if raw not in self.nodes:
+                self.named.add(id(self._state(raw, tag, name, defs[name], _NO_NAMES)))
+            return self.nodes[raw]
         if tag in ("recv", "send"):
-            payload = self.resolve(*_payload(self, raw[1], stack, bound), True)
-            return _MAKE[tag](payload, self.resolve(raw[2], stack, bound))
+            payload = raw[1]
+            if payload[0] == "pname":
+                # a channel name when one is defined or bound, else a session name
+                channel = payload[1] in self.defs["cname"] or payload[1] in binders
+                payload = ("cname" if channel else "name", payload[1])
+            # the channel's written binders reach a channel payload, not a value type
+            scope = binders if payload[0] in _CHANNEL else _NO_NAMES
+            return _MAKE[tag](self.resolve(payload, scope, True), self.resolve(raw[2], binders))
         if tag == "access":
             if not value:
                 raise ParseError("not a session type: access")
-            return channels.translate_access(self.resolve(raw[1], _beyond(self, stack)))
+            node = sx.SessionState("_AP")  # defined by the translation, once checked
+            self.access[id(node)] = self.resolve(raw[1])
+            self.new.append(node)
+            return node
         if tag == "enum":
             return sx.EnumType(frozenset(raw[1]))
         return {"null": sx.NULL_T, "linkthis": sx.LINK_THIS, "end": sx.CHAN_END}[tag]
 
+    def starts(self, t):
+        """The constructor class t unfolds to, read through pending
+        definitions; None for a chain of states back to itself."""
+        seen = set()
+        while isinstance(t, sx.State):
+            if id(t) in seen:
+                return None
+            seen.add(id(t))
+            if id(t) in self.pending:
+                raw, binders = self.pending[id(t)]
+                if raw[0] not in ("rec", "recc", "name", "cname"):
+                    return {"branch": sx.Branch, "variant": sx.VariantS}.get(raw[0])
+                t = self.resolve(raw, binders)
+            else:
+                t = t.body
+        return None if t is None else type(t)
 
-def _check_shape(resolver, raw, what, cases=True):
-    """Raise NonContractiveType when a chain of `rec`s and names in `raw`,
-    the written type of one declaration, comes back to itself, else, with
-    `cases`, a ParseError for the first variant case that does not start
-    with a branch. `raw` is read as `resolver` folded it, each resolved
-    subterm once, depth first in the order of the class session type it
-    resolves to: a variant's cases; a signature's continuation, parameter
-    and result; a channel's continuation, then its payload."""
-    bad, seen, todo = None, set(), [(raw, _NO_NAMES, _NO_NAMES)]
-    while todo:
-        tag, at, term = head(resolver, *todo.pop())
-        if tag is None:
-            raise NonContractiveType(f"{what}: type is not contractive")
-        if at is None or term in seen:
-            continue
-        seen.add(term)
-        raw, stack, bound = at
-        parts = []
-        if tag in ("variant", "offer", "select"):
-            parts = [(s, stack, bound) for _, s in raw[1]]
-            if tag == "variant" and cases and bad is None:
-                starts = [(l, head(resolver, *part)[0]) for (l, _), part in zip(raw[1], parts)]
-                bad = next((l for l, t in starts if t not in ("branch", None)), None)
-        elif tag == "branch":
-            parts = [(t, stack, bound) for r, _, p, c in raw[1] for t in (c, p, r)]
-        elif tag in ("recv", "send"):
-            parts = [(raw[2], stack, bound), _payload(resolver, raw[1], stack, bound)]
-        elif tag == "access":
-            parts = [(raw[1], _beyond(resolver, stack), _NO_NAMES)]
-        todo.extend(reversed(parts))
-    if bad is not None:
-        raise ParseError(f"{what}: variant case {bad!r} is not a branch type")
+    def check(self, t, what, cases=True):
+        """Check what was made since the last check: no cycle through an
+        access-point type, every state contractive; then, the access types
+        translated, no repeated signature; with `cases`, every variant case
+        reached from `t` a branch, the first that is not in `_walk` order."""
+        new, self.new = self.new, []
+        for node in new:
+            for v, path in self._walk(self.access.get(id(node)), set()):
+                if v is node:
+                    while id(path[0]) not in self.named:
+                        path = path[1]
+                    noun = "session" if isinstance(path[0], sx.SessionType) else "channel"
+                    raise ParseError(f"{noun} type name {path[0].name!r} refers to itself "
+                                     "through an access-point type")
+        for node in new:
+            if isinstance(node, sx.State) and id(node) not in self.access:
+                if self.starts(node) is None:
+                    raise NonContractiveType(f"{what}: type is not contractive")
+        for node in new:
+            if id(node) in self.access:
+                node.define(channels.translate_access(self.access[id(node)]))
+        for entries in (b.entries for b in new if isinstance(b, sx.Branch)):
+            for i, e in enumerate(entries):
+                if any(q.name == e.name and q.param == e.param for q in entries[:i]):
+                    # a repeated (name, parameter) pair would make every call ambiguous
+                    raise ParseError(f"repeated signature {e.name}({e.param!r}) in a branch")
+        for v, _ in self._walk(t if cases else None, self.cased):
+            if isinstance(v, sx.VariantS):
+                bad = [l for l, c in v.cases if self.starts(c) is not sx.Branch]
+                if bad:
+                    raise ParseError(f"{what}: variant case {bad[0]!r} is not a branch type")
 
-
-def _read(resolver, raw, what, session=True):
-    """`raw`, a session type or else a value or channel type, resolved by
-    `resolver` once `_check_shape` has checked it. Each declaration is read
-    with scopes of its own."""
-    resolver.scopes.clear()
-    t = resolver.resolve(raw, value=not session)
-    _check_shape(resolver, raw, what, session)
-    return t
+    def _walk(self, t, seen):
+        """The nodes reached from t (if any) not in `seen`, each with the
+        nodes on the way as a linked list, innermost first; depth first: a
+        variant's cases; a signature's continuation, parameter and result; a
+        channel's continuation, then its payload; an access type's protocol."""
+        todo = [] if t is None else [(t, None)]
+        while todo:
+            t, path = todo.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            yield t, path
+            if isinstance(t, sx.State):
+                parts = [self.access.get(id(t), t.body)]
+            elif isinstance(t, sx.Branch):
+                parts = [x for e in t.entries for x in (e.cont, e.param, e.result)]
+            elif isinstance(t, (sx.ChanRecv, sx.ChanSend)):
+                parts = [t.cont, t.payload]
+            else:
+                parts = [c for _, c in getattr(t, "cases", ())]
+            todo.extend((c, (t, path)) for c in reversed(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -714,19 +683,19 @@ def _parse_sources(sources) -> sx.Program:
         with _located(rc.where):
             classes[rc.name] = _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases)
 
-    top_resolver = _Resolver(raw_type_aliases, raw_chan_aliases)
+    top = _Equations(raw_type_aliases, raw_chan_aliases)
     aliases = {"type": {}, "chantype": {}}
     kinds = (("type", raw_type_aliases, "name"), ("chantype", raw_chan_aliases, "cname"))
     for kw, raws, tag in kinds:
         for name in raws:
             with _located(alias_where[(kw, name)]):
-                aliases[kw][name] = _read(top_resolver, (tag, name), f"{kw} {name}", kw == "type")
+                aliases[kw][name] = top.read((tag, name), f"{kw} {name}", kw == "type")
     access_points = {}
     for name, proto, where in raw_accesses:
         with _located(where):
             if name in access_points:
                 raise ParseError(f"duplicate access point {name!r}")
-            c = _read(top_resolver, proto, f"access point {name}", False)
+            c = top.read(proto, f"access point {name}", False)
         access_points[name] = c
 
     program = sx.Program(
@@ -743,13 +712,13 @@ def _parse_sources(sources) -> sx.Program:
 def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassDecl:
     if rc.name in classes:
         raise DuplicateClass(f"class {rc.name!r} declared more than once")
-    resolver = _Resolver({**raw_type_aliases, **rc.states}, raw_chan_aliases)
-    session = _read(resolver, rc.session, f"class {rc.name}")
-    if head(resolver, rc.session)[0] != "branch":
+    eqs = _Equations({**raw_type_aliases, **rc.states}, raw_chan_aliases)
+    session = eqs.read(rc.session, f"class {rc.name}")
+    if eqs.starts(session) is not sx.Branch:
         raise ParseError(f"class {rc.name}: declared session must unfold to a branch")
     states = {}
     for sname in rc.states:
-        states[sname] = _read(resolver, ("name", sname), f"{rc.name}.{sname}")
+        states[sname] = eqs.read(("name", sname), f"{rc.name}.{sname}")
     methods = {}
     for annot_raw, mname, pname, body, where in rc.methods:
         with _located(where):
@@ -759,15 +728,15 @@ def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassD
             if annot_raw is not None:
                 req_raw, ens_raw, result_raw, ptype_raw = annot_raw
                 what = f"{rc.name}.{mname} annotation"
-                req = _resolve_record(resolver, req_raw, rc.fields, rc.name, what)
-                ens = _resolve_record(resolver, ens_raw, rc.fields, rc.name, what)
+                req = _resolve_record(eqs, req_raw, rc.fields, rc.name, what)
+                ens = _resolve_record(eqs, ens_raw, rc.fields, rc.name, what)
                 if isinstance(ens, sx.VariantF):
                     raise ParseError(f"{rc.name}.{mname}: ens annotation cannot be a variant")
                 annot = sx.MethodAnnotation(
                     req=req,
                     ens=ens,
-                    result=_read(resolver, result_raw, what, False),
-                    param_type=_read(resolver, ptype_raw, what, False),
+                    result=eqs.read(result_raw, what, False),
+                    param_type=eqs.read(ptype_raw, what, False),
                 )
         methods[mname] = sx.MethodDef(mname, pname, body, annot)
     return sx.ClassDecl(
@@ -857,8 +826,8 @@ def _parse_field_binds(p: _P):
         p.next()
 
 
-def _resolve_record(resolver, binds, fields, cls_name, what):
-    typed = {f: _read(resolver, t, what, False) for f, t in binds}
+def _resolve_record(eqs, binds, fields, cls_name, what):
+    typed = {f: eqs.read(t, what, False) for f, t in binds}
     missing = [f for f in fields if f not in typed]
     extra = [f for f in typed if f not in fields]
     if missing or extra:
@@ -915,22 +884,20 @@ def parse_session_type(text: str, program: sx.Program = None) -> sx.SessionType:
         if state not in decl.states:
             raise UnboundStateName(f"class {cls} has no state {state!r}")
         return decl.states[state]
-    resolver = _Resolver(program.session_aliases, program.channel_aliases)
-    raw = p.raw_session()
-    s = resolver.resolve(raw)
+    eqs = _Equations(program.session_aliases, program.channel_aliases)
+    s = eqs.resolve_all(p.raw_session())
     _expect_eof(p)
-    _check_shape(resolver, raw, "type expression")
+    eqs.check(s, "type expression")
     return s
 
 
 def parse_channel_type(text: str, program: sx.Program = None) -> sx.ChannelType:
     program = program or sx.Program(classes={})
     p = _P(text)
-    resolver = _Resolver(program.session_aliases, program.channel_aliases)
-    raw = p.raw_channel()
-    c = resolver.resolve(raw)
+    eqs = _Equations(program.session_aliases, program.channel_aliases)
+    c = eqs.resolve_all(p.raw_channel())
     _expect_eof(p)
-    _check_shape(resolver, raw, "channel type expression", False)
+    eqs.check(c, "channel type expression", False)
     return c
 
 

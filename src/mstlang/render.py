@@ -12,51 +12,60 @@ from . import syntax as sx
 
 
 def render_type(t) -> str:
-    if isinstance(t, sx.NullType):
-        return "Null"
-    if isinstance(t, sx.EnumType):
-        return "{" + ", ".join(sorted(t.labels)) + "}"
-    if isinstance(t, sx.LinkThis):
-        return "linkthis"
-    if isinstance(t, sx.LinkField):
-        return f"link {t.field}"
-    if isinstance(t, sx.Branch):
-        sigs = ", ".join(
-            f"{render_type(e.result)} {e.name}({render_type(e.param)}): {render_type(e.cont)}"
-            for e in t.entries
-        )
-        return "{" + sigs + "}"
-    if isinstance(t, sx.VariantS):
-        return "<" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + ">"
-    if isinstance(t, sx.Rec):
-        return f"rec {t.var}.{render_type(t.body)}"
-    if isinstance(t, sx.TypeVar):
-        return t.name
-    if isinstance(t, sx.ChanEnd):
-        return "End"
-    if isinstance(t, sx.ChanRecv):
-        return f"?{_payload(t.payload)}.{render_type(t.cont)}"
-    if isinstance(t, sx.ChanSend):
-        return f"!{_payload(t.payload)}.{render_type(t.cont)}"
-    if isinstance(t, sx.ChanOffer):
-        return "&{" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + "}"
-    if isinstance(t, sx.ChanSelect):
-        return "+{" + ", ".join(f"{l}: {render_type(s)}" for l, s in t.cases) + "}"
-    if isinstance(t, sx.RecordF):
-        return "{" + ", ".join(f"{render_type(v)} {f}" for f, v in t.items) + "}"
-    if isinstance(t, sx.VariantF):
-        return "<" + ", ".join(f"{l}: {render_type(f)}" for l, f in t.cases) + ">"
-    if isinstance(t, sx.ObjectInternal):
-        return f"{t.cls}[{render_type(t.typing)}]"
-    raise TypeError(f"cannot render {t!r:.40}")
+    return _render(t, {})
 
 
-def _payload(p) -> str:
-    # Channel payloads that are themselves structured channel types need
-    # parentheses to keep '.' unambiguous.
-    if isinstance(p, (sx.ChanRecv, sx.ChanSend, sx.RecC)):
-        return f"({render_type(p)})"
-    return render_type(p)
+_CASES = {sx.VariantS: "<>", sx.VariantF: "<>", sx.ChanOffer: "&{}", sx.ChanSelect: "+{}"}
+
+
+def _render(t, open_) -> str:
+    """`open_` maps the ids of the states whose bodies are being rendered to
+    whether they were met again, so written by name and as `rec name.` before
+    the body. One call per level of nesting, states included."""
+    states = []
+    while isinstance(t, sx.State) and id(t) not in open_:
+        open_[id(t)] = False
+        states.append(t)
+        t = t.body
+    parts = []
+    if isinstance(t, sx.State):
+        open_[id(t)] = True
+        text = t.name
+    elif isinstance(t, sx.NullType):
+        text = "Null"
+    elif isinstance(t, sx.EnumType):
+        text = "{" + ", ".join(sorted(t.labels)) + "}"
+    elif isinstance(t, sx.LinkThis):
+        text = "linkthis"
+    elif isinstance(t, sx.LinkField):
+        text = f"link {t.field}"
+    elif isinstance(t, sx.Branch):
+        for e in t.entries:
+            parts.append(f"{_render(e.result, open_)} {e.name}({_render(e.param, open_)}): "
+                         f"{_render(e.cont, open_)}")
+        text = "{" + ", ".join(parts) + "}"
+    elif type(t) in _CASES:
+        for l, c in t.cases:
+            parts.append(f"{l}: {_render(c, open_)}")
+        text = _CASES[type(t)][:-1] + ", ".join(parts) + _CASES[type(t)][-1]
+    elif isinstance(t, sx.ChanEnd):
+        text = "End"
+    elif isinstance(t, (sx.ChanRecv, sx.ChanSend)):
+        p = _render(t.payload, open_)
+        # a structured channel payload needs parentheses to keep '.' unambiguous
+        if isinstance(t.payload, sx.ChannelType) and p.startswith(("?", "!", "rec ")):
+            p = f"({p})"
+        text = f"{'?' if isinstance(t, sx.ChanRecv) else '!'}{p}.{_render(t.cont, open_)}"
+    elif isinstance(t, sx.RecordF):
+        text = "{" + ", ".join(f"{_render(v, open_)} {f}" for f, v in t.items) + "}"
+    elif isinstance(t, sx.ObjectInternal):
+        text = f"{t.cls}[{_render(t.typing, open_)}]"
+    else:
+        raise TypeError(f"cannot render {type(t).__name__}")
+    for s in reversed(states):
+        if open_.pop(id(s)):
+            text = f"rec {s.name}.{text}"
+    return text
 
 
 def render_expr(e) -> str:

@@ -3,12 +3,11 @@ plus the join operator used when merging variant branches.
 
 The sub-session check follows the standard assumption-set construction for
 coinductively defined relations: a pair is assumed before its components are
-checked, so cycles through rec types terminate. An assumption is the pair
-of types itself; types compare up to alpha-renaming (`==`), making
-membership sound for recursive types. `coinductive` is that construction
-once, for this relation and for channel subtyping. `serving_entry` is the one
-overload resolution: sub-session matching and the checker's call rule both
-ask it which entry of a branch serves a call.
+checked, so cycles through states terminate. An assumption is the pair of
+types itself, compared as the trees they unfold to (`==`). `coinductive` is
+that construction once, for this relation and for channel subtyping.
+`serving_entry` is the one overload resolution: sub-session matching and
+the checker's call rule both ask it which entry of a branch serves a call.
 """
 
 from __future__ import annotations
@@ -39,32 +38,54 @@ class JoinUndefined(Exception):
 # ---------------------------------------------------------------------------
 
 
-def coinductive(step, s, t, assumptions) -> bool:
+class Proof:
+    """The pairs a coinductive proof assumes on its current path, the
+    assumptions used per open pair, and pairs proved on assumptions."""
+
+    __slots__ = ("path", "uses", "proved")
+
+    def __init__(self):
+        self.path, self.uses, self.proved = set(), [], {}
+
+
+def coinductive(step, s, t, assumptions=None) -> bool:
     """Decide the pair (s, t) of a coinductive relation on types, whose
     `step(unfold(s), unfold(t), assumptions)` relates the components with the
-    pair assumed. `assumptions` holds the pairs on the current proof path; it
-    is extended per path, never shared across siblings, so a failed branch
-    cannot leak unproven assumptions into another one. A verdict is memoised
-    on `s`, keyed by `step` and `t`, only when its proof closed with no
-    assumptions; it is read at any depth."""
+    pair assumed, in the `Proof` `assumptions` (None for a new one). A
+    verdict resting on no earlier assumption is memoised on `s`, keyed by
+    `step` and `t`; one that does is kept in the proof while those stay on
+    the path, so a pair that several paths re-join is proved once."""
     if s == t:
         return True
     memo = s.memo()
     result = memo.get((step, t))
     if result is not None:
         return result
-    if (s, t) in assumptions:
+    proof = Proof() if assumptions is None else assumptions
+    key = (step, s, t)
+    rests = {key} if key in proof.path else proof.proved.get(key)
+    if rests is not None and rests <= proof.path:
+        if proof.uses:
+            proof.uses[-1] |= rests
         return True
-    result = step(unfold(s), unfold(t), assumptions | {(s, t)})
-    if not assumptions:
+    proof.path.add(key)
+    proof.uses.append(set())
+    result = step(unfold(s), unfold(t), proof)
+    proof.path.remove(key)
+    rests = proof.uses.pop() & proof.path  # the assumptions made before this pair
+    if not rests:
         memo[(step, t)] = result
+    elif result:
+        proof.proved[key] = rests
+    if proof.uses:
+        proof.uses[-1] |= rests
     return result
 
 
 def subtype_session(s: SessionType, t: SessionType) -> bool:
     """Largest sub-session relation: branches contravariant in the method set
     and signature-compatible pointwise; variants covariant in the label set."""
-    return _subtype_session(s, t, frozenset())
+    return _subtype_session(s, t, None)
 
 
 def _subtype_session(s, t, assumptions):
@@ -85,7 +106,7 @@ def _subtype_unfolded(su, tu, assumptions):
     return False
 
 
-def serving_entry(branch: Branch, name: str, arg, assumptions=frozenset()):
+def serving_entry(branch: Branch, name: str, arg, assumptions=None):
     """The entry of `branch` that serves a call of `name` with an argument of
     type `arg`: among the entries named `name` whose parameter accepts `arg`
     (parameters are contravariant), the one with the least parameter.
@@ -93,7 +114,7 @@ def serving_entry(branch: Branch, name: str, arg, assumptions=frozenset()):
     Returns (entry, accepting), the accepting entries in branch order; entry
     is None when none accepts `arg` or no least parameter is unique.
     Parameters are compared under `assumptions`, those of the sub-session
-    proof the match is part of (empty for a call).
+    proof the match is part of (None for a call).
     """
     accepting = [e for e in branch.named(name) if _compatible_value(arg, e.param, assumptions)]
     if len(accepting) == 1:
@@ -133,7 +154,7 @@ def subtype_value(t: ValueType, t_sup: ValueType) -> bool:
     """Compatibility on value types: equality, enum inclusion, or sub-session."""
     if isinstance(t, SessionType) and isinstance(t_sup, SessionType):
         return subtype_session(t, t_sup)
-    return _compatible_value(t, t_sup, frozenset())
+    return _compatible_value(t, t_sup, None)
 
 
 def subtype_field(f, f_sup) -> bool:
@@ -194,48 +215,45 @@ def meet_value(t, u):
     raise JoinUndefined(f"no meet of {t!r} and {u!r}")
 
 
-def join_session(s: SessionType, t: SessionType, _memo=None) -> SessionType:
+def join_session(s: SessionType, t: SessionType) -> SessionType:
     """Join of session types: method-set intersection for branches with
     parameter meets and result/continuation joins; label union for variants.
     A branch join has one entry per (method name, met parameter), joined from
     the entries that serve that parameter on each side; a parameter that
-    either side cannot serve unambiguously is left out."""
-    if _memo is None:
-        _memo = {}
-    key = (s, t)
-    if key in _memo:
-        name, state = _memo[key]
-        state["used"] = True
-        return sx.VarS(name)
-    name = f"_J{len(_memo)}"
-    state = {"used": False}
-    _memo[key] = (name, state)
-    su, tu = unfold(s), unfold(t)
-    if isinstance(su, Branch) and isinstance(tu, Branch):
-        entries = []
-        for method, param in _met_parameters(su, tu):
-            e, _ = serving_entry(su, method, param)
-            e2, _ = serving_entry(tu, method, param)
-            if e is not None and e2 is not None:
-                entries.append(_join_entry(e, e2, param, _memo))
-        body = Branch(tuple(entries))
-    elif isinstance(su, VariantS) and isinstance(tu, VariantS):
-        cases = []
-        for l, c in su.cases:
-            if l in tu.labels:
-                cases.append((l, join_session(c, tu.case(l), _memo)))
-            else:
-                cases.append((l, c))
-        for l, c in tu.cases:
-            if l not in su.labels:
-                cases.append((l, c))
-        body = VariantS(tuple(cases))
-    else:
-        raise JoinUndefined(f"no join of {s!r} and {t!r}")
-    del _memo[key]
-    if state["used"]:
-        return sx.RecS(name, body)
-    return body
+    either side cannot serve unambiguously is left out. Each pair joined is
+    one state `_J<n>`, from one worklist; the result is the first pair's
+    state when a pair leads back to it, else its body."""
+    pairs = {}  # (s, t) -> its state
+    todo, met_again = [], set()
+
+    def state(a, b):
+        node = pairs.get((a, b))
+        if node is None:
+            node = pairs[(a, b)] = sx.SessionState(f"_J{len(pairs)}")
+            todo.append((node, a, b))
+        else:
+            met_again.add(id(node))
+        return node
+
+    root = state(s, t)
+    while todo:
+        node, a, b = todo.pop()
+        su, tu = unfold(a), unfold(b)
+        if isinstance(su, Branch) and isinstance(tu, Branch):
+            entries = []
+            for method, param in _met_parameters(su, tu):
+                e, _ = serving_entry(su, method, param)
+                e2, _ = serving_entry(tu, method, param)
+                if e is not None and e2 is not None:
+                    entries.append(_join_entry(e, e2, param, state))
+            node.define(Branch(tuple(entries)))
+        elif isinstance(su, VariantS) and isinstance(tu, VariantS):
+            cases = [(l, state(c, tu.case(l)) if l in tu.labels else c) for l, c in su.cases]
+            cases += [(l, c) for l, c in tu.cases if l not in su.labels]
+            node.define(VariantS(tuple(cases)))
+        else:
+            raise JoinUndefined(f"no join of {a!r} and {b!r}")
+    return root if id(root) in met_again else root.body
 
 
 def _met_parameters(su, tu):
@@ -251,7 +269,7 @@ def _met_parameters(su, tu):
     return list(met)
 
 
-def _join_entry(e, e2, param, memo):
+def _join_entry(e, e2, param, state):
     r1, r2 = e.result, e2.result
     if isinstance(r1, LinkThis) or isinstance(r2, LinkThis):
         # lift an enum-returning side to the uniform variant form
@@ -262,11 +280,8 @@ def _join_entry(e, e2, param, memo):
                 return VariantS(tuple((l, sig.cont) for l in sorted(sig.result.labels)))
             raise JoinUndefined("cannot join linkthis with a non-enumeration result")
 
-        cont = join_session(lift(e), lift(e2), memo)
-        return MethodSig(e.name, param, sx.LINK_THIS, cont)
-    result = join_value(r1, r2)
-    cont = join_session(e.cont, e2.cont, memo)
-    return MethodSig(e.name, param, result, cont)
+        return MethodSig(e.name, param, sx.LINK_THIS, state(lift(e), lift(e2)))
+    return MethodSig(e.name, param, join_value(r1, r2), state(e.cont, e2.cont))
 
 
 def join_field(f, g):

@@ -3,17 +3,16 @@ types, field typings, expressions, declarations, heaps, paths and
 configurations, together with the pure structural operations on them
 (unfolding, path resolution, heap separation, renaming).
 
-Branch entries keep their source order but compare as sets keyed by
-(method name, parameter type); variants compare as label-keyed maps.
-Recursive types compare up to alpha-renaming of their bound variables.
-Callers compare types with `==` and key tables by the type itself; the
-canonical forms behind that are private to this module.
-All values here are immutable; heap/configuration updates build new values.
-A pure function of a type (unfolding, duality, translation, subtyping) keeps
+A recursive type is a finite graph whose cycles pass through named states
+(`State`), so `unfold` is a lookup. Types are equal when the trees they
+unfold to are, branch entries compared as sets keyed by (method name,
+parameter type) and variants as label-keyed maps. Callers compare types
+with `==` and key tables by the type itself; the identities behind that
+(`Type.canon`) are computed once per strongly connected component.
+All values here are immutable, but for a state's body, which is set once.
+A pure function of a type (duality, translation, subtyping) keeps
 its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
-A node's canonical form is composed from the forms already stored on its
-children wherever no `rec` binder is open, so a fresh node costs one level.
 Expressions likewise store their hash-consed keys, built from their
 children's without recursion; the table keeps each key's endpoint set, built
 once from the children's sets (`ExprKeys`). `map_expr` keeps the identity of
@@ -62,21 +61,18 @@ class HeapConflict(CoreError):
 # ---------------------------------------------------------------------------
 
 class Type:
-    """Base class for all type forms.
-
-    Equality and hashing go through a canonical form so that branch entry
-    order, variant case order and mu-variable names are irrelevant. The form
-    is computed once per node and built from its children's stored forms
-    outside `rec` binders (`_form`); its hash is kept beside it.
-    """
+    """Base class for all type forms. Equal types share an identity
+    (`canon`), computed once per node, and a hash; types whose hashes
+    differ compare unequal without computing identities."""
 
     __slots__ = ("_canon", "_memo", "_hash")
+    recursive = True  # a session or channel form, through which a cycle can pass
 
     def canon(self):
         c = getattr(self, "_canon", None)
         if c is None:
-            c = self._canonical(())
-            object.__setattr__(self, "_canon", c)
+            _identify(self)
+            c = self._canon
         return c
 
     def memo(self) -> dict:
@@ -87,7 +83,9 @@ class Type:
             object.__setattr__(self, "_memo", m)
         return m
 
-    def _canonical(self, bound):
+    def _level(self, val):
+        """One level of this type: a tuple that starts with its tag, with
+        val(child) in place of each child type, in a canonical order."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -95,21 +93,17 @@ class Type:
             return True
         if not isinstance(other, Type):
             return NotImplemented
-        return self.canon() == other.canon()
+        return hash(self) == hash(other) and self.canon() == other.canon()
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = self._hashed()
+            if self.recursive:  # a cycle may pass through: the tree cut two levels down
+                h = hash(unfold(self)._level(lambda c: unfold(c)._level(_no_child)))
+            else:
+                h = hash(self._level(hash))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def _hashed(self) -> int:
-        """A hash that types with equal canonical forms share. A tuple does
-        not keep its hash, so hashing a canonical form walks all of it; the
-        forms that the monitor builds afresh at every step instead combine
-        their children's kept hashes."""
-        return hash(self.canon())
 
     def __repr__(self):
         from .render import render_type
@@ -117,15 +111,8 @@ class Type:
         return render_type(self)
 
 
-def _form(t, bound):
-    """Canonical form of child `t` of a node whose form is being built: the
-    form stored on `t` when no `rec` binder is open, else a walk under
-    `bound`, since de Bruijn indices depend on the enclosing binders."""
-    return t._canonical(bound) if bound else t.canon()
-
-
 class SessionType(Type):
-    """Class session types S: branch, variant, rec, or type variable."""
+    """Class session types S: branch, variant, or a state naming one."""
 
     __slots__ = ()
 
@@ -137,12 +124,45 @@ class ValueType(Type):
     """
 
     __slots__ = ()
+    recursive = False
 
 
 class ChannelType(Type):
-    """Channel session types: end, ?T.S, !T.S, offer, select, rec, var."""
+    """Channel session types: end, ?T.S, !T.S, offer, select, or a state."""
 
     __slots__ = ()
+
+
+class State(Type):
+    """A named state: a node whose body, the type it stands for, is set once
+    (`define`); a type that reaches the state again points at the node. The
+    name, a `where` state, a written `rec` binder, `_J<n>` for a join or
+    `_AP` for an access point, matters only for rendering."""
+
+    __slots__ = ("name", "body")
+
+    def __init__(self, name, body=None):
+        self.name, self.body = name, body
+
+    def define(self, body):
+        assert self.body is None, f"state {self.name!r} is defined already"
+        self.body = body
+
+
+class SessionState(State, SessionType):
+    __slots__ = ()
+
+
+class ChannelState(State, ChannelType):
+    __slots__ = ()
+
+
+def unfold(t):
+    """The constructor t starts with: t, or the body of the state t is, through
+    states whose bodies are states (contractive types have no such cycle)."""
+    while isinstance(t, State):
+        t = t.body
+    return t
 
 
 class Labelled:
@@ -161,17 +181,11 @@ class Labelled:
         raise KeyError(label)
 
 
-def _distinct_labels(cases):
-    labels = [l for l, _ in cases]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate label in {labels}")
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class NullType(ValueType):
     __slots__ = ()
 
-    def _canonical(self, bound):
+    def _level(self, val):
         return ("null",)
 
 
@@ -189,7 +203,7 @@ class EnumType(ValueType):
             raise ValueError("enumerated types have at least one label")
         object.__setattr__(self, "labels", frozenset(self.labels))
 
-    def _canonical(self, bound):
+    def _level(self, val):
         return ("enum", tuple(sorted(self.labels)))
 
     def __eq__(self, other):
@@ -204,7 +218,7 @@ class EnumType(ValueType):
 class LinkThis(ValueType):
     __slots__ = ()
 
-    def _canonical(self, bound):
+    def _level(self, val):
         return ("linkthis",)
 
 
@@ -219,7 +233,7 @@ class LinkField(ValueType):
 
     __slots__ = ("field",)
 
-    def _canonical(self, bound):
+    def _level(self, val):
         return ("link", self.field)
 
 
@@ -232,14 +246,6 @@ class MethodSig:
     result: ValueType
     cont: SessionType
 
-    def _canonical(self, bound):
-        return (
-            self.name,
-            _form(self.param, bound),
-            _form(self.result, bound),
-            _form(self.cont, bound),
-        )
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Branch(SessionType):
@@ -250,9 +256,9 @@ class Branch(SessionType):
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    def _canonical(self, bound):
-        ents = sorted(e._canonical(bound) for e in self.entries)
-        return ("branch", tuple(ents))
+    def _level(self, val):
+        return ("branch", tuple(sorted(
+            [(e.name, val(e.param), val(e.result), val(e.cont)) for e in self.entries])))
 
     def named(self, name):
         return tuple(e for e in self.entries if e.name == name)
@@ -261,63 +267,31 @@ class Branch(SessionType):
 EMPTY_BRANCH = Branch(())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class VariantS(Labelled, SessionType):
-    cases: tuple  # ordered (label, SessionType) pairs, labels distinct
+class _Cases(Labelled):
+    """A type form of at least one case, labels distinct: its `tag` starts
+    its level, and `empty` says what an empty one lacks."""
 
-    __slots__ = ("cases",)
+    __slots__ = ()
 
     def __post_init__(self):
         cases = tuple(self.cases)
         if not cases:
-            raise ValueError("variant types have at least one case")
-        _distinct_labels(cases)
+            raise ValueError(self.empty)
+        labels = [l for l, _ in cases]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate label in {labels}")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound):
-        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
-        return ("variant", tuple(cs))
-
-
-class Rec:
-    """A `rec var.body` binder. Its `kind`, "s" for a session type and "c"
-    for a channel type, is the kind of the variables (`TypeVar`) it binds."""
-
-    __slots__ = ()
-
-    def _canonical(self, bound):
-        tag = "rec" if self.kind == "s" else "recc"
-        return (tag, self.body._canonical(bound + ((self.kind, self.var),)))
-
-
-class TypeVar:
-    """A recursion variable, bound by the nearest enclosing `Rec` of its
-    `kind` and name; its canonical form is that binder's de Bruijn index."""
-
-    __slots__ = ()
-
-    def _canonical(self, bound):
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == (self.kind, self.name):
-                return ("var", len(bound) - 1 - i)
-        return ("freevar", self.name)
+    def _level(self, val):
+        return (self.tag, tuple(sorted([(l, val(c)) for l, c in self.cases])))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class RecS(Rec, SessionType):
-    var: str
-    body: SessionType
+class VariantS(_Cases, SessionType):
+    cases: tuple  # ordered (label, SessionType) pairs, labels distinct
 
-    __slots__ = ("var", "body")
-    kind = "s"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class VarS(TypeVar, SessionType):
-    name: str
-
-    __slots__ = ("name",)
-    kind = "s"
+    __slots__ = ("cases",)
+    tag, empty = "variant", "variant types have at least one case"
 
 
 # Channel session types ------------------------------------------------------
@@ -327,7 +301,7 @@ class VarS(TypeVar, SessionType):
 class ChanEnd(ChannelType):
     __slots__ = ()
 
-    def _canonical(self, bound):
+    def _level(self, val):
         return ("end",)
 
 
@@ -341,8 +315,8 @@ class ChanRecv(ChannelType):
 
     __slots__ = ("payload", "cont")
 
-    def _canonical(self, bound):
-        return ("recv", _form(self.payload, bound), _form(self.cont, bound))
+    def _level(self, val):
+        return ("recv", val(self.payload), val(self.cont))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -352,61 +326,24 @@ class ChanSend(ChannelType):
 
     __slots__ = ("payload", "cont")
 
-    def _canonical(self, bound):
-        return ("send", _form(self.payload, bound), _form(self.cont, bound))
+    def _level(self, val):
+        return ("send", val(self.payload), val(self.cont))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ChanOffer(Labelled, ChannelType):
+class ChanOffer(_Cases, ChannelType):
     cases: tuple  # (label, ChannelType)
 
     __slots__ = ("cases",)
-
-    def __post_init__(self):
-        cases = tuple(self.cases)
-        if not cases:
-            raise ValueError("offer types have at least one label")
-        _distinct_labels(cases)
-        object.__setattr__(self, "cases", cases)
-
-    def _canonical(self, bound):
-        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
-        return ("offer", tuple(cs))
+    tag, empty = "offer", "offer types have at least one label"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ChanSelect(Labelled, ChannelType):
+class ChanSelect(_Cases, ChannelType):
     cases: tuple
 
     __slots__ = ("cases",)
-
-    def __post_init__(self):
-        cases = tuple(self.cases)
-        if not cases:
-            raise ValueError("select types have at least one label")
-        _distinct_labels(cases)
-        object.__setattr__(self, "cases", cases)
-
-    def _canonical(self, bound):
-        cs = sorted((l, _form(s, bound)) for l, s in self.cases)
-        return ("select", tuple(cs))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class RecC(Rec, ChannelType):
-    var: str
-    body: ChannelType
-
-    __slots__ = ("var", "body")
-    kind = "c"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class VarC(TypeVar, ChannelType):
-    name: str
-
-    __slots__ = ("name",)
-    kind = "c"
+    tag, empty = "select", "select types have at least one label"
 
 
 # Field typings --------------------------------------------------------------
@@ -414,6 +351,7 @@ class VarC(TypeVar, ChannelType):
 
 class FieldTyping(Type):
     __slots__ = ()
+    recursive = False
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -447,16 +385,12 @@ class RecordF(FieldTyping):
     def fields(self):
         return tuple([n for n, _ in self.items])
 
-    def _canonical(self, bound):
-        its = sorted((n, _form(t, bound)) for n, t in self.items)
-        return ("record", tuple(its))
-
-    def _hashed(self):
-        return hash(("record", frozenset(self.items)))
+    def _level(self, val):
+        return ("record", tuple(sorted((n, val(t)) for n, t in self.items)))
 
     def __eq__(self, other):
         # the typings of one class list its fields in one order, so they
-        # compare field by field, without building their canonical forms
+        # compare field by field, without computing their identities
         if self is other:
             return True
         if type(other) is not RecordF:
@@ -472,12 +406,13 @@ class RecordF(FieldTyping):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class VariantF(Labelled, FieldTyping):
+class VariantF(_Cases, FieldTyping):
     """Variant field typing: record per label. Nested variants are not allowed."""
 
     cases: tuple  # (label, RecordF)
 
     __slots__ = ("cases",)
+    tag = "variantf"
 
     def __post_init__(self):
         cases = tuple(self.cases)
@@ -488,13 +423,6 @@ class VariantF(Labelled, FieldTyping):
                 raise ValueError("nested variant field typings are not permitted")
         object.__setattr__(self, "cases", cases)
 
-    def _canonical(self, bound):
-        cs = sorted((l, _form(f, bound)) for l, f in self.cases)
-        return ("variantf", tuple(cs))
-
-    def _hashed(self):
-        return hash(("variantf", frozenset(self.cases)))
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ObjectInternal(Type):
@@ -504,12 +432,10 @@ class ObjectInternal(Type):
     typing: FieldTyping
 
     __slots__ = ("cls", "typing")
+    recursive = False
 
-    def _canonical(self, bound):
-        return ("object", self.cls, _form(self.typing, bound))
-
-    def _hashed(self):
-        return hash(("object", self.cls, hash(self.typing)))
+    def _level(self, val):
+        return ("object", self.cls, val(self.typing))
 
     def __eq__(self, other):
         if type(other) is not ObjectInternal:
@@ -524,71 +450,159 @@ def null_record(fields: Iterable[str]) -> RecordF:
 
 
 # ---------------------------------------------------------------------------
-# Unfolding and substitution
+# Identities
 # ---------------------------------------------------------------------------
 
 
-def _subst(t, var, repl, kind):
-    """Substitute repl for the free variable `var` of the given kind in t.
+class _Cycle:
+    """The identity of the distinct states of a strongly connected component:
+    their levels in a canonical order, ("@", i) for a child that is the i-th,
+    whose identity is ("rec", cycle, i); with a node per state (`nodes`)."""
 
-    repl is closed, so no capture avoidance is needed beyond shadowing.
-    Unchanged subterms are returned as-is, preserving sharing (unfolding
-    then reuses existing nodes, which keeps traversals of recursive types
-    finite when tracked by object identity).
-    """
-    if isinstance(t, TypeVar):
-        return repl if (t.kind == kind and t.name == var) else t
-    if isinstance(t, Rec):
-        if t.kind == kind and t.var == var:
-            return t
-        body = _subst(t.body, var, repl, kind)
-        return t if body is t.body else type(t)(t.var, body)
-    if isinstance(t, Branch):
-        entries = []
-        changed = False
-        for e in t.entries:
-            p = _subst(e.param, var, repl, kind)
-            r = _subst(e.result, var, repl, kind)
-            c = _subst(e.cont, var, repl, kind)
-            if p is e.param and r is e.result and c is e.cont:
-                entries.append(e)
-            else:
-                changed = True
-                entries.append(MethodSig(e.name, p, r, c))
-        return Branch(tuple(entries)) if changed else t
-    if isinstance(t, (VariantS, ChanOffer, ChanSelect)):
-        cases = []
-        changed = False
-        for l, s in t.cases:
-            s2 = _subst(s, var, repl, kind)
-            changed = changed or s2 is not s
-            cases.append((l, s2))
-        return type(t)(tuple(cases)) if changed else t
-    if isinstance(t, (ChanRecv, ChanSend)):
-        p = _subst(t.payload, var, repl, kind)
-        c = _subst(t.cont, var, repl, kind)
-        if p is t.payload and c is t.cont:
-            return t
-        return type(t)(p, c)
-    return t
+    __slots__ = ("levels", "nodes", "index", "_hash")
+
+    def __init__(self, levels, nodes):
+        self.levels, self.nodes, self._hash = levels, nodes, hash(levels)
+        self.index = {lv: i for i, lv in enumerate(levels)}
+
+    def __eq__(self, other):
+        return self is other or (type(other) is _Cycle and self.levels == other.levels)
+
+    def __lt__(self, other):
+        return self.levels < other.levels
+
+    def __hash__(self):
+        return self._hash
 
 
-def unfold(t):
-    """Remove top-level rec binders by iterated substitution.
-
-    Requires the input to be closed and contractive, which guarantees
-    termination; the result is never a rec at the top.
-    """
-    if not isinstance(t, Rec):
-        return t
-    memo = t.memo()
-    out = memo.get("unfold")
-    if out is None:
-        out = t
-        while isinstance(out, Rec):
-            out = _subst(out.body, out.var, out, out.kind)
-        memo["unfold"] = out
+def children(t) -> list:
+    """The child types of a constructor, in `_level` order."""
+    out = []
+    t._level(out.append)  # `append` returns None: only the children are kept
     return out
+
+
+def _identity(t):
+    return unfold(t)._canon
+
+
+def _no_child(c):
+    return None
+
+
+def _identify(t):
+    """Give t, and each node it reaches that has none, its identity, one
+    strongly connected component of constructors at a time, children first
+    (Tarjan's algorithm on an explicit stack; a state stands for its body)."""
+    root = unfold(t)
+    if getattr(root, "_canon", None) is None:
+        num, low, stack, kids = {id(root): 0}, {id(root): 0}, [root], {}
+        kids[id(root)] = [unfold(c) for c in children(root)]
+        path = [(root, iter(kids[id(root)]))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if getattr(w, "_canon", None) is not None:
+                    continue
+                if id(w) in num:  # open: on the stack
+                    low[id(v)] = min(low[id(v)], num[id(w)])
+                    continue
+                num[id(w)] = low[id(w)] = len(num)
+                stack.append(w)
+                kids[id(w)] = [unfold(c) for c in children(w)]
+                path.append((w, iter(kids[id(w)])))
+                break
+            else:
+                path.pop()
+                if path:
+                    u = id(path[-1][0])
+                    low[u] = min(low[u], low[id(v)])
+                if low[id(v)] == num[id(v)]:
+                    comp = [stack.pop()]
+                    while comp[-1] is not v:
+                        comp.append(stack.pop())
+                    if len(comp) == 1 and all(w is not v for w in kids[id(v)]):
+                        _compose(v, kids[id(v)])
+                    else:
+                        _refine(comp, kids)
+    object.__setattr__(t, "_canon", root._canon)
+
+
+def _compose(v, kids):
+    """A node off any cycle: its level over its children's identities,
+    unless it is an unrolled state of a cycle a child belongs to."""
+    ident = v._level(_identity)
+    for k in [c._canon for c in kids] if v.recursive else ():
+        if k[0] == "rec":
+            cycle = k[1]
+
+            def local(c):
+                k = _identity(c)
+                return ("@", k[2]) if k[0] == "rec" and k[1] == cycle else k
+
+            i = cycle.index.get(v._level(local))
+            if i is not None:
+                ident = ("rec", cycle, i)
+                break
+    object.__setattr__(v, "_canon", ident)
+
+
+def _refine(comp, kids):
+    """Identities for a cycle of constructors, by partition refinement: its
+    nodes, with those of each cycle a child belongs to, are split by their
+    level over their children's blocks until no block splits (Moore's
+    rounds), a member taking the identity of a known state in its block.
+    Blocks are numbered by sorting (block, level) pairs, which depend only on
+    the trees below, not on how the graph was built or on set order."""
+    verts = list(comp)
+    where = {id(v): i for i, v in enumerate(verts)}
+    cycles = {}  # a cycle a member's child belongs to -> index of its first state
+    for c in (c for v in comp for c in kids[id(v)]):
+        k = getattr(c, "_canon", None) or ("",)
+        if k[0] == "rec" and k[1] not in cycles:
+            cycles[k[1]] = len(verts)
+            verts.extend(k[1].nodes)
+    seen = {}  # id of a child -> its vertex, or None
+
+    def vertex(c):
+        i = seen.get(id(c), -1)
+        if i == -1:
+            k = getattr(unfold(c), "_canon", None) or ("",)
+            i = seen[id(c)] = where.get(id(unfold(c)))
+            if k[0] == "rec" and k[1] in cycles:
+                i = seen[id(c)] = cycles[k[1]] + k[2]
+        return i
+
+    def block(c):
+        i = vertex(c)
+        return ("=", _identity(c)) if i is None else ("#", rank[i])
+
+    rank, count = [0] * len(verts), 0
+    while True:
+        levels = [(rank[i], v._level(block)) for i, v in enumerate(verts)]
+        order = {lv: n for n, lv in enumerate(sorted(set(levels)))}
+        rank = [order[lv] for lv in levels]
+        if len(order) in (count, len(verts)):  # stable, or every block one node
+            break
+        count = len(order)
+
+    known = {rank[i]: verts[i]._canon for i in range(len(comp), len(verts))}
+    # the first member of each block of no known state
+    reps = {r: v for r, v in reversed(list(zip(rank, comp))) if r not in known}
+    if reps:
+        local = {r: i for i, r in enumerate(sorted(reps))}
+
+        def ident(c):
+            i = vertex(c)
+            if i is None:
+                return _identity(c)
+            return ("@", local[rank[i]]) if rank[i] in local else known[rank[i]]
+
+        nodes = tuple(reps[r] for r in local)
+        cycle = _Cycle(tuple(v._level(ident) for v in nodes), nodes)
+        known.update((r, ("rec", cycle, i)) for r, i in local.items())
+    for r, v in zip(rank, comp):
+        object.__setattr__(v, "_canon", known[r])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 relating field typings to session types, and the expression checker.
 
 The consistency algorithm keeps every (field typing, session type) pair it
-has met and assumes a pair it meets again, so recursion through rec types
+has met and assumes a pair it meets again, so recursion through states
 terminates and each pair is proved once. The expression checker is
 syntax-directed, with labels eagerly given type linkthis and a singleton
 variant field typing, collapsed by join at the points of use. A tag that is
@@ -765,25 +765,37 @@ _RUNTIME_FORMS = frozenset({sx.ObjIdE, sx.EndpointE, sx.ReturnE})
 # ---------------------------------------------------------------------------
 
 
-def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, met=None):
+def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping):
     """Establish that an object of this class with fields `ftyping` can be
     viewed as `session`. `met` maps every (field typing, state) pair the
     proof has met, in the order met; a pair met again is assumed, as in
-    recursive subtyping (Pierce, TAPL ch. 21). Its branch pairs are the
-    witnesses, and they enter `ctx.witnesses` only when the whole top-level
-    call succeeds, so a failed attempt leaves the table as it was."""
-    top = met is None
-    if top:
-        met = {}
+    recursive subtyping (Pierce, TAPL ch. 21), depth first on an explicit
+    stack. Its branch pairs are the witnesses, and they enter `ctx.witnesses`
+    only when the whole call succeeds, so a failed attempt leaves the table
+    as it was."""
+    met = {}
+    stack = [_consistency_pair(ctx, cls, session, ftyping, met)]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+        else:
+            stack.append(_consistency_pair(ctx, cls, *pair, met))
+    for f, state in met:
+        if isinstance(state, Branch):
+            ctx.record_witness(cls.name, state, f)
+
+
+def _consistency_pair(ctx, cls, session, ftyping, met):
+    """Check one (state, field typing) pair, yielding the pairs it needs."""
+    session = unfold(session)  # a state is its body's pair
     if (ftyping, session) in met:
         return
     met[(ftyping, session)] = None
     if len(met) > MAX_CONSISTENCY_STEPS:
         raise CheckError(DEPTH_LIMIT, f"consistency exceeded {MAX_CONSISTENCY_STEPS} steps")
 
-    if isinstance(session, sx.RecS):
-        consistency(ctx, cls, sx.unfold(session), ftyping, met)
-    elif isinstance(session, Branch):
+    if isinstance(session, Branch):
         if not isinstance(ftyping, RecordF):
             raise CheckError(
                 VARIANT_SHAPE_MISMATCH, f"state {session!r} needs a record field typing"
@@ -804,7 +816,7 @@ def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, met=None
                 if err.method is None:
                     err.method = entry.name
                 raise
-            _continue_consistency(ctx, cls, entry, t, f_out, met)
+            yield entry.cont, _continuation_typing(entry, t, f_out)
     elif isinstance(session, VariantS):
         if not isinstance(ftyping, VariantF):
             raise CheckError(
@@ -816,26 +828,20 @@ def consistency(ctx: CheckContext, cls: sx.ClassDecl, session, ftyping, met=None
                 f"field typing labels {_labels(ftyping.labels)} exceed state labels",
             )
         for l, rec in ftyping.cases:
-            consistency(ctx, cls, session.case(l), rec, met)
+            yield session.case(l), rec
     else:
         raise CheckError(CONSISTENCY, f"cannot relate field typing to {session!r}")
-    if top:
-        for f, state in met:
-            if isinstance(state, Branch):
-                ctx.record_witness(cls.name, state, f)
 
 
-def _continue_consistency(ctx, cls, entry, t, f_out, met):
+def _continuation_typing(entry, t, f_out):
+    """The typing an entry's continuation is checked under, after its body."""
     name = entry.name
     if _result_subtype(t, entry.result):
-        consistency(ctx, cls, entry.cont, f_out, met)
-        return
+        return f_out
     if isinstance(t, EnumType) and isinstance(entry.result, LinkThis):
         if not isinstance(f_out, RecordF):
             raise CheckError(VARIANT_SHAPE_MISMATCH, "enumeration with variant fields", method=name)
-        uniform = VariantF(tuple((l, f_out) for l in sorted(t.labels)))
-        consistency(ctx, cls, entry.cont, uniform, met)
-        return
+        return VariantF(tuple((l, f_out) for l in sorted(t.labels)))
     if isinstance(t, LinkThis) and isinstance(entry.result, EnumType):
         if not isinstance(f_out, VariantF) or not f_out.labels <= entry.result.labels:
             raise CheckError(
@@ -843,8 +849,7 @@ def _continue_consistency(ctx, cls, entry, t, f_out, met):
                 f"body of {name!r} yields labels outside {entry.result!r}",
                 method=name,
             )
-        consistency(ctx, cls, entry.cont, _collapse(f_out, name), met)
-        return
+        return _collapse(f_out, name)
     raise CheckError(
         RESULT_TYPE_MISMATCH,
         f"body of {name!r} has type {t!r}, declared {entry.result!r}",

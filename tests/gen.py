@@ -2,7 +2,7 @@
 
 Generated session types respect the structural restrictions: variant cases
 are branches, linkthis results are paired with variant continuations, and
-all rec types are contractive and closed.
+every recursive type is contractive, each of its states defined.
 """
 
 from mstlang.syntax import (
@@ -17,11 +17,9 @@ from mstlang.syntax import (
     LINK_THIS,
     MethodSig,
     NULL_T,
-    RecC,
-    RecS,
+    ChannelState,
+    SessionState,
     SessionType,
-    VarC,
-    VarS,
     VariantS,
     unfold,
 )
@@ -45,16 +43,18 @@ def gen_value(rng, depth):
 
 
 def gen_session(rng, depth, bound=()):
-    """A closed-by-construction state: branch, or rec over a branch."""
+    """A branch, or a state whose body is a branch; `bound` holds the states
+    whose bodies are being generated, which the branch may lead back to."""
     if depth > 0 and rng.random() < 0.3:
-        var = f"X{len(bound)}"
-        return RecS(var, gen_branch(rng, depth - 1, bound + (var,)))
+        state = SessionState(f"X{len(bound)}")
+        state.define(gen_branch(rng, depth - 1, bound + (state,)))
+        return state
     return gen_branch(rng, depth, bound)
 
 
 def _gen_state(rng, depth, bound):
     if bound and rng.random() < 0.4:
-        return VarS(rng.choice(bound))
+        return rng.choice(bound)
     return gen_session(rng, depth, bound)
 
 
@@ -132,15 +132,17 @@ def _widen_entry(rng, e: MethodSig, fuel=4) -> MethodSig:
 
 
 def gen_channel(rng, depth, pending=(), ok=()):
-    """pending: rec binders not yet guarded; ok: binders usable as variables."""
+    """pending: states whose bodies are being generated and not yet guarded
+    by a communication; ok: such states that may be led back to."""
     if ok and rng.random() < 0.25:
-        return VarC(rng.choice(ok))
+        return rng.choice(ok)
     if depth <= 0:
         return ChanEnd()
     r = rng.random()
     if r < 0.12:
-        var = f"Y{len(pending) + len(ok)}"
-        return RecC(var, gen_channel(rng, depth - 1, pending + (var,), ok))
+        state = ChannelState(f"Y{len(pending) + len(ok)}")
+        state.define(gen_channel(rng, depth - 1, pending + (state,), ok))
+        return state
     if r < 0.2:
         return ChanEnd()
     inner_ok = ok + pending

@@ -449,3 +449,33 @@ def test_trace_digests_cover_the_corpus():
 def test_trace_log_digest(name, mode, capsys):
     code, out, _ = run(["run", str(CORPUS / name), "--trace", "--steps", "2000", *TRACE_MODES[mode]], capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == TRACE_DIGESTS[name, mode]
+
+
+def test_deep_channel_type_dual_and_translate(capsys):
+    # 900 nested sends: duality and translation build their graphs with one
+    # worklist and rendering takes one call per level, so none recurses per
+    # send beyond what the parser itself does
+    text = "!{A}." * 900 + "End"
+    code, out, err = run(["dual", text], capsys)
+    assert (code, err) == (0, "")
+    assert run(["dual", out.strip()], capsys) == (0, text + "\n", "")
+    code, out, err = run(["translate", text], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("{Null send({A}): " * 3)
+
+
+GEN = CORPUS.parent / "benchmarks" / "gen.py"
+
+
+def test_check_a_protocol_of_a_thousand_states(tmp_path, capsys):
+    # `benchmarks/gen.py` is imported read-only, as test_tracing imports tracing.py
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("mstlang_bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "wide.mst"
+    path.write_text(gen.wide_protocol(0, 1000))
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("CLASS Wide") and " OK\n" in out

@@ -1134,3 +1134,12 @@ def test_long_body_monitored_in_bounded_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert outcome.kind == "limit" and len(events) == 50
+
+
+def test_replay_keeps_each_reached_state_once():
+    # two overloads of m lead to the same state, reached once per call, not
+    # once per path (4,096 paths after 12 calls)
+    s = pt("rec S.{Null m(Null): S, Null m({X}): S}")
+    assert replay_trace(s, parse_trace(" ".join(["m"] * 12))) == (s,)
+    two = pt("{Null m(Null): {Null a(Null): {}}, Null m({X}): {Null b(Null): {}}}")
+    assert len(replay_trace(two, parse_trace("m"))) == 2

@@ -28,13 +28,10 @@ from mstlang.syntax import (
     LinkThis,
     MethodSig,
     NULL_E,
-    RecC,
-    RecS,
     SeqE,
+    State,
     SwapE,
     Type,
-    VarC,
-    VarS,
     VariantS,
     unfold,
 )
@@ -289,16 +286,18 @@ def test_parse_files_shares_declarations(tmp_path):
     assert report.ok, report.lines()
 
 
-def _free_vars(x, bound=frozenset()):
-    """The free recursion variables of x, by a walk of every node."""
-    if isinstance(x, (VarS, VarC)):
-        return set() if (x.kind, x.name) in bound else {x.name}
-    if isinstance(x, (RecS, RecC)):
-        return _free_vars(x.body, bound | {(x.kind, x.var)})
+def _undefined_states(x, seen=None):
+    """The states reachable from x that have no body, by a walk of every node."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return set()
+    seen.add(id(x))
+    if isinstance(x, State):
+        return {x.name} if x.body is None else _undefined_states(x.body, seen)
     if isinstance(x, tuple):
-        return set().union(*(_free_vars(item, bound) for item in x))
+        return set().union(*(_undefined_states(item, seen) for item in x))
     if isinstance(x, (Type, MethodSig)):
-        return set().union(*(_free_vars(getattr(x, fd.name), bound) for fd in fields(x)))
+        return set().union(*(_undefined_states(getattr(x, fd.name), seen) for fd in fields(x)))
     return set()
 
 
@@ -321,33 +320,25 @@ def _programs(seeds):
 
 
 def test_rejoined_state_folded_once(monkeypatch):
-    # a state reached from one place along many paths is expanded once and
-    # is one shared node: the class session's 13 states are 13 expansions,
-    # not one per path, and so is every state declaration read on its own
-    reads, read, resolve = [], parser._read, parser._Resolver.resolve
-
-    def counted_read(*args, **kw):
-        reads.append([])
-        return read(*args, **kw)
-
-    def counted_resolve(self, raw, *args, **kw):
-        if raw[0] == "branch":  # each state is written as a branch
-            reads[-1].append(raw)
-        return resolve(self, raw, *args, **kw)
-
-    monkeypatch.setattr(parser, "_read", counted_read)
-    monkeypatch.setattr(parser._Resolver, "resolve", counted_resolve)
-    s = parse_program(rejoining_class(12)).classes["D"].session
-    assert [len(r) for r in reads] == [13] + list(range(13, 0, -1))
-    assert all(len(r) == len({id(raw) for raw in r}) for r in reads)
-    for _ in range(12):
-        a, b = s.entries
+    # a state reached from one place along many paths is resolved once and
+    # is one shared node: the class's 13 states are 13 branches, built once
+    # for the class session and shared with every state declaration
+    built = []
+    init = Branch.__post_init__
+    monkeypatch.setattr(Branch, "__post_init__", lambda b: built.append(b) or init(b))
+    decl = parse_program(rejoining_class(12)).classes["D"]
+    assert len(built) == 13
+    s = decl.session
+    for i in range(12):
+        assert s is decl.states[f"S{i}"]
+        a, b = unfold(s).entries
         assert a.cont is b.cont
         s = a.cont
-    assert s == Branch(())
+    assert unfold(s) == Branch(())
 
 
 def test_resolved_types_are_closed():
+    # closed: every state reached has its body
     for label, prog in _programs(100):
         types = [t for _, t in _declarations(prog)]
         for c in prog.classes.values():
@@ -356,11 +347,11 @@ def test_resolved_types_are_closed():
                     a = m.annotation
                     types += [a.req, a.ens, a.result, a.param_type]
         for t in types:
-            assert not _free_vars(t), (label, t)
+            assert not _undefined_states(t), (label, t)
     rng = random.Random(29)
     for _ in range(300):
-        assert not _free_vars(parse_session_type(render_type(gen_session(rng, 6))))
-        assert not _free_vars(parse_channel_type(render_type(gen_channel(rng, 6))))
+        assert not _undefined_states(parse_session_type(render_type(gen_session(rng, 6))))
+        assert not _undefined_states(parse_channel_type(render_type(gen_channel(rng, 6))))
 
 
 def test_resolved_types_digest():

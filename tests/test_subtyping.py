@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gen import gen_session, widen_session
+from mstlang.parser import parse_program
 from mstlang.parser import parse_session_type as pt
 from mstlang.subtyping import (
     JoinUndefined,
@@ -262,3 +263,31 @@ def test_overload_match_keeps_the_proofs_assumptions():
     assert not subtype_session(s, t)
     assert not equivalent(s, t)
     assert subtype_session(s, pt("rec Y.{Null m({A}): Y, Null n(Null): Y}"))
+
+
+def _rejoining_pair(n):
+    """States S_i offering a and b, both to S_(i+1), and S_n offering z back
+    to S0; the first also offers y at S_n, so it is the subtype."""
+    def session(extra):
+        rows = [f"S{i} = {{Null a(Null): S{i + 1}, Null b(Null): S{i + 1}}}" for i in range(n)]
+        rows.append(f"S{n} = {{Null z(Null): S0{extra}}}")
+        return parse_program(f"class D {{ session S0 where {', '.join(rows)} }}").classes["D"].session
+
+    return session(", Null y(Null): S0"), session("")
+
+
+def test_rejoining_subtype_query_is_linear(monkeypatch):
+    # a pair that both a and b lead to rests on the assumption of (S0, S0),
+    # so it is proved once while that stays on the path, not once per path
+    from mstlang import subtyping
+
+    steps, step = [], subtyping._subtype_unfolded
+    monkeypatch.setattr(subtyping, "_subtype_unfolded", lambda s, t, a: steps.append(s) or step(s, t, a))
+    counts = []
+    for n in (10, 20):
+        s, t = _rejoining_pair(n)
+        del steps[:]
+        assert subtype_session(s, t)
+        counts.append(len(steps))
+        assert not subtype_session(t, s)
+    assert counts == [11, 21]  # one step per pair of states: linear in n

@@ -5,7 +5,8 @@ import pytest
 
 from gen import gen_channel, gen_session
 from mstlang import syntax
-from mstlang.parser import NonContractiveType, parse_session_type
+from mstlang.parser import NonContractiveType, parse_channel_type, parse_program, parse_session_type
+from mstlang.render import render_type
 from mstlang.syntax import (
     Branch,
     CHAN_END,
@@ -28,12 +29,10 @@ from mstlang.syntax import (
     Path,
     PathUndefined,
     LabelE,
-    RecC,
+    ChannelState,
     RecordF,
-    RecS,
-    Type,
-    VarC,
-    VarS,
+    SessionState,
+    SessionType,
     VariantF,
     VariantS,
     unfold,
@@ -49,30 +48,39 @@ def test_unfold_fixed_point_on_branch():
     assert unfold(s) is s
 
 
+def state(name, body_of):
+    """A session state whose body body_of(state) may lead back to it."""
+    s = SessionState(name)
+    s.define(body_of(s))
+    return s
+
+
 def test_unfold_single_rec():
-    s = RecS("X", branch1(VarS("X")))
+    s = state("X", branch1)
     u = unfold(s)
     assert isinstance(u, Branch)
     assert u.entries[0].cont == s
 
 
 def test_unfold_memoised_on_the_node():
-    s = RecS("X", branch1(VarS("X")))
+    s = state("X", branch1)
     assert unfold(s) is unfold(s)
-    # an alpha-variant keeps its own binder in its own unfolding
-    assert unfold(RecS("Y", branch1(VarS("Y")))).entries[0].cont.var == "Y"
+    # an equal state keeps its own node in its own unfolding
+    assert unfold(state("Y", branch1)).entries[0].cont.name == "Y"
 
 
 def test_unfold_keeps_unchanged_subterms():
-    # a subterm without the unfolded variable is shared, so what is stored on it stays
+    # unfolding is a lookup: every child is the node the body holds, so
+    # what is stored on it stays
     closed = branch1(Branch(()))
-    s = RecS("X", Branch((MethodSig("m", closed, NULL_T, VarS("X")),)))
+    s = state("X", lambda x: Branch((MethodSig("m", closed, NULL_T, x),)))
     assert unfold(s).entries[0].param is closed
     sent = ChanSend(NULL_T, CHAN_END)
     for form in (ChanOffer, ChanSelect):
-        c = RecC("Y", form((("A", sent), ("B", VarC("Y")))))
+        c = ChannelState("Y")
+        c.define(form((("A", sent), ("B", c))))
         assert unfold(c).case("A") is sent
-    v = RecS("X", branch1(VariantS((("A", closed), ("B", branch1(VarS("X")))))))
+    v = state("X", lambda x: branch1(VariantS((("A", closed), ("B", branch1(x))))))
     assert unfold(v).entries[0].cont.case("A") is closed
 
 
@@ -85,11 +93,12 @@ def test_repeated_label_rejected(form, component):
 
 
 def test_unfold_nested_recs():
-    s = RecS("X", RecS("Y", branch1(VarS("Y"))))
-    u = unfold(s)
+    y = state("Y", branch1)
+    x = state("X", lambda _: y)
+    u = unfold(x)
     assert isinstance(u, Branch)
     inner = u.entries[0].cont
-    assert isinstance(inner, RecS)
+    assert isinstance(inner, SessionState)
     assert unfold(inner) == u
 
 
@@ -105,7 +114,7 @@ def test_unfold_idempotent_random():
 
 def test_contractivity():
     # the parser checks each binder as it is made; the same three types
-    assert parse_session_type("rec X.{Null m(Null): X}") == RecS("X", branch1(VarS("X")))
+    assert parse_session_type("rec X.{Null m(Null): X}") == state("X", branch1)
     for text in ["rec X.X", "rec X.rec Y.X"]:
         with pytest.raises(NonContractiveType):
             parse_session_type(text)
@@ -313,78 +322,112 @@ def test_branch_entry_order_irrelevant_for_equality():
     assert hash(a) == hash(b)
 
 
-# -- canonical forms -----------------------------------------------------------
-
-_CASE_TAGS = {VariantS: "variant", ChanOffer: "offer", ChanSelect: "select",
-              VariantF: "variantf"}
+# -- identities: equality of unfoldings --------------------------------------
 
 
-def reference_form(t, bound=()):
-    """The canonical form of t computed from scratch: every level is walked,
-    and no form stored on a node is read."""
-    def f(c):
-        return reference_form(c, bound)
+def reference_equal(a, b, assumed=frozenset()):
+    """Whether a and b unfold to equal trees, decided from scratch: a pair
+    of nodes met again on the current path is assumed equal, branch entries
+    are matched by name and an equal parameter, and no identity kept on a
+    node is read."""
+    a, b = unfold(a), unfold(b)
+    if (id(a), id(b)) in assumed:
+        return True
+    if type(a) is not type(b):
+        return False
+    assumed = assumed | {(id(a), id(b))}
 
-    if isinstance(t, (RecS, RecC)):
-        kind, tag = ("s", "rec") if isinstance(t, RecS) else ("c", "recc")
-        return (tag, reference_form(t.body, bound + ((kind, t.var),)))
-    if isinstance(t, (VarS, VarC)):
-        key = ("s" if isinstance(t, VarS) else "c", t.name)
-        depths = [len(bound) - 1 - i for i, b in enumerate(bound) if b == key]
-        return ("var", min(depths)) if depths else ("freevar", t.name)
-    if isinstance(t, Branch):
-        return ("branch", tuple(sorted(
-            (e.name, f(e.param), f(e.result), f(e.cont)) for e in t.entries)))
-    if type(t) in _CASE_TAGS:
-        return (_CASE_TAGS[type(t)], tuple(sorted((l, f(c)) for l, c in t.cases)))
-    if isinstance(t, (ChanRecv, ChanSend)):
-        return ("recv" if isinstance(t, ChanRecv) else "send", f(t.payload), f(t.cont))
-    if isinstance(t, RecordF):
-        return ("record", tuple(sorted((n, f(v)) for n, v in t.items)))
-    if isinstance(t, ObjectInternal):
-        return ("object", t.cls, f(t.typing))
-    return t._canonical(bound)  # a leaf: null, an enumeration, linkthis, end
+    def eq(x, y):
+        return reference_equal(x, y, assumed)
+
+    if isinstance(a, Branch):
+        if len(a.entries) != len(b.entries):
+            return False
+        for e in a.entries:
+            match = [f for f in b.entries if f.name == e.name and eq(e.param, f.param)]
+            if len(match) != 1 or not (eq(e.result, match[0].result) and eq(e.cont, match[0].cont)):
+                return False
+        return True
+    if isinstance(a, (VariantS, ChanOffer, ChanSelect, VariantF)):
+        return a.labels == b.labels and all(eq(c, b.case(l)) for l, c in a.cases)
+    if isinstance(a, (ChanRecv, ChanSend)):
+        return eq(a.payload, b.payload) and eq(a.cont, b.cont)
+    if isinstance(a, RecordF):
+        return set(a.fields) == set(b.fields) and all(eq(t, b.get(f)) for f, t in a.items)
+    if isinstance(a, ObjectInternal):
+        return a.cls == b.cls and eq(a.typing, b.typing)
+    return vars(a) == vars(b) if hasattr(a, "__dict__") else repr(a) == repr(b)  # a leaf
 
 
-def _nodes(x):
-    """Every type node and branch entry in x, children before parents."""
-    if isinstance(x, tuple):
-        return [n for item in x for n in _nodes(item)]
-    if isinstance(x, (Type, MethodSig)):
-        return [n for fd in fields(x) for n in _nodes(getattr(x, fd.name))] + [x]
-    return []
+def _variants(t):
+    """Types equal to t but built apart from it: its unfolding, and both
+    parsed back from their renderings, which place their binders apart."""
+    parse = parse_session_type if isinstance(t, SessionType) else parse_channel_type
+    u = unfold(t)
+    return [t, u, parse(render_type(t)), parse(render_type(u))]
 
 
 def test_canon_equals_a_from_scratch_form():
+    # `==` goes through kept identities; `reference_equal` decides equality
+    # of unfoldings from scratch
     rng = random.Random(19)
-    for _ in range(300):
+    prev = []
+    for _ in range(150):
         s, c = gen_session(rng, 3), gen_channel(rng, 3)
+        for t in (s, c):
+            same = _variants(t)
+            for a in same:
+                for b in same:
+                    assert reference_equal(a, b)
+                    assert a == b and hash(a) == hash(b)
+                for b in prev:
+                    assert (a == b) == reference_equal(a, b), (a, b)
+                    if a == b:
+                        assert hash(a) == hash(b)
         record = RecordF((("f", s), ("g", NULL_T)))
-        for t in (s, c, ObjectInternal("C", record),
-                  VariantF((("A", record), ("B", RecordF((("f", NULL_T), ("g", s))))))):
-            # some subterms, rec bodies among them, are canonicalised first
-            types = [n for n in _nodes(t) if isinstance(n, Type)]
-            for n in rng.sample(types, rng.randrange(len(types) + 1)):
-                n.canon()
-            assert t.canon() == reference_form(t)
+        for wrapped in (ObjectInternal("C", record), VariantF((("A", record),))):
+            again = type(wrapped)(*[getattr(wrapped, fd.name) for fd in fields(wrapped)])
+            assert wrapped == again and hash(wrapped) == hash(again)
+        prev = [s, c] + prev[:10]
+
+
+def test_equal_states_of_one_system_and_of_two():
+    # with S = {m: T} and T = {n: S}, the m continuation of S's unfolding is
+    # T; so are T written as a loop of its own and T unrolled once
+    prog = parse_program("class C { session S where S = {Null m(Null): T}, T = {Null n(Null): S} }")
+    s, t = prog.classes["C"].states["S"], prog.classes["C"].states["T"]
+    cont = unfold(s).entries[0].cont
+    assert cont == t and hash(cont) == hash(t)
+    for text, other in [
+        ("rec X.{Null n(Null): {Null m(Null): X}}", t),
+        ("{Null m(Null): rec Y.{Null n(Null): {Null m(Null): Y}}}", s),
+        ("{Null m(Null): {Null n(Null): rec Z.{Null m(Null): {Null n(Null): Z}}}}", s),
+        ("C.T", t),
+    ]:
+        written = parse_session_type(text, prog)
+        assert written == other and hash(written) == hash(other), text
+    assert s != t and parse_session_type("rec X.{Null m(Null): X}") != s
 
 
 def test_canon_of_fresh_node_reads_its_childrens_stored_forms(monkeypatch):
     s = parse_session_type("rec X.{Null m({A}): X, {A, B} n(Null): {}}")
     old = RecordF((("f", s), ("g", NULL_T)))
     old.canon()
+    hash(old)
     fresh = old.set("g", s)
     computed = []
     for cls in vars(syntax).values():
-        if isinstance(cls, type) and "_canonical" in vars(cls):
-            def counted(self, bound, _orig=vars(cls)["_canonical"]):
+        if isinstance(cls, type) and "_level" in vars(cls):
+            def counted(self, val, _orig=vars(cls)["_level"]):
                 computed.append(type(self).__name__)
-                return _orig(self, bound)
+                return _orig(self, val)
 
-            monkeypatch.setattr(cls, "_canonical", counted)
-    form = fresh.canon()
-    assert computed == ["RecordF"]
-    assert form == reference_form(fresh)
+            monkeypatch.setattr(cls, "_level", counted)
+    fresh.canon()
+    hash(fresh)
+    assert set(computed) == {"RecordF"}
+    assert reference_equal(fresh, RecordF((("f", s), ("g", unfold(s)))))
+    assert fresh == RecordF((("f", s), ("g", unfold(s))))
 
 
 # -- expressions: identity, keys and endpoint sets ------------------------------
