@@ -18,10 +18,11 @@ from .syntax import (
 from .subtyping import coinductive, subtype_value
 
 
-def _map_graph(root, key, build, state):
+def _map_graph(root, key, build, state, payloads):
     """The image of a channel type graph, from one worklist, children first:
-    `build(t, image)` makes a constructor's from its channel children's, and
-    a state's is `state(name)`, made before its body's so a cycle closes on
+    `build(t, image)` makes a constructor's from the images of its
+    continuations and cases, and of its channel payloads if `payloads`; a
+    state's is `state(name)`, made before its body's so a cycle closes on
     it. Each node keeps its image in its memo under `key`."""
     todo = [root]
     while todo:
@@ -39,7 +40,12 @@ def _map_graph(root, key, build, state):
             todo.pop()  # else met again inside its own body: defined further down
             continue
         if out is None:
-            kids = [c for c in sx.children(t) if isinstance(c, ChannelType)]
+            if isinstance(t, (ChanRecv, ChanSend)):
+                kids = [t.cont]
+                if payloads and isinstance(t.payload, ChannelType):
+                    kids.append(t.payload)
+            else:
+                kids = [c for _, c in getattr(t, "cases", ())]
             missing = [c for c in kids if key not in c.memo()]
             if missing:
                 todo.extend(missing)
@@ -53,7 +59,7 @@ def dual(sigma: ChannelType) -> ChannelType:
     """The other endpoint's view: send/receive and offer/select exchanged,
     payloads unchanged. An involution. Memoised on sigma's nodes, each
     state's image keeping its name."""
-    return _map_graph(sigma, "dual", _dual, sx.ChannelState)
+    return _map_graph(sigma, "dual", _dual, sx.ChannelState, False)
 
 
 _DUAL = {ChanSend: ChanRecv, ChanRecv: ChanSend, ChanSelect: ChanOffer, ChanOffer: ChanSelect}
@@ -76,7 +82,7 @@ def translate_channel(sigma: ChannelType) -> SessionType:
     A channel state becomes a session state of the same name and case
     order is kept; each node, channel payloads too, keeps its translation.
     """
-    return _map_graph(sigma, "translate", _translate, sx.SessionState)
+    return _map_graph(sigma, "translate", _translate, sx.SessionState, True)
 
 
 def _translate(sigma, image):

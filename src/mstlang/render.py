@@ -8,29 +8,84 @@ an unambiguous notation used by trace logs; they are not re-parseable.
 
 from __future__ import annotations
 
+import re
+
 from . import syntax as sx
 
 
 def render_type(t) -> str:
-    return _render(t, {})
+    names = _Names()
+    return names.resolve(_render(t, names))
 
 
 _CASES = {sx.VariantS: "<>", sx.VariantF: "<>", sx.ChanOffer: "&{}", sx.ChanSelect: "+{}"}
 
 
-def _render(t, open_) -> str:
-    """`open_` maps the ids of the states whose bodies are being rendered to
-    whether they were met again, so written by name and as `rec name.` before
-    the body. One call per level of nesting, states included."""
+class _Binder:
+    __slots__ = ("name", "met", "shadows")
+
+    def __init__(self, name):
+        self.name, self.met, self.shadows = name, False, False
+
+
+class _Names:
+    """The states whose bodies are being rendered, and the names they are
+    written by. A state met again is written as a mark that `resolve` turns
+    into its name: its own, unless it is written `rec name.` and, inside,
+    an outer state of the same name is met again, which the binder would
+    capture; then a name used by no state rendered."""
+
+    def __init__(self):
+        self.open = {}  # id of an open state -> the index of its binder
+        self.by_name = {}  # name -> indices of the open binders of that name
+        self.binders = []
+
+    def enter(self, s):
+        i = self.open[id(s)] = len(self.binders)
+        self.by_name.setdefault(s.name, []).append(i)
+        self.binders.append(_Binder(s.name))
+
+    def leave(self, s):
+        """Close the binder of s: its mark if s was met again, else None."""
+        i = self.open.pop(id(s))
+        b = self.binders[i]
+        self.by_name[b.name].pop()
+        return f"\0{i}\0" if b.met else None
+
+    def meet(self, s):
+        i = self.open[id(s)]
+        self.binders[i].met = True
+        for j in reversed(self.by_name[s.name]):
+            if j == i:
+                break
+            self.binders[j].shadows = True
+        return f"\0{i}\0"
+
+    def resolve(self, text):
+        if "\0" not in text:
+            return text
+        taken = {b.name for b in self.binders}
+        names = []
+        for b in self.binders:
+            name, n = b.name, 0
+            while b.met and b.shadows and name in taken:
+                n += 1
+                name = f"{b.name}_{n}"
+            taken.add(name)
+            names.append(name)
+        return re.sub("\0(\\d+)\0", lambda m: names[int(m[1])], text)
+
+
+def _render(t, names) -> str:
+    """One call per level of nesting, states included."""
     states = []
-    while isinstance(t, sx.State) and id(t) not in open_:
-        open_[id(t)] = False
+    while isinstance(t, sx.State) and id(t) not in names.open:
+        names.enter(t)
         states.append(t)
         t = t.body
     parts = []
     if isinstance(t, sx.State):
-        open_[id(t)] = True
-        text = t.name
+        text = names.meet(t)
     elif isinstance(t, sx.NullType):
         text = "Null"
     elif isinstance(t, sx.EnumType):
@@ -41,30 +96,31 @@ def _render(t, open_) -> str:
         text = f"link {t.field}"
     elif isinstance(t, sx.Branch):
         for e in t.entries:
-            parts.append(f"{_render(e.result, open_)} {e.name}({_render(e.param, open_)}): "
-                         f"{_render(e.cont, open_)}")
+            parts.append(f"{_render(e.result, names)} {e.name}({_render(e.param, names)}): "
+                         f"{_render(e.cont, names)}")
         text = "{" + ", ".join(parts) + "}"
     elif type(t) in _CASES:
         for l, c in t.cases:
-            parts.append(f"{l}: {_render(c, open_)}")
+            parts.append(f"{l}: {_render(c, names)}")
         text = _CASES[type(t)][:-1] + ", ".join(parts) + _CASES[type(t)][-1]
     elif isinstance(t, sx.ChanEnd):
         text = "End"
     elif isinstance(t, (sx.ChanRecv, sx.ChanSend)):
-        p = _render(t.payload, open_)
+        p = _render(t.payload, names)
         # a structured channel payload needs parentheses to keep '.' unambiguous
         if isinstance(t.payload, sx.ChannelType) and p.startswith(("?", "!", "rec ")):
             p = f"({p})"
-        text = f"{'?' if isinstance(t, sx.ChanRecv) else '!'}{p}.{_render(t.cont, open_)}"
+        text = f"{'?' if isinstance(t, sx.ChanRecv) else '!'}{p}.{_render(t.cont, names)}"
     elif isinstance(t, sx.RecordF):
-        text = "{" + ", ".join(f"{_render(v, open_)} {f}" for f, v in t.items) + "}"
+        text = "{" + ", ".join(f"{_render(v, names)} {f}" for f, v in t.items) + "}"
     elif isinstance(t, sx.ObjectInternal):
-        text = f"{t.cls}[{_render(t.typing, open_)}]"
+        text = f"{t.cls}[{_render(t.typing, names)}]"
     else:
         raise TypeError(f"cannot render {type(t).__name__}")
     for s in reversed(states):
-        if open_.pop(id(s)):
-            text = f"rec {s.name}.{text}"
+        mark = names.leave(s)
+        if mark:
+            text = f"rec {mark}.{text}"
     return text
 
 

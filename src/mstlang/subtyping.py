@@ -221,39 +221,54 @@ def join_session(s: SessionType, t: SessionType) -> SessionType:
     A branch join has one entry per (method name, met parameter), joined from
     the entries that serve that parameter on each side; a parameter that
     either side cannot serve unambiguously is left out. Each pair joined is
-    one state `_J<n>`, from one worklist; the result is the first pair's
-    state when a pair leads back to it, else its body."""
+    one state `_J<n>`. Pairs are joined depth first, on a stack of
+    generators: entry by entry, the result before the continuation, so the
+    join reported undefined is the first one a recursive join meets. The
+    result is the first pair's state when a pair leads back to it, else its
+    body."""
     pairs = {}  # (s, t) -> its state
-    todo, met_again = [], set()
+    new, met_again = [], set()
 
     def state(a, b):
         node = pairs.get((a, b))
         if node is None:
             node = pairs[(a, b)] = sx.SessionState(f"_J{len(pairs)}")
-            todo.append((node, a, b))
+            new.append(_join_pair(node, a, b, state))
         else:
             met_again.add(id(node))
         return node
 
-    root = state(s, t)
-    while todo:
-        node, a, b = todo.pop()
-        su, tu = unfold(a), unfold(b)
-        if isinstance(su, Branch) and isinstance(tu, Branch):
-            entries = []
-            for method, param in _met_parameters(su, tu):
-                e, _ = serving_entry(su, method, param)
-                e2, _ = serving_entry(tu, method, param)
-                if e is not None and e2 is not None:
-                    entries.append(_join_entry(e, e2, param, state))
-            node.define(Branch(tuple(entries)))
-        elif isinstance(su, VariantS) and isinstance(tu, VariantS):
-            cases = [(l, state(c, tu.case(l)) if l in tu.labels else c) for l, c in su.cases]
-            cases += [(l, c) for l, c in tu.cases if l not in su.labels]
-            node.define(VariantS(tuple(cases)))
-        else:
-            raise JoinUndefined(f"no join of {a!r} and {b!r}")
+    root, stack = state(s, t), []
+    while new or stack:
+        if new:
+            stack.append(new.pop())
+        elif next(stack[-1], True):  # the top pair is defined
+            stack.pop()
     return root if id(root) in met_again else root.body
+
+
+def _join_pair(node, a, b, state):
+    """Define node as the join of a and b, pausing after each state asked
+    for, which may be a pair met first."""
+    su, tu = unfold(a), unfold(b)
+    if isinstance(su, Branch) and isinstance(tu, Branch):
+        entries = []
+        for method, param in _met_parameters(su, tu):
+            e, _ = serving_entry(su, method, param)
+            e2, _ = serving_entry(tu, method, param)
+            if e is not None and e2 is not None:
+                entries.append(_join_entry(e, e2, param, state))
+                yield
+        node.define(Branch(tuple(entries)))
+    elif isinstance(su, VariantS) and isinstance(tu, VariantS):
+        cases = []
+        for l, c in su.cases:
+            cases.append((l, state(c, tu.case(l)) if l in tu.labels else c))
+            yield
+        cases += [(l, c) for l, c in tu.cases if l not in su.labels]
+        node.define(VariantS(tuple(cases)))
+    else:
+        raise JoinUndefined(f"no join of {a!r} and {b!r}")
 
 
 def _met_parameters(su, tu):

@@ -71,8 +71,12 @@ class Type:
     def canon(self):
         c = getattr(self, "_canon", None)
         if c is None:
-            _identify(self)
-            c = self._canon
+            if self.recursive:
+                _identify(self)
+                c = self._canon
+            else:  # no cycle passes through a value type or a field typing
+                c = self._level(Type.canon)
+                object.__setattr__(self, "_canon", c)
         return c
 
     def memo(self) -> dict:

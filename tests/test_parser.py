@@ -247,6 +247,30 @@ def test_render_round_trip_bound_names():
             parse_session_type(text)
 
 
+def test_render_renames_a_binder_that_would_capture_an_outer_state():
+    # inside the written `rec A`, B leads back to the alias A, which a second
+    # binder written `rec A.` would capture
+    prog = parse_program(
+        "type A = {Null m(Null): rec A.{Null n(Null): A, Null k(Null): B}}\n"
+        "type B = {Null z(Null): A}\n"
+    )
+    a = prog.session_aliases["A"]
+    text = render_type(a)
+    assert text == "rec A.{Null m(Null): rec A_1.{Null n(Null): A_1, Null k(Null): {Null z(Null): A}}}"
+    assert parse_session_type(text) == a
+    # the new name is one no state rendered has
+    prog = parse_program(
+        "type A = {Null m(Null): rec A.{Null n(Null): A, Null k(Null): B}}\n"
+        "type B = {Null z(Null): A, Null y(Null): rec A_1.{Null w(Null): A_1}}\n"
+    )
+    a = prog.session_aliases["A"]
+    assert "rec A_2.{Null n(Null): A_2," in render_type(a)
+    assert parse_session_type(render_type(a)) == a
+    # a binder that captures nothing keeps its name
+    text = "rec X.{Null m(Null): X, Null q(Null): rec X.{Null n(Null): X}}"
+    assert render_type(parse_session_type(text)) == text
+
+
 def test_access_point_and_main(remote1):
     assert "fileserver" in remote1.access_points
     assert remote1.main == ("Boot", "go")

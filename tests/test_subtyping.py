@@ -201,6 +201,22 @@ def test_join_undefined():
         join_field(RecordF((("f", NULL_T),)), RecordF((("g", NULL_T),)))
 
 
+def test_join_reports_the_first_failure_depth_first():
+    # entry by entry, the result join before the continuation's, and the
+    # whole continuation before the next entry
+    for a, b, failed in [
+        ("{Null a(Null): {}, Null b(Null): {}}",
+         "{Null a(Null): <A: {}>, {A} b(Null): {}}", "{} and <A: {}>"),
+        ("{Null a(Null): {}, Null b(Null): {Null c(Null): {}}}",
+         "{Null a(Null): <A: {}>, Null b(Null): <B: {}>}", "{} and <A: {}>"),
+        ("{Null a(Null): {Null c(Null): {}}, Null b(Null): {}}",
+         "{Null a(Null): {Null c(Null): <C: {}>}, Null b(Null): <B: {}>}", "{} and <C: {}>"),
+    ]:
+        with pytest.raises(JoinUndefined) as e:
+            join_session(pt(a), pt(b))
+        assert str(e.value) == f"no join of {failed}"
+
+
 def test_join_is_upper_bound():
     rng = random.Random(31)
     kept = 0

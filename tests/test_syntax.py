@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -33,6 +32,7 @@ from mstlang.syntax import (
     RecordF,
     SessionState,
     SessionType,
+    State,
     VariantF,
     VariantS,
     unfold,
@@ -356,39 +356,55 @@ def reference_equal(a, b, assumed=frozenset()):
         return set(a.fields) == set(b.fields) and all(eq(t, b.get(f)) for f, t in a.items)
     if isinstance(a, ObjectInternal):
         return a.cls == b.cls and eq(a.typing, b.typing)
-    return vars(a) == vars(b) if hasattr(a, "__dict__") else repr(a) == repr(b)  # a leaf
+    return a._level(None) == b._level(None)  # a leaf: no child to compare
 
 
-def _variants(t):
-    """Types equal to t but built apart from it: its unfolding, and both
-    parsed back from their renderings, which place their binders apart."""
+def _nodes(t):
+    """Every type node t reaches, states included."""
+    seen, todo, out = set(), [t], []
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append(n)
+            todo.extend([n.body] if isinstance(n, State) else syntax.children(n))
+    return out
+
+
+def _built_apart(t):
+    """t parsed back from its rendering and from its unfolding's: equal types
+    that share no node with t and place their binders apart."""
     parse = parse_session_type if isinstance(t, SessionType) else parse_channel_type
-    u = unfold(t)
-    return [t, u, parse(render_type(t)), parse(render_type(u))]
+    return [parse(render_type(t)), parse(render_type(unfold(t)))]
 
 
 def test_canon_equals_a_from_scratch_form():
     # `==` goes through kept identities; `reference_equal` decides equality
     # of unfoldings from scratch
     rng = random.Random(19)
-    prev = []
-    for _ in range(150):
+    prev = [[] for _ in range(4)]
+    for _ in range(300):
         s, c = gen_session(rng, 3), gen_channel(rng, 3)
-        for t in (s, c):
-            same = _variants(t)
-            for a in same:
-                for b in same:
+        groups = [[s, unfold(s)] + _built_apart(s), [c, unfold(c)] + _built_apart(c)]
+        ss = [s] + groups[0][2:]  # a record holds the session type built three ways
+        records = [RecordF((("f", x), ("g", NULL_T))) for x in ss]
+        groups.append([ObjectInternal("C", r) for r in records])
+        groups.append([VariantF((("A", r), ("B", RecordF((("f", NULL_T), ("g", x))))))
+                       for r, x in zip(records, ss)])
+        # some nodes, states among them, are identified first, in any order
+        nodes = [n for group in groups for t in group for n in _nodes(t)]
+        for n in rng.sample(nodes, rng.randrange(len(nodes) + 1)):
+            n.canon()
+        for group, earlier in zip(groups, prev):
+            for a in group:
+                for b in group:
                     assert reference_equal(a, b)
                     assert a == b and hash(a) == hash(b)
-                for b in prev:
+                for b in earlier:
                     assert (a == b) == reference_equal(a, b), (a, b)
                     if a == b:
                         assert hash(a) == hash(b)
-        record = RecordF((("f", s), ("g", NULL_T)))
-        for wrapped in (ObjectInternal("C", record), VariantF((("A", record),))):
-            again = type(wrapped)(*[getattr(wrapped, fd.name) for fd in fields(wrapped)])
-            assert wrapped == again and hash(wrapped) == hash(again)
-        prev = [s, c] + prev[:10]
+            earlier[:] = [group[0]] + earlier[:9]
 
 
 def test_equal_states_of_one_system_and_of_two():
@@ -424,8 +440,9 @@ def test_canon_of_fresh_node_reads_its_childrens_stored_forms(monkeypatch):
 
             monkeypatch.setattr(cls, "_level", counted)
     fresh.canon()
+    assert computed == ["RecordF"]
     hash(fresh)
-    assert set(computed) == {"RecordF"}
+    assert computed == ["RecordF", "RecordF"]
     assert reference_equal(fresh, RecordF((("f", s), ("g", unfold(s)))))
     assert fresh == RecordF((("f", s), ("g", unfold(s))))
 
