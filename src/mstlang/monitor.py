@@ -275,45 +275,45 @@ class ThreadEnv:
     active_link: object = None  # ActiveLink | None
 
 
-def env_type_at(gamma: dict, path: Path):
-    t = gamma.get(("obj", path.root))
-    if t is None:
-        raise RuntimeFault(f"no environment entry for {path.root}")
+def _open_objects(root, path: Path) -> list:
+    """The open objects along the path from its root, each caller before
+    its callee, up to the first that is not open."""
+    out = [root]
     for f in path.fields:
-        if not isinstance(t, ObjectInternal) or not isinstance(t.typing, RecordF):
-            raise RuntimeFault(f"path {path} crosses a non-open object")
-        t = t.typing.get(f)
-    return t
+        t = out[-1].typing
+        try:
+            child = t.get(f) if isinstance(t, RecordF) else None
+        except KeyError:
+            break
+        if not isinstance(child, ObjectInternal):
+            break
+        out.append(child)
+    return out
 
 
-def env_set_at(gamma: dict, path: Path, new_type) -> None:
-    if not path.fields:
-        gamma[("obj", path.root)] = new_type
-        return
-    root = gamma[("obj", path.root)]
-    gamma[("obj", path.root)] = _rebuild(root, path.fields, new_type)
+def _open_chain(gamma: dict, path: Path) -> list:
+    """The open objects from the thread's root entry to its current object
+    at `path`, each caller before its callee."""
+    root = gamma.get(("obj", path.root))
+    chain = _open_objects(root, path) if isinstance(root, ObjectInternal) else ()
+    if len(chain) <= len(path.fields) or not isinstance(chain[-1].typing, RecordF):
+        raise RuntimeFault(f"no open object at {path}")
+    return chain
 
 
-def _rebuild(t, fields, new_type):
-    if not fields:
-        return new_type
-    if not isinstance(t, ObjectInternal) or not isinstance(t.typing, RecordF):
-        raise RuntimeFault("path crosses a non-open object")
-    f = fields[0]
-    child = _rebuild(t.typing.get(f), fields[1:], new_type)
-    return ObjectInternal(t.cls, t.typing.set(f, child))
+def _store(gamma: dict, path: Path, chain, typing) -> None:
+    """Give the current object, the last of `chain`, the field typing
+    `typing`, and rebuild its callers outward to the root entry."""
+    t = ObjectInternal(chain[-1].cls, typing)
+    for k in range(len(chain) - 2, -1, -1):
+        t = ObjectInternal(chain[k].cls, chain[k].typing.set(path.fields[k], t))
+    gamma[("obj", path.root)] = t
 
 
-def env_field_type(gamma, path: Path, f: str):
-    t = env_type_at(gamma, path)
-    if not isinstance(t, ObjectInternal) or not isinstance(t.typing, RecordF):
-        raise RuntimeFault(f"object at {path} is not open")
-    return t.typing.get(f)
-
-
-def env_set_field(gamma, path: Path, f: str, new_type) -> None:
-    t = env_type_at(gamma, path)
-    env_set_at(gamma, path, ObjectInternal(t.cls, t.typing.set(f, new_type)))
+def _set_field(gamma: dict, path: Path, f: str, t) -> None:
+    """Give field f of the current object at `path` the type t."""
+    chain = _open_chain(gamma, path)
+    _store(gamma, path, chain, chain[-1].typing.set(f, t))
 
 
 class HeapSummary:
@@ -403,22 +403,6 @@ class KeptFrame:
 
 
 _NO_ENDPOINTS = frozenset()
-
-
-def _open_objects(root, path: Path) -> list:
-    """The open objects along the path from its root, each caller before
-    its callee, up to the first that is not open."""
-    out = [root]
-    for f in path.fields:
-        t = out[-1].typing
-        try:
-            child = t.get(f) if isinstance(t, RecordF) else None
-        except KeyError:
-            break
-        if not isinstance(child, ObjectInternal):
-            break
-        out.append(child)
-    return out
 
 
 def _same_but(a, b, f) -> bool:
@@ -618,7 +602,9 @@ class Monitor:
         env = self.envs[i]
         path = before.threads[i].path
         f = ev.field
-        old_type = env_field_type(env.gamma, path, f)
+        chain = _open_chain(env.gamma, path)
+        F = chain[-1].typing
+        old_type = F.get(f)
 
         # type of the incoming value
         v_in = ev.value
@@ -627,7 +613,7 @@ class Monitor:
             if link.path != path:
                 self.fault(TRACKING_FAULT, i, "tag parked outside its own object")
             t_in = LinkField(link.field)
-            env_set_field(env.gamma, path, link.field, link.variant)
+            F = F.set(link.field, link.variant)
             env.active_link = None
         else:
             t_in = self.value_type(env, v_in, i, consume=True)
@@ -639,14 +625,14 @@ class Monitor:
         elif isinstance(v_out, sx.EndpointE):
             env.gamma[("chan", v_out.chan, v_out.polarity)] = old_type
         elif isinstance(v_out, sx.LabelE) and isinstance(old_type, LinkField):
-            target = env_field_type(env.gamma, path, old_type.field)
+            target = F.get(old_type.field)
             tu = unfold(target) if isinstance(target, SessionType) else None
             if not isinstance(tu, VariantS) or v_out.label not in tu.labels:
                 self.fault(TRACKING_FAULT, i, f"tag {v_out.label} does not match field {old_type.field}")
-            env_set_field(env.gamma, path, old_type.field, tu.case(v_out.label))
+            F = F.set(old_type.field, tu.case(v_out.label))
             env.active_link = ActiveLink(path, old_type.field, target)
 
-        env_set_field(env.gamma, path, f, t_in)
+        _store(env.gamma, path, chain, F.set(f, t_in))
 
     def _track_call(self, before, ev, after):
         i = ev.threads[0]
@@ -654,7 +640,8 @@ class Monitor:
         th = before.threads[i]
         path = th.path
         f = ev.field
-        t_field = env_field_type(env.gamma, path, f)
+        chain = _open_chain(env.gamma, path)
+        t_field = chain[-1].typing.get(f)
         if not isinstance(t_field, SessionType):
             self.fault(TRACKING_FAULT, i, f"call on field {f!r} of non-session type")
         branch = unfold(t_field)
@@ -671,7 +658,7 @@ class Monitor:
         callee = th.heap.record(ev.oid)
         witness = self._opening_witness(callee, branch, th.heap, i)
         env.frames.append(Frame(f, callee.cls, entry.cont))
-        env_set_field(env.gamma, path, f, ObjectInternal(callee.cls, witness))
+        _store(env.gamma, path, chain, chain[-1].typing.set(f, ObjectInternal(callee.cls, witness)))
         self._advance(i, ev.oid, TraceCall(ev.method, entry.param))
 
     def _opening_witness(self, callee, branch, heap, thread):
@@ -688,25 +675,37 @@ class Monitor:
     def _record_conforms(self, rec, ftyping, heap) -> bool:
         """Does a heap record inhabit a record field typing? Fields of variant
         session type are resolved through their sibling tag first (the actual
-        session type), then objects are checked by their reached session states."""
-        if not isinstance(ftyping, RecordF):
-            return False
-        names = rec.field_names
-        if names == ftyping.fields:  # both in declaration order
-            types = [t for _, t in ftyping.items]
-        elif set(names) == set(ftyping.fields):
-            types = [ftyping.get(name) for name in names]
-        else:
-            return False
-        for (name, v), t in zip(rec.fields, types):
-            tu = unfold(t) if isinstance(t, SessionType) else None
-            if isinstance(tu, VariantS):
-                sel = self._actual_case(rec, ftyping, name, tu)
-                if sel is None:
-                    return False
-                t = sel
-            if not self._value_conforms(v, t, heap):
+        session type), then objects are checked by their reached session states.
+        A field of open object type C[F], the callee of a pending call, holds
+        an object of class C whose record inhabits F, checked in turn by the
+        same loop, so a chain of pending calls costs no recursion."""
+        todo = [(rec, ftyping)]
+        while todo:
+            rec, ftyping = todo.pop()
+            if not isinstance(ftyping, RecordF):
                 return False
+            names = rec.field_names
+            if names == ftyping.fields:  # both in declaration order
+                types = [t for _, t in ftyping.items]
+            elif set(names) == set(ftyping.fields):
+                types = [ftyping.get(name) for name in names]
+            else:
+                return False
+            for (name, v), t in zip(rec.fields, types):
+                if type(t) is ObjectInternal:
+                    callee = heap.record(v.oid) if isinstance(v, sx.ObjIdE) and heap.has(v.oid) else None
+                    if callee is None or callee.cls != t.cls:
+                        return False
+                    todo.append((callee, t.typing))
+                    continue
+                tu = unfold(t) if isinstance(t, SessionType) else None
+                if isinstance(tu, VariantS):
+                    sel = self._actual_case(rec, ftyping, name, tu)
+                    if sel is None:
+                        return False
+                    t = sel
+                if not self._value_conforms(v, t, heap):
+                    return False
         return True
 
     def _actual_case(self, rec, ftyping, name, variant):
@@ -726,11 +725,6 @@ class Monitor:
             return isinstance(v, sx.LabelE) and v.label in t.labels
         if isinstance(t, LinkField):
             return isinstance(v, sx.LabelE)  # the pairing is checked from the variant side
-        if isinstance(t, ObjectInternal):
-            if not isinstance(v, sx.ObjIdE) or not heap.has(v.oid):
-                return False
-            child = heap.record(v.oid)
-            return child.cls == t.cls and self._record_conforms(child, t.typing, heap)
         if isinstance(t, SessionType):
             if isinstance(v, sx.ObjIdE):
                 if not heap.has(v.oid):
@@ -759,7 +753,10 @@ class Monitor:
         path = before.threads[i].path
         if path.last() != frame.field:
             self.fault(TRACKING_FAULT, i, "return path does not match the pending call")
-        inner = env_type_at(env.gamma, path)
+        caller_path = path.parent()
+        chain = _open_chain(env.gamma, caller_path)  # the returning object's callers
+        F = chain[-1].typing
+        inner = F.get(frame.field)
         if not isinstance(inner, ObjectInternal) or not isinstance(inner.typing, RecordF):
             self.fault(TRACKING_FAULT, i, "returning object is not open")
         v = ev.value
@@ -769,11 +766,11 @@ class Monitor:
                 self.fault(TRACKING_FAULT, i, f"returned tag {v.label} outside the variant")
             selected = cont_u.case(v.label)
             self._consistent(frame.cls, selected, inner.typing, i)
-            env_set_at(env.gamma, path, selected)
-            env.active_link = ActiveLink(path.parent(), frame.field, frame.cont)
+            _store(env.gamma, caller_path, chain, F.set(frame.field, selected))
+            env.active_link = ActiveLink(caller_path, frame.field, frame.cont)
         else:
             self._consistent(frame.cls, frame.cont, inner.typing, i)
-            env_set_at(env.gamma, path, frame.cont)
+            _store(env.gamma, caller_path, chain, F.set(frame.field, frame.cont))
         if isinstance(v, sx.LabelE):
             oid = before.threads[i].heap.resolve_id(path)
             self._advance(i, oid, TraceLabel(v.label))
@@ -840,17 +837,15 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, i, f"send on channel of type {render_type(sig_s)}")
         self.theta[key_s] = new_s
-        env_set_field(env_s.gamma, path_s, f_s, translate_channel(new_s))
+        _set_field(env_s.gamma, path_s, f_s, translate_channel(new_s))
 
         # receiver side
         if isinstance(sig_r, sx.ChanOffer):
             new_r = sig_r.case(v.label)
             variant = VariantS(tuple((l, translate_channel(c)) for l, c in sig_r.cases))
-            env_set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
             env_r.active_link = ActiveLink(path_r, f_r, variant)
         elif isinstance(sig_r, sx.ChanRecv):
             new_r = sig_r.cont
-            env_set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
             if isinstance(v, sx.EndpointE):
                 env_r.gamma[("chan", v.chan, v.polarity)] = translate_channel(
                     self.theta[(v.chan, v.polarity)]
@@ -858,6 +853,7 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, j, f"receive on channel of type {render_type(sig_r)}")
         self.theta[key_r] = new_r
+        _set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
 
     def _track_comobj(self, before, ev, after):
         i, j, path_s, path_r, f_s, f_r, key_s, key_r, sig_s, sig_r = self._com_sides(before, ev)
@@ -874,8 +870,8 @@ class Monitor:
         env_r.gamma[("obj", phi[ev.oid])] = t_obj
         self.theta[key_s] = sig_s.cont
         self.theta[key_r] = sig_r.cont
-        env_set_field(env_s.gamma, path_s, f_s, translate_channel(sig_s.cont))
-        env_set_field(env_r.gamma, path_r, f_r, translate_channel(sig_r.cont))
+        _set_field(env_s.gamma, path_s, f_s, translate_channel(sig_s.cont))
+        _set_field(env_r.gamma, path_r, f_r, translate_channel(sig_r.cont))
         self._reached.update({phi[o]: self._reached.pop(o) for o in phi if o in self._reached})
 
     # -- state checking ---------------------------------------------------------
@@ -980,32 +976,35 @@ class Monitor:
     def _check_heap_agreement(self, i, th, env: ThreadEnv, chans):
         """Each environment entry agrees with the heap and the channel
         types. Only the entries that can have changed are looked at: those
-        whose type is not == to the one they last agreed at, every object
+        whose type is not the very one they last agreed at, every object
         entry when the step changed a record of the thread's heap, a reached
         state of one of its objects or the channel type of an endpoint the
         heap holds, and the endpoint entries of the step's channels. Every
-        entry when `chans` is None."""
+        entry when `chans` is None. Types are values, so tracking replaces a
+        type it changes; the root entry, whose open objects nest one in
+        another per pending call, is never compared level by level."""
         summary = self._heaps[i]
         last = {} if chans is None else self._agreed.get(i, {})
         chans = chans or ()
         objects = i in self._changed or any(
             (c, "+") in summary.eps or (c, "-") in summary.eps for c in chans
         )
-        if not objects and not chans and env.gamma == last:
+        gamma, root = env.gamma, ("obj", th.path.root)
+        if not objects and not chans and last.get(root) is gamma.get(root) and gamma == last:
             return  # every entry as it last agreed, and nothing it reads changed
         agreed = {}
-        for key, t in list(env.gamma.items()):
+        for key, t in list(gamma.items()):
             agreed[key] = t
             was = last.get(key)
             if key[0] != "obj":
                 c, p = key[1], key[2]
-                if c not in chans and was is not None and was == t:
+                if c not in chans and was is t:
                     continue
                 sigma = self.theta.get((c, p))
                 if sigma is None or not equivalent(translate_channel(sigma), t):
                     self.fault(STATE_ILL_TYPED, i, f"endpoint {c}{p} disagrees with its channel type")
                 continue
-            if not objects and was is not None and was == t:
+            if not objects and was is t:
                 continue
             oid = key[1]
             if not summary.is_root(oid):

@@ -417,11 +417,11 @@ _CHANNEL = ("end", "recv", "send", "offer", "select", "recc", "cname")  # raw ch
 
 
 class _Equations:
-    """The named types of one scope, a class's states with the file's
-    aliases or the aliases alone. Each name, and each written `rec`, is one
-    state node whose definition is resolved once, from a worklist, so no
-    chain of names recurses; a `rec` variable means its node in the binder's
-    body only."""
+    """The named types of one scope: the file's aliases, or a class's
+    states with the aliases already resolved. Each name, and each written
+    `rec`, is one state node whose definition is resolved once, from a
+    worklist, so no chain of names recurses; a `rec` variable means its node
+    in the binder's body only."""
 
     def __init__(self, session_defs, channel_defs):
         self.defs = {"name": session_defs, "cname": channel_defs}
@@ -676,13 +676,9 @@ def _parse_sources(sources) -> sx.Program:
             err.file = filename
             raise
 
-    # Class states share the namespace with file-level aliases; class-local
-    # names shadow the aliases.
-    classes = {}
-    for rc in raw_classes:
-        with _located(rc.where):
-            classes[rc.name] = _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases)
-
+    # Aliases and access points are resolved once, at file scope; a class's
+    # states share the namespace with the resolved aliases, and shadow them
+    # in the class's own types only.
     top = _Equations(raw_type_aliases, raw_chan_aliases)
     aliases = {"type": {}, "chantype": {}}
     kinds = (("type", raw_type_aliases, "name"), ("chantype", raw_chan_aliases, "cname"))
@@ -697,6 +693,10 @@ def _parse_sources(sources) -> sx.Program:
                 raise ParseError(f"duplicate access point {name!r}")
             c = top.read(proto, f"access point {name}", False)
         access_points[name] = c
+    classes = {}
+    for rc in raw_classes:
+        with _located(rc.where):
+            classes[rc.name] = _resolve_class(rc, classes, aliases["type"], aliases["chantype"])
 
     program = sx.Program(
         classes=classes,
@@ -709,10 +709,10 @@ def _parse_sources(sources) -> sx.Program:
     return program
 
 
-def _resolve_class(rc, classes, raw_type_aliases, raw_chan_aliases) -> sx.ClassDecl:
+def _resolve_class(rc, classes, type_aliases, chan_aliases) -> sx.ClassDecl:
     if rc.name in classes:
         raise DuplicateClass(f"class {rc.name!r} declared more than once")
-    eqs = _Equations({**raw_type_aliases, **rc.states}, raw_chan_aliases)
+    eqs = _Equations({**type_aliases, **rc.states}, chan_aliases)
     session = eqs.read(rc.session, f"class {rc.name}")
     if eqs.starts(session) is not sx.Branch:
         raise ParseError(f"class {rc.name}: declared session must unfold to a branch")

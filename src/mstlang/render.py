@@ -160,5 +160,10 @@ def render_expr(e) -> str:
 
 
 def _seq_part(e) -> str:
+    """One statement of a sequence. The one sequence the parser makes a
+    statement of is an assignment `f = v`, its sugar for `f <-> v; null`,
+    which renders as written."""
+    if isinstance(e, sx.SeqE) and isinstance(e.first, sx.SwapE) and isinstance(e.second, sx.NullE):
+        return f"{e.first.field} = {render_expr(e.first.expr)}"
     s = render_expr(e)
     return f"({s})" if isinstance(e, sx.SeqE) else s

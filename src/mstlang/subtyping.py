@@ -16,7 +16,6 @@ from . import syntax as sx
 from .syntax import (
     Branch,
     EnumType,
-    LinkField,
     LinkThis,
     MethodSig,
     ObjectInternal,
@@ -183,8 +182,6 @@ def subtype_any(t, t_sup) -> bool:
 
 def equivalent(x, y) -> bool:
     """Same infinite unfoldings: subtype both ways."""
-    if isinstance(x, SessionType) and isinstance(y, SessionType):
-        return subtype_session(x, y) and subtype_session(y, x)
     return subtype_any(x, y) and subtype_any(y, x)
 
 
@@ -305,7 +302,7 @@ def join_field(f, g):
     if isinstance(f, RecordF) and isinstance(g, RecordF):
         if f.fields != g.fields and set(f.fields) != set(g.fields):
             raise JoinUndefined("records over different field sets")
-        return RecordF(tuple((name, join_any(t, g.get(name))) for name, t in f.items))
+        return RecordF(tuple((name, join_value(t, g.get(name))) for name, t in f.items))
     if isinstance(f, VariantF) and isinstance(g, VariantF):
         cases = []
         for l, r in f.cases:
@@ -318,14 +315,6 @@ def join_field(f, g):
                 cases.append((l, r))
         return VariantF(tuple(cases))
     raise JoinUndefined(f"no join of {f!r} and {g!r}")
-
-
-def join_any(t, u):
-    if isinstance(t, (RecordF, VariantF)) and isinstance(u, (RecordF, VariantF)):
-        return join_field(t, u)
-    if isinstance(t, LinkField) and isinstance(u, LinkField) and t.field == u.field:
-        return t
-    return join_value(t, u)
 
 
 def join_records(records):

@@ -230,3 +230,23 @@ def self_recursion(n=1):
         f"  Null step(Null y) {{ {body} }} }}\n"
         "main R.go;\n"
     )
+
+
+# Each call of N's go stores a new N in n and calls its go: a run opens one
+# more object inside its caller every five steps and never returns.
+CALL_DESCENT = (
+    "class N { session {Null go(Null): {}} n; go(x) { n = new N(); n.go(null) } }\n"
+    "main N.go;\n"
+)
+
+
+def call_chain(k):
+    """Classes N0 to Nk: the go of each Ni below Nk stores a new N(i+1) and
+    calls its go, and Nk's returns null, so a run nests k pending calls,
+    then returns from each."""
+    rows = [
+        f"class N{i} {{ session {{Null go(Null): {{}}}} n; go(x) {{ n = new N{i + 1}(); n.go(null) }} }}"
+        for i in range(k)
+    ]
+    rows.append(f"class N{k} {{ session {{Null go(Null): {{}}}} go(x) {{ null }} }}")
+    return "\n".join(rows + ["main N0.go;\n"])

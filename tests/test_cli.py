@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import CORPUS
+from gen import CALL_DESCENT
 from mstlang.cli import main
 from mstlang.parser import parse_file
 from mstlang.render import render_type
@@ -235,7 +236,7 @@ def test_parse_error_position_within_its_file(tmp_path, capsys):
         ("type T = {};\n\ntype N = Nope;", "3:1: unknown session type name 'Nope'"),
         ("class M { session {Null go(Null): {}}\n  go(x) { y } }", "2:3: class M: unbound name 'y'"),
         ("type S = {Null m(<!S.End>): {}};\nclass C { session S }",
-         "2:1: session type name 'S' refers to itself through an access-point type"),
+         "1:1: session type name 'S' refers to itself through an access-point type"),
         ("chantype C = !{Null m(<C>): {}}.End;",
          "1:1: channel type name 'C' refers to itself through an access-point type"),
     ],
@@ -366,6 +367,14 @@ def test_internal_error_exit_70(tmp_path, capsys):
     code, out, err = run(["check", str(path)], capsys)
     assert (code, out) == (70, "")
     assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_monitored_call_descent_reaches_the_step_limit(tmp_path, capsys):
+    # 600 pending calls, each open inside its caller, are no internal error
+    path = tmp_path / "descent.mst"
+    path.write_text(CALL_DESCENT)
+    code, out, err = run(["run", str(path), "--steps", "3000", "--verify-states"], capsys)
+    assert (code, out, err) == (3, "StepLimit\n", "")
 
 
 def test_long_body_checks(tmp_path, capsys):

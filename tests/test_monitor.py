@@ -36,7 +36,7 @@ from mstlang.syntax import (
 )
 from mstlang import monitor, syntax, typechecker
 from mstlang.typechecker import Judgements, check_program
-from gen import rejoining_class, self_recursion
+from gen import CALL_DESCENT, call_chain, rejoining_class, self_recursion
 from progen import generate
 
 
@@ -1134,6 +1134,67 @@ def test_long_body_monitored_in_bounded_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert outcome.kind == "limit" and len(events) == 50
+
+
+def test_enumeration_returned_before_a_variant_state():
+    # m's body has type {A}, not linkthis: at its return each label of the
+    # enumeration leads to the same fields, and the caller switches on the tag
+    prog = parse_program(
+        "class K { session {Null set(Null): {{A, B} m(Null): <A: {Null done(Null): {}},"
+        " B: {Null done(Null): {}}>}} st; set(x) { st = A; null } m(x) { st } done(x) { null } }\n"
+        "class Main { session {Null go(Null): {}} k;\n"
+        "  go(x) { k = new K(); k.set(null); switch (k.m(null)) { A: k.done(null); B: k.done(null); } } }\n"
+        "main Main.go;"
+    )
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    returned = []
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    mon.start(interp.initial_config())
+
+    def observer(step_no, before, ev, after):
+        mon.on_step(step_no, before, ev, after)
+        if ev.rule == "Return":
+            returned.append(ev.value)
+
+    outcome, _, _ = interp.run(200, observer=observer)
+    assert outcome.kind == "terminated" and LabelE("A") in returned
+
+
+def test_monitored_call_descent_bounded_by_memory():
+    # each pending call opens an object inside its caller's C[F]; tracking,
+    # heap agreement and the re-check walk that chain in loops, so 600
+    # pending calls are monitored under the default recursion limit
+    prog = parse_program(CALL_DESCENT)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    mon.start(interp.initial_config())
+    outcome, events, conf = interp.run(3000, observer=mon.on_step)
+    assert outcome.kind == "limit" and len(events) == 3000
+    assert len(mon.envs[0].frames) == len(conf.threads[0].path.fields) == 600
+
+
+def test_monitored_call_chain_unwinds():
+    # a return rebuilds its caller's C[F], and heap agreement sees the new
+    # root entry as changed without comparing the chain level by level
+    prog = parse_program(call_chain(300))
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    mon.start(interp.initial_config())
+    depth = 0
+
+    def observer(step_no, before, ev, after):
+        nonlocal depth
+        mon.on_step(step_no, before, ev, after)
+        depth = max(depth, len(mon.envs[0].frames))
+
+    outcome, _, _ = interp.run(5000, observer=observer)
+    assert outcome.kind == "terminated" and depth == 300
 
 
 def test_replay_keeps_each_reached_state_once():

@@ -17,7 +17,7 @@ from mstlang.parser import (
     parse_program,
     parse_session_type,
 )
-from mstlang.render import render_type
+from mstlang.render import render_expr, render_type
 from mstlang.subtyping import join_session
 from mstlang.syntax import (
     Branch,
@@ -169,6 +169,21 @@ def test_names_inside_access_types_still_fold():
     )
 
 
+def test_an_alias_means_one_type_in_every_class():
+    # a class's state B shadows the alias B in the class's own types, not in
+    # the body of the alias A, which is resolved once, at file scope
+    prog = parse_program(
+        "type B = {Null b(Null): {}}\n"
+        "type A = {Null a(Null): B}\n"
+        "class C { session A where B = {Null z(Null): {}} a(x) { null } }\n"
+    )
+    assert prog.classes["C"].session == prog.session_aliases["A"]
+    assert render_type(prog.classes["C"].session) == "{Null a(Null): {Null b(Null): {}}}"
+    report, _ = typechecker.check_program(prog)
+    why = "session mentions 'b' but the class does not define it"
+    assert f"CLASS C ERR MethodUndeclared in b: {why}" in report.lines()
+
+
 def _ring(k):
     """One class whose session is a loop of k named states."""
     states = ", ".join(f"S{i} = {{Null m{i}(Null): S{(i + 1) % k}}}" for i in range(k))
@@ -218,6 +233,28 @@ def test_render_round_trip_corpus(file_prog, remote1):
             assert parse_session_type(render_type(state)) == state
     for sigma in remote1.channel_aliases.values():
         assert parse_channel_type(render_type(sigma)) == sigma
+
+
+def test_render_expr_round_trip_corpus():
+    # every method body of the corpus parses back from its rendering, the
+    # `f = v` sugar included; between them the bodies use every surface form
+    forms = set()
+    for path in sorted(CORPUS.rglob("*.mst")):
+        prog = parser.parse_file(path)
+        for cls in prog.classes.values():
+            for m in cls.methods.values():
+                p = parser._P(render_expr(m.body))
+                raw = p.stmts(stop=())
+                assert not p.peek() and parser._resolve_expr(raw, m.param, cls, prog) == m.body
+                todo = [m.body]
+                while todo:
+                    x = todo.pop()
+                    forms.add(type(x).__name__)
+                    todo.extend(syntax._parts(x)[1])
+    assert forms == {
+        "AccessE", "CallE", "LabelE", "NewE", "NullE", "SelfCallE", "SeqE", "SpawnE",
+        "SwapE", "SwitchE", "VarE", "WhileE",
+    }
 
 
 def test_render_round_trip_random():

@@ -33,7 +33,7 @@ CHECK = [
      "chantype C = !{Null k(Null): <A: <B: {}>>}.End; class M { session {Null m(<C>): {}} }",
      "1:49: class M: " + NOT_A_BRANCH.format("A")),
     ("alias-used", "type T = <A: <B: {}>>; class M { session {Null m(Null): T} }",
-     "1:24: class M: " + NOT_A_BRANCH.format("A")),
+     "1:1: type T: " + NOT_A_BRANCH.format("A")),
     # cases that are not written as variants
     ("rec-self", "class M { session {Null m(Null): rec X.<A: X>} }",
      "1:1: class M: " + NOT_A_BRANCH.format("A")),

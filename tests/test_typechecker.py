@@ -4,6 +4,8 @@ from conftest import load_checked
 from gen import rejoining_class
 from oracles import Universe, consistency_oracle, derive
 from mstlang import parser, typechecker
+from mstlang.interpreter import Interpreter
+from mstlang.monitor import Monitor
 from mstlang.parser import parse_program
 from mstlang.subtyping import subtype_any
 from mstlang.syntax import (
@@ -403,6 +405,69 @@ def test_spawn_requires_null_signature():
     report, _ = check_program(parse_program(bad))
     v = report.verdict("U")
     assert not v.ok and v.code == "SpawnUnavailable"
+
+
+def _field_powerset(n):
+    """Class K, whose n methods each set their own field to A in any order:
+    its consistency proof meets 2^n field typings."""
+    fields = ", ".join(f"f{i}" for i in range(n))
+    session = "rec X.{" + ", ".join(f"Null a{i}(Null): X" for i in range(n)) + "}"
+    methods = " ".join(f"a{i}(x) {{ f{i} = A }}" for i in range(n))
+    return f"class K {{ session {session} {fields}; {methods} }}"
+
+
+ERROR_ROWS = {
+    "MethodUndeclared": (
+        "class K { session {Null a(Null): {}} }",
+        "MethodUndeclared in a: session mentions 'a' but the class does not define it",
+    ),
+    "MissingAnnotation": (
+        "class K { session {Null a(Null): {}} a(x) { h(null) } h(y) { null } }",
+        "MissingAnnotation in a: self-called method 'h' has no req/ens annotation",
+    ),
+    "UnboundVariable": (  # a session-typed parameter is used up by its first use
+        "class K { session {Null a({Null k(Null): {}}): {}} f; g; a(x) { f = x; g = x; null } }",
+        "UnboundVariable in a: unbound variable 'x'",
+    ),
+    "SwitchShapeMismatch": (
+        "class K { session {Null a(Null): {}} a(x) { switch (null) { A: null; } } }",
+        "SwitchShapeMismatch in a: cannot switch on type Null",
+    ),
+    "AnnotationMismatch": (
+        "class K { session {Null a(Null): {}} f; a(x) { null }\n"
+        "  req Null f ens Null f Null h(Null y) { f = A; null } }",
+        "AnnotationMismatch in h: body of 'h' does not meet its req/ens annotation",
+    ),
+    "DepthLimitExceeded": (
+        _field_powerset(14), "DepthLimitExceeded: consistency exceeded 10000 steps"
+    ),
+}
+
+
+@pytest.mark.parametrize("code", sorted(ERROR_ROWS))
+def test_check_error_code(code):
+    # InternalForm and ConsistencyFailure are not here: the parser admits no
+    # runtime form and no session that unfolds to neither branch nor variant
+    text, error = ERROR_ROWS[code]
+    report, _ = check_program(parse_program(text))
+    assert report.verdict("K").line() == f"CLASS K ERR {error}"
+
+
+def test_loop_on_a_label_with_a_label_body():
+    # a label condition is a one-case variant typing, joined for the body and
+    # the exit; a body that ends in a label is joined back likewise
+    prog = parse_program("class L { session {Null go(Null): {}} go(x) { while (FALSE) { A } } } main L.go;")
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    mon.start(interp.initial_config())
+    outcome, _, _ = interp.run(100, observer=mon.on_step)
+    assert outcome.kind == "terminated"
+    report, _ = check_program(parse_program(
+        "class L { session {Null go(Null): {}} go(x) { while (A) { null } } } main L.go;"
+    ))
+    assert report.lines() == ["CLASS L ERR SwitchShapeMismatch in go: loop condition is not boolean"]
 
 
 # -- the largest-relation oracle ----------------------------------------------
