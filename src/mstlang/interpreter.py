@@ -19,9 +19,11 @@ from the replacement alone, and the expression, `plug(frames, x)`, is built
 only when something reads it. A thread the step did not touch stays the
 same object and is not searched again. With heaps whose updates copy
 O(sqrt n) records amortised (`syntax.Heap`), an unmonitored step costs about
-the same at any heap size and context depth. Two parts still grow: resolving
-the current path reads one field per pending call on a field, and an object
-transfer checks that the sender's heap is complete.
+the same at any heap size and context depth. The current path adds one
+linked cell per pending call, which knows the object the call opened
+(`syntax.Path`), so a call, a return and resolving the current object cost
+the same at any call depth too. One part still grows: an object transfer
+checks that the sender's heap is complete.
 """
 
 from __future__ import annotations
@@ -272,9 +274,8 @@ class Interpreter:
                 raise RuntimeFault(f"call on non-object field {redex.field!r}")
             callee = th.heap.record(val.oid)
             body = self._body(callee.cls, redex.method, redex.arg)
-            conf = conf.with_thread(
-                i, Thread.plugged(th.heap, th.path.child(redex.field), frames, sx.ReturnE(body))
-            )
+            path = th.path.child(redex.field, val.oid)
+            conf = conf.with_thread(i, Thread.plugged(th.heap, path, frames, sx.ReturnE(body)))
             return conf, StepEvent(
                 "Call", (i,), field=redex.field, method=redex.method,
                 arg=redex.arg, oid=val.oid, cls=callee.cls,

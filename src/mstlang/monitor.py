@@ -3,9 +3,14 @@ re-checks the reached states against them, and checks that each object's
 calls and returned labels are a path in its class session's transition
 system.
 
-Per thread the monitor keeps an environment mapping the heap roots (and any
-in-flight endpoints) to types; objects currently executing a method appear
-as nested internal types along the current path. A global channel
+Per thread the monitor keeps an environment (`ThreadEnv`) mapping the
+in-flight object identifiers and endpoints to types, and the objects
+currently executing a method, the root and the callee of each pending call,
+to their internal types C[F]. The paper nests each callee's C[F] in its
+caller's, up to the root; the monitor keeps one per pending call beside it,
+as the interpreter keeps one path cell per call (`syntax.Path`), so
+tracking a step replaces the current object's C[F] and no caller's, and a
+step costs the same at any call depth. A global channel
 environment maps endpoints to channel session types, advanced in lockstep on
 both sides of every communication. Protocol progress lives in one global map
 from object identifiers (configuration-unique) to the session state the
@@ -50,9 +55,9 @@ A thread's expression is re-checked by the static expression checker,
 `typechecker.infer_expr`, under a runtime environment (`RuntimeEnv`) built
 from the tracked one: checking starts at the thread's root object, whose
 internal type reaches the objects opened by pending calls; each `return`
-consumes the outermost pending call; the other entries are the in-flight
-object identifiers and endpoints, consumed on use. This module holds no
-expression typing rules of its own.
+consumes the outermost pending call; the environment's entries are the
+in-flight object identifiers and endpoints, consumed on use. This module
+holds no expression typing rules of its own.
 
 A step re-types only what replaced its redex, as the replacement lemma of
 subject reduction allows (Wright and Felleisen, 1994). For each frame of a
@@ -68,8 +73,12 @@ whose body meets its annotation stops at once, so a step's cost does not
 grow with the depth of its context. The endpoints of a thread's expression
 are its redex's and its innermost frame's, so the expression itself is never
 rebuilt. The frames inside a replacement are judged when a later step needs
-them. Heap agreement is re-checked likewise, for the environment entries
-whose type or whose reads the step changed (`_check_heap_agreement`).
+them. Heap agreement is re-checked likewise, for what the step changed
+(`_check_heap_agreement`): the changed fields of an open object the step
+retyped or whose record it changed (the current object; its caller after a
+return), and the environment entries whose type, record, holders or
+reached state changed. A call's callee is matched against the heap as it
+is opened, and its first check finds it as it agreed then.
 
 Those judgements are memoised (`Judgements`); a full memo starts over with a
 fresh table between two steps. An answer, the result triple or the
@@ -100,7 +109,7 @@ possible extension, not attempted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import syntax as sx
 from .channels import dual, subtype_channel, translate_access, translate_channel
@@ -268,67 +277,101 @@ class ActiveLink:
     variant: SessionType  # the full variant, for re-widening on park
 
 
-@dataclass
+class OpenObject:
+    """An object a thread has open: its root, or the callee of a pending
+    call. `type` is its tracked C[F]; `agreed` is the (field typing, its
+    types in the record's order, heap record) at which heap agreement last
+    found it to agree, None until then."""
+
+    __slots__ = ("oid", "type", "agreed")
+
+    def __init__(self, oid, t: ObjectInternal, agreed=None):
+        self.oid = oid
+        self.type = t
+        self.agreed = agreed
+
+
 class ThreadEnv:
-    gamma: dict = dc_field(default_factory=dict)  # ("obj", oid)/("chan", c, p) -> type
-    frames: list = dc_field(default_factory=list)
-    active_link: object = None  # ActiveLink | None
+    """A thread's tracked environment. `gamma` types the in-flight object
+    identifiers and endpoints; `frames` are the pending calls, outermost
+    first; `opened` are the open objects, one per depth: the root, then the
+    callee of each pending call. A caller's field typing holds, at the
+    field its call opened, the callee's C[F] as the call opened it; the
+    callee's current one is its own entry (`Monitor._typing_at` puts it in
+    place). So tracking a step retypes one entry (`retype`). `changed` is
+    the outermost depth retyped since the thread was last checked,
+    `len(opened)` when none."""
+
+    __slots__ = ("gamma", "frames", "opened", "depths", "active_link", "changed")
+
+    def __init__(self, oid, root: ObjectInternal):
+        self.gamma = {}  # ("obj", oid)/("chan", c, p) -> type
+        self.frames = []
+        self.opened = [OpenObject(oid, root)]
+        self.depths = {oid: 0}  # open object id -> its depth
+        self.active_link = None  # ActiveLink | None
+        self.changed = 0
+
+    def retype(self, typing, d=-1) -> None:
+        """Give the open object at depth d, the current one by default, the
+        field typing `typing`."""
+        obj = self.opened[d]
+        obj.type = ObjectInternal(obj.type.cls, typing)
+        self.changed = min(self.changed, d % len(self.opened))
+
+    def push(self, call: Frame, oid, t: ObjectInternal, agreed) -> None:
+        """Open the callee `oid` at C[F] `t` for the pending call `call`;
+        `agreed` is what it was found to agree at (`OpenObject`)."""
+        self.frames.append(call)
+        self.depths[oid] = len(self.opened)
+        self.opened.append(OpenObject(oid, t, agreed))
+
+    def pop(self) -> OpenObject:
+        """Close the current object, the callee of the innermost call."""
+        self.frames.pop()
+        obj = self.opened.pop()
+        del self.depths[obj.oid]
+        return obj
 
 
-def _open_objects(root, path: Path) -> list:
-    """The open objects along the path from its root, each caller before
-    its callee, up to the first that is not open."""
-    out = [root]
-    for f in path.fields:
-        t = out[-1].typing
-        try:
-            child = t.get(f) if isinstance(t, RecordF) else None
-        except KeyError:
-            break
-        if not isinstance(child, ObjectInternal):
-            break
-        out.append(child)
-    return out
+def _field_types(ftyping, rec):
+    """The types a record field typing gives the record's fields, in the
+    record's order; None when it is no record typing of exactly those
+    fields."""
+    if not isinstance(ftyping, RecordF):
+        return None
+    types = [t for (name, t), (f, _) in zip(ftyping.items, rec.fields) if name == f]
+    if len(types) == len(rec.fields) == len(ftyping.items):  # both in declaration order
+        return types
+    names = rec.field_names
+    if set(names) == set(ftyping.fields):
+        return [ftyping.get(name) for name in names]
+    return None
 
 
-def _open_chain(gamma: dict, path: Path) -> list:
-    """The open objects from the thread's root entry to its current object
-    at `path`, each caller before its callee."""
-    root = gamma.get(("obj", path.root))
-    chain = _open_objects(root, path) if isinstance(root, ObjectInternal) else ()
-    if len(chain) <= len(path.fields) or not isinstance(chain[-1].typing, RecordF):
+def _current(env: ThreadEnv, path: Path) -> RecordF:
+    """The field typing of the thread's current object, at `path`."""
+    typing = env.opened[-1].type.typing
+    if len(env.opened) != path.depth + 1 or not isinstance(typing, RecordF):
         raise RuntimeFault(f"no open object at {path}")
-    return chain
-
-
-def _store(gamma: dict, path: Path, chain, typing) -> None:
-    """Give the current object, the last of `chain`, the field typing
-    `typing`, and rebuild its callers outward to the root entry."""
-    t = ObjectInternal(chain[-1].cls, typing)
-    for k in range(len(chain) - 2, -1, -1):
-        t = ObjectInternal(chain[k].cls, chain[k].typing.set(path.fields[k], t))
-    gamma[("obj", path.root)] = t
-
-
-def _set_field(gamma: dict, path: Path, f: str, t) -> None:
-    """Give field f of the current object at `path` the type t."""
-    chain = _open_chain(gamma, path)
-    _store(gamma, path, chain, chain[-1].typing.set(f, t))
+    return typing
 
 
 class HeapSummary:
     """What the monitor reads of one thread's heap, kept for the heap it saw
     last (`heap`): how many fields hold each object id (`refs`) and each
-    endpoint (`eps`), and the ids some field holds that are not in the heap
-    (`dangling`)."""
+    endpoint (`eps`), the ids some field holds that are not in the heap
+    (`dangling`), and the ids whose record or count of holders changed when
+    it moved to that heap (`touched`)."""
 
-    __slots__ = ("heap", "refs", "eps", "dangling")
+    __slots__ = ("heap", "refs", "eps", "dangling", "touched")
 
     def __init__(self):
         self.heap = None
         self.refs = {}
         self.eps = {}
         self.dangling = set()
+        self.touched = set()
 
     def update(self, heap) -> list:
         """Moves the summary to `heap` through the records that differ from
@@ -341,7 +384,8 @@ class HeapSummary:
                 self._count(old, -1, touched)
             if new is not None:
                 self._count(new, 1, touched)
-        for oid in touched:
+        self.touched = set(touched)
+        for oid in self.touched:
             if oid in self.refs and not heap.has(oid):
                 self.dangling.add(oid)
             else:
@@ -440,10 +484,8 @@ class Monitor:
         self._owner = {}  # oid -> the thread whose heap holds it, likewise
         self._eps = {}  # thread -> endpoints in its heap and expression, likewise
         self._entered = []  # (thread, oid) for each object new to a heap at this step
-        self._changed = set()  # threads whose heap records or reached states changed, likewise
         self._contexts = {}  # thread -> (KeptFrame by cell id, innermost KeptFrame), likewise
         self._values = {}  # thread -> its in-flight values, pending calls and RuntimeEnvs, likewise
-        self._opened = {}  # thread -> the open objects along its path, likewise
         self._agreed = {}  # thread -> environment entry -> the type it last agreed at
         self.outward_walks = 0  # steps whose re-check re-typed a kept frame
 
@@ -458,9 +500,7 @@ class Monitor:
         """A new thread's environment: its root, a fresh object of `cls`,
         is open in `method`, called with null."""
         decl = self.program.cls(cls)
-        env = ThreadEnv()
-        env.gamma[("obj", oid)] = ObjectInternal(cls, decl.initial_field_typing())
-        self.envs.append(env)
+        self.envs.append(ThreadEnv(oid, ObjectInternal(cls, decl.initial_field_typing())))
         try:
             self._reached[oid] = lts_step(decl.session, TraceCall(method, sx.NULL_T))[0]
         except TypeErrorTransition:
@@ -476,7 +516,6 @@ class Monitor:
         if self.verify_traces:
             self.check_traces(conf, threads)
         self._entered.clear()
-        self._changed.clear()
         self._judgements.begin()  # no key is held between steps
 
     # -- helpers ---------------------------------------------------------------
@@ -491,7 +530,6 @@ class Monitor:
         except TypeErrorTransition:
             state = None
         self._reached[oid] = state
-        self._changed.add(thread)
         if state is None and self.verify_traces:
             self.fault(TRACE_INVALID, thread, f"object {oid}: trace cannot fire {action}")
 
@@ -602,8 +640,7 @@ class Monitor:
         env = self.envs[i]
         path = before.threads[i].path
         f = ev.field
-        chain = _open_chain(env.gamma, path)
-        F = chain[-1].typing
+        F = _current(env, path)
         old_type = F.get(f)
 
         # type of the incoming value
@@ -632,16 +669,15 @@ class Monitor:
             F = F.set(old_type.field, tu.case(v_out.label))
             env.active_link = ActiveLink(path, old_type.field, target)
 
-        _store(env.gamma, path, chain, F.set(f, t_in))
+        env.retype(F.set(f, t_in))
 
     def _track_call(self, before, ev, after):
         i = ev.threads[0]
         env = self.envs[i]
         th = before.threads[i]
-        path = th.path
         f = ev.field
-        chain = _open_chain(env.gamma, path)
-        t_field = chain[-1].typing.get(f)
+        F = _current(env, th.path)
+        t_field = F.get(f)
         if not isinstance(t_field, SessionType):
             self.fault(TRACKING_FAULT, i, f"call on field {f!r} of non-session type")
         branch = unfold(t_field)
@@ -654,58 +690,67 @@ class Monitor:
             entry = resolve_signature(branch, ev.method, t_arg)
         except CheckError as e:
             self.fault(TRACKING_FAULT, i, str(e))
-        # find a consistency witness for opening the callee
+        # find a consistency witness for opening the callee, which then
+        # agrees with the heap as it is
         callee = th.heap.record(ev.oid)
-        witness = self._opening_witness(callee, branch, th.heap, i)
-        env.frames.append(Frame(f, callee.cls, entry.cont))
-        _store(env.gamma, path, chain, chain[-1].typing.set(f, ObjectInternal(callee.cls, witness)))
+        witness, types = self._opening_witness(callee, branch, th.heap, i)
+        opened = ObjectInternal(callee.cls, witness)
+        env.retype(F.set(f, opened))
+        env.push(Frame(f, callee.cls, entry.cont), ev.oid, opened, (witness, types, callee))
         self._advance(i, ev.oid, TraceCall(ev.method, entry.param))
 
     def _opening_witness(self, callee, branch, heap, thread):
+        """A consistency witness for opening the callee at `branch` that its
+        record inhabits, with its types in the record's order."""
         candidates = self.ctx.witnesses_for(callee.cls, branch)
         for _, ftyping in candidates:
-            if self._record_conforms(callee, ftyping, heap):
-                return ftyping
+            types = _field_types(ftyping, callee)
+            if types is not None and self._fields_conform(callee, ftyping, types, heap):
+                return ftyping, types
         self.fault(
             TRACKING_FAULT,
             thread,
             f"no field typing witness for {callee.cls} at {render_type(branch)}",
         )
 
-    def _record_conforms(self, rec, ftyping, heap) -> bool:
-        """Does a heap record inhabit a record field typing? Fields of variant
-        session type are resolved through their sibling tag first (the actual
-        session type), then objects are checked by their reached session states.
-        A field of open object type C[F], the callee of a pending call, holds
-        an object of class C whose record inhabits F, checked in turn by the
-        same loop, so a chain of pending calls costs no recursion."""
-        todo = [(rec, ftyping)]
-        while todo:
-            rec, ftyping = todo.pop()
-            if not isinstance(ftyping, RecordF):
-                return False
-            names = rec.field_names
-            if names == ftyping.fields:  # both in declaration order
-                types = [t for _, t in ftyping.items]
-            elif set(names) == set(ftyping.fields):
-                types = [ftyping.get(name) for name in names]
-            else:
-                return False
-            for (name, v), t in zip(rec.fields, types):
-                if type(t) is ObjectInternal:
-                    callee = heap.record(v.oid) if isinstance(v, sx.ObjIdE) and heap.has(v.oid) else None
-                    if callee is None or callee.cls != t.cls:
-                        return False
-                    todo.append((callee, t.typing))
-                    continue
-                tu = unfold(t) if isinstance(t, SessionType) else None
-                if isinstance(tu, VariantS):
-                    sel = self._actual_case(rec, ftyping, name, tu)
-                    if sel is None:
-                        return False
-                    t = sel
-                if not self._value_conforms(v, t, heap):
+    def _fields_conform(self, rec, ftyping, types, heap, opened=None, since=None):
+        """Do the record's fields inhabit their `types`, those of `ftyping`
+        in the record's order (`_field_types`)? Fields of variant session
+        type are resolved through their sibling tag first (the actual
+        session type), then objects are checked by their reached session
+        states. `opened` is the open object that a pending call opened at a
+        field, if any: the field's type is C[F] for it, and the field holds
+        it, an object of class C, whose own record `_open_agrees` checks.
+
+        `since` is the (field typing, types, record) at which this record
+        last agreed, if any: a field whose value and type are the very ones
+        it had then agrees as it did, unless it has a variant type (its tag
+        may have changed). What else it reads changes only where tracking
+        retypes it (`_changed_open`)."""
+        old_types, old_fields = (since[1], since[2].fields) if since is not None else ((), ())
+        kept = len(old_fields) == len(types)
+        for k, (name, v) in enumerate(rec.fields):
+            t = types[k]
+            if type(t) is ObjectInternal:
+                if not (
+                    opened is not None
+                    and isinstance(v, sx.ObjIdE)
+                    and v.oid == opened.oid
+                    and heap.has(v.oid)
+                    and heap.record(v.oid).cls == t.cls
+                ):
                     return False
+                continue
+            tu = unfold(t) if isinstance(t, SessionType) else None
+            if isinstance(tu, VariantS):
+                sel = self._actual_case(rec, ftyping, name, tu)
+                if sel is None:
+                    return False
+                t = sel
+            elif kept and old_types[k] is t and old_fields[k][1] is v and old_fields[k][0] == name:
+                continue
+            if not self._value_conforms(v, t, heap):
+                return False
         return True
 
     def _actual_case(self, rec, ftyping, name, variant):
@@ -749,15 +794,15 @@ class Monitor:
         env = self.envs[i]
         if not env.frames:
             self.fault(TRACKING_FAULT, i, "return without a pending call")
-        frame = env.frames.pop()
+        frame = env.frames[-1]
         path = before.threads[i].path
         if path.last() != frame.field:
             self.fault(TRACKING_FAULT, i, "return path does not match the pending call")
+        returning = env.pop()
+        inner = returning.type
         caller_path = path.parent()
-        chain = _open_chain(env.gamma, caller_path)  # the returning object's callers
-        F = chain[-1].typing
-        inner = F.get(frame.field)
-        if not isinstance(inner, ObjectInternal) or not isinstance(inner.typing, RecordF):
+        F = _current(env, caller_path)
+        if not isinstance(F.get(frame.field), ObjectInternal) or not isinstance(inner.typing, RecordF):
             self.fault(TRACKING_FAULT, i, "returning object is not open")
         v = ev.value
         cont_u = unfold(frame.cont)
@@ -766,14 +811,13 @@ class Monitor:
                 self.fault(TRACKING_FAULT, i, f"returned tag {v.label} outside the variant")
             selected = cont_u.case(v.label)
             self._consistent(frame.cls, selected, inner.typing, i)
-            _store(env.gamma, caller_path, chain, F.set(frame.field, selected))
+            env.retype(F.set(frame.field, selected))
             env.active_link = ActiveLink(caller_path, frame.field, frame.cont)
         else:
             self._consistent(frame.cls, frame.cont, inner.typing, i)
-            _store(env.gamma, caller_path, chain, F.set(frame.field, frame.cont))
+            env.retype(F.set(frame.field, frame.cont))
         if isinstance(v, sx.LabelE):
-            oid = before.threads[i].heap.resolve_id(path)
-            self._advance(i, oid, TraceLabel(v.label))
+            self._advance(i, returning.oid, TraceLabel(v.label))
 
     def _track_spawn(self, before, ev, after):
         if not isinstance(ev.arg, sx.NullE):
@@ -837,7 +881,7 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, i, f"send on channel of type {render_type(sig_s)}")
         self.theta[key_s] = new_s
-        _set_field(env_s.gamma, path_s, f_s, translate_channel(new_s))
+        env_s.retype(_current(env_s, path_s).set(f_s, translate_channel(new_s)))
 
         # receiver side
         if isinstance(sig_r, sx.ChanOffer):
@@ -853,7 +897,7 @@ class Monitor:
         else:
             self.fault(TRACKING_FAULT, j, f"receive on channel of type {render_type(sig_r)}")
         self.theta[key_r] = new_r
-        _set_field(env_r.gamma, path_r, f_r, translate_channel(new_r))
+        env_r.retype(_current(env_r, path_r).set(f_r, translate_channel(new_r)))
 
     def _track_comobj(self, before, ev, after):
         i, j, path_s, path_r, f_s, f_r, key_s, key_r, sig_s, sig_r = self._com_sides(before, ev)
@@ -870,8 +914,8 @@ class Monitor:
         env_r.gamma[("obj", phi[ev.oid])] = t_obj
         self.theta[key_s] = sig_s.cont
         self.theta[key_r] = sig_r.cont
-        _set_field(env_s.gamma, path_s, f_s, translate_channel(sig_s.cont))
-        _set_field(env_r.gamma, path_r, f_r, translate_channel(sig_r.cont))
+        env_s.retype(_current(env_s, path_s).set(f_s, translate_channel(sig_s.cont)))
+        env_r.retype(_current(env_r, path_r).set(f_r, translate_channel(sig_r.cont)))
         self._reached.update({phi[o]: self._reached.pop(o) for o in phi if o in self._reached})
 
     # -- state checking ---------------------------------------------------------
@@ -889,6 +933,7 @@ class Monitor:
             th, env = conf.threads[i], self.envs[i]
             self._check_heap_agreement(i, th, env, chans)
             self._check_expression(i, th, env)
+            env.changed = len(env.opened)
         self._check_duality(chans)
 
     def _keep_shape(self, conf, threads=None) -> bool:
@@ -898,14 +943,12 @@ class Monitor:
         or endpoint new to a thread may be held by another one too."""
         if threads is None:
             self._heaps, self._owner, self._eps = {}, {}, {}
-            self._contexts, self._values, self._opened = {}, {}, {}
+            self._contexts, self._values = {}, {}
             threads = range(len(conf.threads))
         entered = []
         for i in threads:  # every removal first, so a moved id has no owner
             s = self._heaps.get(i) or self._heaps.setdefault(i, HeapSummary())
             changes = s.update(conf.threads[i].heap)
-            if changes:
-                self._changed.add(i)
             for oid, old, new in changes:
                 if new is None:
                     if self._owner.get(oid) == i:
@@ -974,27 +1017,31 @@ class Monitor:
                 seen.add((c, p))
 
     def _check_heap_agreement(self, i, th, env: ThreadEnv, chans):
-        """Each environment entry agrees with the heap and the channel
-        types. Only the entries that can have changed are looked at: those
-        whose type is not the very one they last agreed at, every object
-        entry when the step changed a record of the thread's heap, a reached
-        state of one of its objects or the channel type of an endpoint the
-        heap holds, and the endpoint entries of the step's channels. Every
-        entry when `chans` is None. Types are values, so tracking replaces a
-        type it changes; the root entry, whose open objects nest one in
-        another per pending call, is never compared level by level."""
-        summary = self._heaps[i]
-        last = {} if chans is None else self._agreed.get(i, {})
+        """Each open object and environment entry agrees with the heap and
+        the channel types; the open objects first, since the paper's
+        environment nests them in the root's entry, its first. With `chans`
+        None every one is looked at, and likewise when the heap holds an end
+        of a step's channel elsewhere than in the current object, which only
+        a faulty heap can. Else only what the step can have changed: the
+        open objects of `_changed_open`, and of the other entries those
+        whose type is not the very one they last agreed at, those whose
+        object's record or holders the step changed, and the endpoints of
+        the step's channels. Types are values, so tracking replaces a type
+        it changes; no two are compared level by level."""
+        summary, heap = self._heaps[i], th.heap
+        touched = summary.touched
+        full = chans is None or self._held_elsewhere(env, summary, heap, chans)
         chans = chans or ()
-        objects = i in self._changed or any(
-            (c, "+") in summary.eps or (c, "-") in summary.eps for c in chans
-        )
-        gamma, root = env.gamma, ("obj", th.path.root)
-        if not objects and not chans and last.get(root) is gamma.get(root) and gamma == last:
-            return  # every entry as it last agreed, and nothing it reads changed
-        agreed = {}
-        for key, t in list(gamma.items()):
-            agreed[key] = t
+        last = {} if full else self._agreed.get(i, {})
+        if not (full or chans or touched) and env.changed >= len(env.opened) and env.gamma == last:
+            return  # nothing any entry reads changed
+        root = env.opened[0].oid
+        if (full or root in touched) and not summary.is_root(root):
+            self.fault(STATE_ILL_TYPED, i, f"environment names {root} which is not a root")
+        for d in range(len(env.opened)) if full else self._changed_open(env, touched):
+            if not self._open_agrees(env, d, heap, not full):
+                self.fault(STATE_ILL_TYPED, i, f"open object {root} disagrees with its typing")
+        for key, t in env.gamma.items():
             was = last.get(key)
             if key[0] != "obj":
                 c, p = key[1], key[2]
@@ -1004,43 +1051,86 @@ class Monitor:
                 if sigma is None or not equivalent(translate_channel(sigma), t):
                     self.fault(STATE_ILL_TYPED, i, f"endpoint {c}{p} disagrees with its channel type")
                 continue
-            if not objects and was is t:
-                continue
             oid = key[1]
+            if was is t and oid not in touched:
+                continue
             if not summary.is_root(oid):
                 self.fault(STATE_ILL_TYPED, i, f"environment names {oid} which is not a root")
-            rec = th.heap.record(oid)
-            if isinstance(t, ObjectInternal):
-                if rec.cls != t.cls or not self._record_conforms(rec, t.typing, th.heap):
-                    self.fault(STATE_ILL_TYPED, i, f"open object {oid} disagrees with its typing")
-            elif isinstance(t, SessionType):
+            if isinstance(t, SessionType):
                 if isinstance(unfold(t), VariantS):
                     self.fault(STATE_ILL_TYPED, i, f"root {oid} tracked at a variant type")
-                if not self._value_conforms(sx.ObjIdE(oid), t, th.heap):
+                if not self._value_conforms(sx.ObjIdE(oid), t, heap):
                     self.fault(STATE_ILL_TYPED, i, f"object {oid} does not inhabit {render_type(t)}")
             else:
                 self.fault(STATE_ILL_TYPED, i, f"environment entry {oid} has value type {t!r}")
-        self._agreed[i] = agreed
+        if last != env.gamma:
+            self._agreed[i] = dict(env.gamma)
+
+    @staticmethod
+    def _held_elsewhere(env: ThreadEnv, summary, heap, chans) -> bool:
+        """Does the heap hold an end of one of the step's channels elsewhere
+        than in the current object, whose field the step retyped? Tracking
+        consumes an endpoint as it is stored, so no run of the interpreter
+        makes such a heap."""
+        if not chans:
+            return False
+        held = sum(summary.eps.get((c, p), 0) for c in chans for p in "+-")
+        oid = env.opened[-1].oid
+        current = heap.record(oid).fields if heap.has(oid) else ()
+        return held > sum(isinstance(v, sx.EndpointE) and v.chan in chans for _, v in current)
+
+    @staticmethod
+    def _changed_open(env: ThreadEnv, touched):
+        """The depths, ascending, of the open objects whose agreement a step
+        can have changed: those that tracking retyped (`ThreadEnv.changed`),
+        and those whose record changed. A field's agreement also reads the
+        reached state of an object it holds, which advances only on a call,
+        whose caller types the callee C[F], and on a labelled return, which
+        retypes the caller; and the type of a channel it holds, which
+        changes only when the object holding it communicates and is
+        retyped (`_held_elsewhere` says when another holds it too)."""
+        n, depths = len(env.opened), env.depths
+        outer = {depths[oid] for oid in touched if depths.get(oid, n) < env.changed}
+        retyped = range(env.changed, n)
+        return sorted(outer) + list(retyped) if outer else retyped
+
+    def _open_agrees(self, env: ThreadEnv, d, heap, delta) -> bool:
+        """Does the open object at depth d agree with its C[F]: is its
+        record of class C, inhabiting F, and does the field its pending call
+        opened hold that call's callee? With `delta`, only the fields whose
+        value or type changed since it last agreed are looked at."""
+        obj = env.opened[d]
+        t = obj.type
+        rec = heap.record(obj.oid) if heap.has(obj.oid) else None
+        if rec is None or rec.cls != t.cls:
+            return False
+        since = obj.agreed if delta else None
+        if since is not None and since[0] is t.typing and since[2] is rec:
+            return True  # as it last agreed
+        types = _field_types(t.typing, rec)
+        callee = env.opened[d + 1] if d + 1 < len(env.opened) else None
+        if types is None or not self._fields_conform(rec, t.typing, types, heap, callee, since):
+            return False
+        obj.agreed = (t.typing, types, rec)
+        return True
 
     def _check_expression(self, i, th, env: ThreadEnv):
         """Re-check the thread's expression with the expression checker, from
         the root object: the pending calls lead down the current path, and
-        the other environment entries are the in-flight values. Only what
+        the environment's entries are the in-flight values. Only what
         replaced the last redex is typed, and frames are left outward while
         a hole's judgement changed (module docstring). Stopping early needs
         the return frames outward to read what they read (`_reads_hold`);
         the tracking changes only the current object and the field that
-        opened it, so they do unless the root's type was changed otherwise.
+        opened it, so only the callers it retyped otherwise are looked at.
         Frames not yet judged are entered outermost first, so a return's
         checks before its hole come in the order of a whole-expression
-        check, and the first error is the one that check finds."""
-        root_key = ("obj", th.path.root)
-        root = env.gamma.get(root_key)
-        calls = env.frames
+        check, and the first error is the one that check finds. An
+        expression at depth d, and a return frame entered from it, read the
+        object open at d with its callee as it is now (`_typing_at`)."""
+        opened, calls = env.opened, env.frames
         try:
-            if not isinstance(root, ObjectInternal):
-                raise CheckError(INTERNAL_FORM, f"current object {th.path.root} is not open")
-            if (calls or th.path.fields) and tuple([fr.field for fr in calls]) != th.path.fields:
+            if th.path.depth != len(calls) or calls and calls[-1].field != th.path.field:
                 raise CheckError(INTERNAL_FORM, f"pending calls do not lead to {th.path}")
             ctx, classes = self.ctx, self.program.classes
             cell, x = th.made_from
@@ -1052,24 +1142,22 @@ class Monitor:
                 while kept is not None and kept.hole is None:
                     new.append(kept)
                     kept = kept.outer
-            opened = self._opened.get(i)
-            moved = opened is None or opened[0] is not root  # the root's type changed
-            if moved:
-                opened = self._opened[i] = _open_objects(root, th.path)
             if kept is not None and kept.calls and (
-                kept.calls >= len(opened) or moved and not self._reads_hold(kept, opened, calls)
+                kept.calls >= len(opened) or not self._reads_hold(kept, env)
             ):
                 while kept is not None:  # judge every frame again
                     new.append(kept)
                     kept = kept.outer
-            envs = self._runtime_envs(i, root_key, env)
+            envs = self._runtime_envs(i, env)
             d = 0 if kept is None else kept.calls
-            obj = opened[d]
-            cls, F, V = classes[obj.cls], obj.typing, self._env_at(envs, d)
+            cls, F, V = classes[opened[d].type.cls], self._typing_at(env, d), self._env_at(envs, d)
             inputs = []
             for frame in reversed(new):
                 inputs.append((cls, F, V))
                 cls, F, V = enter_frame(ctx, cls, frame.cell[1], F, V)
+                if frame.returns:
+                    d += 1
+                    F = self._typing_at(env, d)
             out = infer_expr(ctx, cls, x, F, V)
             for frame in new:
                 cls, F, V = inputs.pop()
@@ -1081,7 +1169,7 @@ class Monitor:
                 self.outward_walks += 1
                 while kept is not None and not same_judgement(out, kept.hole):
                     d = kept.calls - kept.returns
-                    obj = opened[d]
+                    obj = opened[d].type
                     V = self._env_at(envs, d)
                     kept.hole = out
                     if kept.returns:
@@ -1094,40 +1182,63 @@ class Monitor:
             self.fault(STATE_ILL_TYPED, i, f"expression re-check failed: {e}")
 
     @staticmethod
-    def _reads_hold(kept, opened, calls) -> bool:
+    def _typing_at(env: ThreadEnv, d) -> RecordF:
+        """The field typing of the object open at depth d, holding its
+        pending call's callee, if any, as it is now and not as the call
+        opened it. A callee's own callee is left as it was opened: the
+        rules read a callee's C[F] only to enter its return. A field that
+        holds no C[F] of the callee's class is left for the checker."""
+        typing = env.opened[d].type.typing
+        if d + 1 < len(env.opened):
+            callee, f = env.opened[d + 1].type, env.frames[d].field
+            held = dict(typing.items).get(f) if isinstance(typing, RecordF) else None
+            if type(held) is ObjectInternal and held.cls == callee.cls and held is not callee:
+                typing = typing.set(f, callee)
+        return typing
+
+    @staticmethod
+    def _reads_hold(kept, env: ThreadEnv) -> bool:
         """Do the return frames at and outward of `kept` still read what
         they were judged under: the same pending call, and a caller whose
-        field typing differs at most in the field the call opened?"""
+        field typing differs at most in the field the call opened? Only the
+        callers retyped since the last check can differ
+        (`ThreadEnv.changed`)."""
         frame = kept if kept.returns else kept.opener
-        while frame is not None:
+        while frame is not None and frame.calls - 1 >= env.changed:
             call, caller = frame.reads
             d = frame.calls - 1
-            if calls[d] is not call or not _same_but(opened[d].typing, caller, call.field):
+            typing = env.opened[d].type.typing
+            if env.frames[d] is not call or not _same_but(typing, caller, call.field):
                 return False
             frame = frame.opener
         return True
 
-    def _runtime_envs(self, i, root_key, env) -> tuple:
-        """Thread i's in-flight values, pending calls and memo, with its
+    def _runtime_envs(self, i, env) -> tuple:
+        """Thread i's memo, in-flight values and pending calls, with its
         runtime environments by depth (`_env_at`). Those of its last check
-        are used again while the values, the pending calls and the memo are
-        the same, so each environment is keyed once."""
-        values = {k: t for k, t in env.gamma.items() if k != root_key}
+        are used again while the memo, the values and the pending calls are
+        the same, so each environment is keyed once. Calls are only pushed
+        and popped, each a new `Frame`, so as many calls ending in the same
+        one are the same calls."""
+        calls = env.frames
+        top = calls[-1] if calls else None
         last = self._values.get(i)
         if (
             last is None
             or last[0] is not self._judgements
-            or last[1] != values
-            or last[2] != env.frames
+            or last[2] is not top
+            or last[3] != len(calls)
+            or last[1] != env.gamma
         ):
-            last = self._values[i] = (self._judgements, values, list(env.frames), {})
+            last = (self._judgements, dict(env.gamma), top, len(calls), calls, {})
+            self._values[i] = last
         return last
 
     def _env_at(self, envs, d) -> RuntimeEnv:
         """The runtime environment at depth d: the pending calls from d in."""
-        V = envs[3].get(d)
+        V = envs[5].get(d)
         if V is None:
-            judgements, values, calls, by_depth = envs
+            judgements, values, _, _, calls, by_depth = envs
             V = by_depth[d] = RuntimeEnv(
                 values, tuple(calls[d:]), self._consistency_holds, judgements
             )

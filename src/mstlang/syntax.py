@@ -1063,23 +1063,68 @@ class ObjectRecord:
         return tuple([n for n, _ in self.fields])
 
 
-@dataclass(frozen=True)
 class Path:
-    root: str
-    fields: tuple = ()
+    """A heap location r.f1...fn: a root object id, then one field per
+    pending call, each a field of the object the path before it denotes.
+    A path is a linked cell (outer path, last field, object id), and a
+    call's path adds one cell to its caller's, so the two share every other
+    cell, as the focus's frames do (Huet's zipper; Okasaki's persistent
+    lists): `child`, `parent` and `last` take constant time at any depth. A
+    cell that a call made knows the object it opened (`oid`), so a heap
+    resolves it without reading the fields on the way (`Heap.resolve_id`);
+    a path written as `Path(root, fields)` knows only its root's. Equality,
+    hashing and `str` read the root and the fields only."""
 
-    def child(self, f) -> "Path":
-        return Path(self.root, self.fields + (f,))
+    __slots__ = ("root", "outer", "field", "oid", "depth")
+
+    def __init__(self, root: str, fields: tuple = ()):
+        outer = None
+        if fields:
+            outer = Path(root)
+            for f in fields[:-1]:
+                outer = outer.child(f)
+        self._link(outer, fields[-1] if fields else None, None if fields else root)
+
+    def _link(self, outer, field, oid):
+        self.outer, self.field, self.oid = outer, field, oid
+        self.root, self.depth = (oid, 0) if outer is None else (outer.root, outer.depth + 1)
+
+    def child(self, f, oid=None) -> "Path":
+        """This path and field f, which holds the object `oid` when given."""
+        p = object.__new__(Path)
+        p._link(self, f, oid)
+        return p
 
     def parent(self) -> "Path":
-        if not self.fields:
+        if self.outer is None:
             raise CoreError("cannot pop the root of a path")
-        return Path(self.root, self.fields[:-1])
+        return self.outer
 
     def last(self) -> str:
-        if not self.fields:
+        if self.outer is None:
             raise CoreError("path has no field component")
-        return self.fields[-1]
+        return self.field
+
+    @property
+    def fields(self) -> tuple:
+        out, p = [], self
+        while p.outer is not None:
+            out.append(p.field)
+            p = p.outer
+        return tuple(reversed(out))
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self is other or (self.depth, self.root, self.fields) == (
+            other.depth, other.root, other.fields
+        )
+
+    def __hash__(self):
+        return hash((self.root, self.fields))
+
+    def __repr__(self):
+        return f"Path({self.root!r}, {self.fields!r})"
 
     def __str__(self):
         return ".".join((self.root,) + self.fields)
@@ -1198,7 +1243,13 @@ class Heap:
     # -- heap locations -----------------------------------------------------
 
     def resolve_id(self, r: Path) -> str:
-        """Object id that path r denotes; every intermediate field must hold one."""
+        """Object id that path r denotes; every intermediate field must hold
+        one. A path that knows its object (`Path.oid`) denotes it while the
+        heap holds it; the interpreter changes no field of a path while its
+        call is pending. Any other path is resolved by reading its fields."""
+        oid = r.oid
+        if oid is not None and self.has(oid):
+            return oid
         oid = r.root
         rec = self.record(oid)
         for f in r.fields:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from mstlang import parser, typechecker
+from mstlang.syntax import ObjectInternal
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -50,6 +51,17 @@ def load_checked(name):
         report, ctx = typechecker.check_program(prog)
         _checked[name] = (prog, report, ctx)
     return _checked[name]
+
+
+def root_type(env):
+    """A monitored thread's root entry as the paper writes it: the root's
+    C[F], each pending call's callee in place at the field it opened, as
+    it is now."""
+    t = env.opened[-1].type
+    for d in range(len(env.frames) - 1, -1, -1):
+        caller = env.opened[d].type
+        t = ObjectInternal(caller.cls, caller.typing.set(env.frames[d].field, t))
+    return t
 
 
 @pytest.fixture

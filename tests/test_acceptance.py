@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import RUNNABLE, load, load_checked
+from conftest import RUNNABLE, load, load_checked, root_type
 from gen import gen_channel, gen_session, widen_channel, widen_session
 from oracles import consistency_oracle
 from mstlang.channels import dual, subtype_channel, translate_channel
@@ -141,7 +141,7 @@ def test_criterion_07_reduction_example_replay():
 
     def observer(step_no, before, ev, after):
         mon.on_step(step_no, before, ev, after)
-        snapshots.append((ev.rule, mon.envs[0].gamma[("obj", "top")]))
+        snapshots.append((ev.rule, root_type(mon.envs[0])))
 
     outcome, events, conf = interp.run(100, observer=observer)
     assert outcome.kind == "terminated"

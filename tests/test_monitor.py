@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import DEADLOCKS, RUNNABLE, load_checked
-from mstlang.channels import dual, subtype_channel
+from conftest import DEADLOCKS, RUNNABLE, load_checked, root_type
+from mstlang.channels import dual, subtype_channel, translate_channel
 from mstlang.interpreter import Interpreter
 from mstlang.monitor import (
     Monitor,
@@ -29,6 +29,7 @@ from mstlang.syntax import (
     LabelE,
     ObjIdE,
     ObjectInternal,
+    ObjectRecord,
     SessionType,
     Thread,
     VariantS,
@@ -183,8 +184,7 @@ def test_reduction_example_gamma_sequence():
 
     def observer(step_no, before, ev, after):
         mon.on_step(step_no, before, ev, after)
-        top = mon.envs[0].gamma[("obj", "top")]
-        snapshots.append((ev.rule, top))
+        snapshots.append((ev.rule, root_type(mon.envs[0])))
 
     outcome, events, conf = interp.run(100, observer=observer)
     assert outcome.kind == "terminated"
@@ -607,6 +607,12 @@ def test_delta_recheck_matches_full_recheck_on_generated_programs():
         report, ctx = check_program(prog)
         assert report.ok, report.lines()
         assert all(o[0] in ("terminated", "limit") for o in assert_same_outcomes(prog, ctx, 60))
+    # 40 pending calls that return one by one, and a descent capped at 40
+    for text, limit, kind in [(call_chain(40), 300, "terminated"), (CALL_DESCENT, 200, "limit")]:
+        prog = parse_program(text)
+        report, ctx = check_program(prog)
+        assert report.ok, report.lines()
+        assert {o[0] for o in assert_same_outcomes(prog, ctx, limit)} == {kind}
 
 
 def test_linearity_checked_through_the_delta():
@@ -842,9 +848,8 @@ def test_wrong_field_typing_in_a_deep_body_found_as_by_a_full_recheck(labels):
     _, ctx = check_program(prog)
 
     def plant(mon, conf, ev):
-        root = mon.envs[0].gamma[("obj", "top")]
-        wrong = root.typing.set("k", EnumType(frozenset(labels)))
-        mon.envs[0].gamma[("obj", "top")] = ObjectInternal(root.cls, wrong)
+        root = mon.envs[0].opened[0].type
+        mon.envs[0].retype(root.typing.set("k", EnumType(frozenset(labels))), 0)
 
     interp = Interpreter(prog)
     _, events, _ = interp.run(400)
@@ -869,12 +874,11 @@ def test_wrong_caller_typing_found_as_by_a_full_recheck():
 
     def plant(mon, conf, ev):
         path, env = conf.threads[ev.threads[0]].path, mon.envs[ev.threads[0]]
-        root = env.gamma[("obj", path.root)]
+        root = env.opened[0].type
         for name, t in root.typing.items:
             if name != path.fields[0] and isinstance(t, SessionType) and t != EMPTY_BRANCH:
                 if isinstance(unfold(t), Branch):
-                    wrong = root.typing.set(name, EMPTY_BRANCH)
-                    env.gamma[("obj", path.root)] = ObjectInternal(root.cls, wrong)
+                    env.retype(root.typing.set(name, EMPTY_BRANCH), 0)
                     return
 
     found = [
@@ -883,6 +887,192 @@ def test_wrong_caller_typing_found_as_by_a_full_recheck():
     ]
     assert all(delta == full for delta, full in found), found
     assert sum(delta is not None for delta, _ in found) >= 10
+
+
+def planted_before_step(prog, ctx, at, plant, full, limit=1200):
+    """The violation, as (kind, step, thread, detail), of a monitored run
+    whose configuration or tracked environment `plant(monitor, conf)`
+    changes at step `at`, before the monitor takes that step; the run goes
+    on from the configuration it returns. With `full`, the steps from `at`
+    on are re-checked in full, as `FullRecheckMonitor` does. None when the
+    run ends without one."""
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    try:
+        for step_no in range(1, limit + 1):
+            before = conf
+            conf, ev = interp.step(conf)
+            take = Monitor.on_step
+            if step_no == at:
+                conf = plant(mon, conf)
+            if full and step_no >= at:
+                take = FullRecheckMonitor.on_step
+            take(mon, step_no, before, ev, conf)
+    except MonitorViolation as v:
+        return (v.kind, v.step, v.thread, v.detail)
+    return None
+
+
+def _null_caller_field(depth):
+    """A plant: the object open at `depth` no longer holds its callee."""
+
+    def plant(mon, conf):
+        th = conf.threads[0]
+        cell = th.path
+        while cell.depth > depth:
+            cell = cell.outer
+        oid = th.heap.resolve_id(cell)
+        heap = th.heap.replace(oid, th.heap.record(oid).set("n", syntax.NULL_E))
+        return conf.with_thread(0, Thread.plugged(heap, th.path, *th.made_from))
+
+    return plant
+
+
+def _redirect_caller_field(depth):
+    """A plant: the object open at `depth` holds, in place of its callee, a
+    fresh object of the callee's class."""
+
+    def plant(mon, conf):
+        th = conf.threads[0]
+        cell = th.path
+        while cell.depth > depth:
+            cell = cell.outer
+        oid = th.heap.resolve_id(cell)
+        rec = th.heap.record(oid)
+        heap = th.heap.add("other", ObjectRecord(rec.cls, (("n", syntax.NULL_E),)))
+        heap = heap.replace(oid, rec.set("n", ObjIdE("other")))
+        return conf.with_thread(0, Thread.plugged(heap, th.path, *th.made_from))
+
+    return plant
+
+
+def _null_caller_typing(depth):
+    """A plant: the tracked C[F] of the object open at `depth` types the
+    field that holds its callee Null."""
+
+    def plant(mon, conf):
+        env = mon.envs[0]
+        env.retype(env.opened[depth].type.typing.set("n", syntax.NULL_T), depth)
+        return conf
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [_null_caller_field, _redirect_caller_field, _null_caller_typing],
+    ids=["heap-null", "heap-other-object", "environment"],
+)
+@pytest.mark.parametrize("depth", [1, 200, 204], ids=["1-down", "200-down", "caller-of-current"])
+def test_disagreement_deep_in_a_call_chain_found_as_by_a_full_recheck(plant, depth):
+    # 205 calls are pending, and an open object above the current one, 1 or
+    # 200 levels below the root or the current object's caller, disagrees
+    # with the heap: heap agreement re-checks the object whose record or
+    # C[F] changed, and reports what a full re-check reports, at that step
+    prog = parse_program(CALL_DESCENT)
+    _, ctx = check_program(prog)
+    interp = Interpreter(prog)
+    conf, calls, at = interp.initial_config(), 0, 0
+    while calls < 205:
+        conf, ev = interp.step(conf)
+        at += 1
+        calls += ev.rule == "Call"
+    at += 3  # the 205th callee's third step, a `Seq` that changes nothing else
+    found = [planted_before_step(prog, ctx, at, plant(depth), full) for full in (False, True)]
+    assert found[0] == found[1] == ("StateIllTyped", at, 0, "open object top disagrees with its typing")
+
+
+def test_parked_tag_changed_under_its_variant_found_as_by_a_full_recheck():
+    # a returned tag NO is parked in g, which links the variant in f; a
+    # faulty heap turns it into YES while another field is assigned: f
+    # keeps its value and type, and is found to disagree all the same
+    prog, _, ctx = load_checked("progs/p06_park.mst")
+    interp = Interpreter(prog)
+    conf, at = interp.initial_config(), 0
+    while True:
+        conf, ev = interp.step(conf)
+        at += 1
+        if ev.rule == "Swap" and ev.field == "other":
+            break
+
+    def plant(mon, conf):
+        th = conf.threads[0]
+        rec = th.heap.record("top")
+        assert rec.get("g") == LabelE("NO")
+        heap = th.heap.replace("top", rec.set("g", LabelE("YES")))
+        return conf.with_thread(0, Thread.plugged(heap, th.path, *th.made_from))
+
+    found = [planted_before_step(prog, ctx, at, plant, full) for full in (False, True)]
+    assert found[0] == found[1] == ("StateIllTyped", at, 0, "open object top disagrees with its typing")
+
+
+# The C object passed to `put` is in flight while put's body takes a step
+IN_FLIGHT_ARGUMENT = (
+    "class C { session {Null use(Null): {}} use(x) { null } }\n"
+    "class K { session {Null put({Null use(Null): {}}): {}} c; put(x) { null; c = x; null } }\n"
+    "class Main { session {Null go(Null): {}} k; go(x) { k = new K(); k.put(new C()) } }\n"
+    "main Main.go;\n"
+)
+
+
+def test_in_flight_object_held_by_a_record_found_as_by_a_full_recheck():
+    # a faulty heap gains a record that holds the in-flight argument while
+    # the callee takes a step that changes nothing the argument's entry
+    # names: the entry is looked at again, since its object's holders changed
+    prog = parse_program(IN_FLIGHT_ARGUMENT)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    interp = Interpreter(prog)
+    conf, at = interp.initial_config(), 0
+    while True:
+        conf, ev = interp.step(conf)
+        at += 1
+        if ev.rule == "Call":
+            arg = ev.arg.oid
+            break
+    at += 1  # the callee's first step, a `Seq`
+
+    def plant(mon, conf):
+        th = conf.threads[0]
+        heap = th.heap.add("holder", ObjectRecord("K", (("c", ObjIdE(arg)),)))
+        return conf.with_thread(0, Thread.plugged(heap, th.path, *th.made_from))
+
+    found = [planted_before_step(prog, ctx, at, plant, full) for full in (False, True)]
+    assert found[0] == found[1] == ("StateIllTyped", at, 0, f"environment names {arg} which is not a root")
+
+
+def test_channel_end_held_twice_found_as_by_a_full_recheck():
+    # a faulty heap holds the end on which a callee is about to receive a
+    # second time, in its caller, whose field is typed as that end now is:
+    # the communication then changes what the copy must agree with, which
+    # only a check of the caller finds
+    prog, _, ctx = load_checked("progs/p14_box_delegate.mst")
+    interp = Interpreter(prog)
+    conf, at = interp.initial_config(), 0
+    while True:
+        before = conf
+        conf, ev = interp.step(conf)
+        at += 1
+        if ev.rule == "ComBase" and before.threads[ev.threads[1]].path.depth == 1:
+            break
+    j = ev.threads[1]
+    th = before.threads[j]
+    end = next(v for _, v in th.heap.resolve(th.path).fields if isinstance(v, EndpointE))
+    caller = th.path.root
+
+    def plant(mon, conf):
+        th = conf.threads[j]
+        rec = th.heap.record(caller)
+        env = mon.envs[j]
+        typing = env.opened[0].type.typing.set("d", translate_channel(mon.theta[(end.chan, end.polarity)]))
+        env.retype(typing, 0)
+        heap = th.heap.replace(caller, rec.set("d", end))
+        return conf.with_thread(j, Thread.plugged(heap, th.path, *th.made_from))
+
+    found = [planted_before_step(prog, ctx, at - 1, plant, full) for full in (False, True)]
+    assert found[0] == found[1] == ("StateIllTyped", at, j, f"open object {caller} disagrees with its typing")
 
 
 # `while (c.more(null)) { t = new Junk(); t <-> null; null }` forever: every
@@ -1081,6 +1271,59 @@ def test_monitored_step_cost_independent_of_context_depth(monkeypatch):
     assert deepest_busiest_step(monkeypatch, 5000) == shallow
 
 
+def busiest_call_step(monkeypatch, depth, monitored, skip=20):
+    """The most heap records read, record field typings set, C[F] types
+    made and field values checked against a type in any step of
+    `gen.CALL_DESCENT` after its first `skip` calls, until `depth` calls
+    are pending; monitored or not. The memo is not capped: a run that
+    starts it over re-judges one call's body once, at any depth."""
+    monkeypatch.setattr(Judgements, "CAP", 1 << 20)
+    prog = parse_program(CALL_DESCENT)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    counts = [0, 0, 0, 0]
+
+    def counted(k, f):
+        def wrapper(*args):
+            counts[k] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(syntax.Heap, "record", counted(0, syntax.Heap.record))
+    monkeypatch.setattr(syntax.RecordF, "set", counted(1, syntax.RecordF.set))
+    monkeypatch.setattr(ObjectInternal, "__init__", counted(2, ObjectInternal.__init__))
+    monkeypatch.setattr(Monitor, "_value_conforms", counted(3, Monitor._value_conforms))
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx) if monitored else None
+    conf = interp.initial_config()
+    if mon is not None:
+        mon.start(conf)
+    calls, step_no, most = 0, 0, [0, 0, 0, 0]
+    while calls < depth:
+        step_no += 1
+        before, seen = conf, list(counts)
+        conf, ev = interp.step(conf)
+        if mon is not None:
+            mon.on_step(step_no, before, ev, conf)
+        calls += ev.rule == "Call"
+        if calls > skip:
+            most = [max(m, c - s) for m, c, s in zip(most, counts, seen)]
+    assert conf.threads[0].path.depth == depth
+    return most
+
+
+@pytest.mark.parametrize("monitored", [False, True], ids=["unmonitored", "monitored"])
+def test_step_cost_independent_of_call_depth(monkeypatch, monitored):
+    # a path adds one linked cell per pending call, which knows the object
+    # the call opened, and the monitor keeps each open object apart from its
+    # callers and re-checks what a step changed: a step reads, sets, makes
+    # and checks as much at any call depth
+    shallow = busiest_call_step(monkeypatch, 100, monitored)
+    monkeypatch.undo()
+    assert busiest_call_step(monkeypatch, 5000, monitored) == shallow
+
+
 def test_rebuilt_nodes_read_once_per_step(monkeypatch):
     # a step keys the nodes that replaced its redex, and the same walk gives
     # their endpoint sets: every node of a replacement that the key table
@@ -1163,9 +1406,9 @@ def test_enumeration_returned_before_a_variant_state():
 
 
 def test_monitored_call_descent_bounded_by_memory():
-    # each pending call opens an object inside its caller's C[F]; tracking,
-    # heap agreement and the re-check walk that chain in loops, so 600
-    # pending calls are monitored under the default recursion limit
+    # each pending call opens an object that the monitor keeps apart from
+    # its caller's C[F], and nothing walks the chain of them recursively, so
+    # 600 pending calls are monitored under the default recursion limit
     prog = parse_program(CALL_DESCENT)
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
@@ -1178,8 +1421,8 @@ def test_monitored_call_descent_bounded_by_memory():
 
 
 def test_monitored_call_chain_unwinds():
-    # a return rebuilds its caller's C[F], and heap agreement sees the new
-    # root entry as changed without comparing the chain level by level
+    # a return closes the callee and retypes its caller, the current object
+    # again, whose changed field heap agreement then re-checks
     prog = parse_program(call_chain(300))
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
