@@ -38,11 +38,15 @@ joins the heap's endpoints with the expression's. A touched thread's summary
 moves to its new heap through the records that differ from the heap it saw
 last (`Heap.changes`), compared by identity: when the two heaps share their
 base, only their update maps, about sqrt(n) records; after a fold of the
-update map, a split, a merge or a renaming, every record once. An object new
-to a thread is looked up in the owner map and an endpoint new to a thread in
-the other threads' sets, and trace conformance looks up only the objects new
-to a heap (`check_traces` says why that suffices). So a step costs what it
-changed, not the size of the heap. Only when one of these finds a possible
+update map, a split, a merge or a renaming, every record once; nothing when
+the step kept the heap. A thread's endpoint set is rebuilt only when its
+expression's endpoints are another set or its heap's endpoint counts moved.
+An object new to a thread is looked up in the owner map and an endpoint new
+to a thread in the other threads' sets. Trace conformance looks up only the
+objects new to a heap (`check_traces` says why that suffices), and proves a
+root entry's conformance again only where its tracked type or its reached
+state is not the object it was proved at. So a step costs what it changed,
+not the size of the heap. Only when one of these finds a possible
 fault, or when every thread is checked (`start`, which also rebuilds every
 summary from scratch), does a check look at every object and endpoint, in
 thread and heap order, so the fault reported is the one a full check finds
@@ -166,7 +170,9 @@ DUALITY = "DualityViolation"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Trace elements compare and hash by their fields, as frozen ones would; a
+# plain slot store builds them faster, and no field is assigned after that.
+@dataclass(slots=True, unsafe_hash=True)
 class TraceCall:
     method: str
     param: object = None  # the parameter type of the entry the call resolved to, if known
@@ -175,7 +181,7 @@ class TraceCall:
         return self.method
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceLabel:
     label: str
 
@@ -357,25 +363,35 @@ def _current(env: ThreadEnv, path: Path) -> RecordF:
     return typing
 
 
+_NO_IDS = frozenset()
+
+
 class HeapSummary:
     """What the monitor reads of one thread's heap, kept for the heap it saw
     last (`heap`): how many fields hold each object id (`refs`) and each
     endpoint (`eps`), the ids some field holds that are not in the heap
-    (`dangling`), and the ids whose record or count of holders changed when
-    it moved to that heap (`touched`)."""
+    (`dangling`), and, of the move to that heap, the ids whose record or
+    count of holders changed (`touched`) and whether any endpoint's count
+    did (`eps_moved`)."""
 
-    __slots__ = ("heap", "refs", "eps", "dangling", "touched")
+    __slots__ = ("heap", "refs", "eps", "dangling", "touched", "eps_moved")
 
     def __init__(self):
         self.heap = None
         self.refs = {}
         self.eps = {}
         self.dangling = set()
-        self.touched = set()
+        self.touched = _NO_IDS
+        self.eps_moved = False
 
     def update(self, heap) -> list:
         """Moves the summary to `heap` through the records that differ from
-        the heap it saw last; returns them, as `Heap.changes` gives them."""
+        the heap it saw last; returns them, as `Heap.changes` gives them.
+        The very heap it saw last changes nothing."""
+        self.eps_moved = False
+        if heap is self.heap:
+            self.touched = _NO_IDS
+            return []
         changes = heap.changes(self.heap)
         self.heap = heap
         touched = [oid for oid, _, _ in changes]
@@ -399,6 +415,7 @@ class HeapSummary:
                 touched.append(key)
             elif isinstance(v, sx.EndpointE):
                 counts, key = self.eps, (v.chan, v.polarity)
+                self.eps_moved = True
             else:
                 continue
             n = counts.get(key, 0) + delta
@@ -487,6 +504,8 @@ class Monitor:
         self._contexts = {}  # thread -> (KeptFrame by cell id, innermost KeptFrame), likewise
         self._values = {}  # thread -> its in-flight values, pending calls and RuntimeEnvs, likewise
         self._agreed = {}  # thread -> environment entry -> the type it last agreed at
+        self._conformed = {}  # thread -> root entry -> (type, reached state) it last conformed at
+        self._expr_eps = {}  # thread -> the endpoints of its expression, as of its last step
         self.outward_walks = 0  # steps whose re-check re-typed a kept frame
 
     # -- setup ----------------------------------------------------------------
@@ -886,8 +905,9 @@ class Monitor:
         # receiver side
         if isinstance(sig_r, sx.ChanOffer):
             new_r = sig_r.case(v.label)
-            variant = VariantS(tuple((l, translate_channel(c)) for l, c in sig_r.cases))
-            env_r.active_link = ActiveLink(path_r, f_r, variant)
+            # the variant its receive returns into, one node per offer state
+            (receive,) = translate_channel(sig_r).entries
+            env_r.active_link = ActiveLink(path_r, f_r, receive.cont)
         elif isinstance(sig_r, sx.ChanRecv):
             new_r = sig_r.cont
             if isinstance(v, sx.EndpointE):
@@ -928,7 +948,8 @@ class Monitor:
         scan = threads is None
         if scan:
             threads = range(len(conf.threads))
-        self._check_global_shape(conf, threads, scan or clash)
+        if scan or clash or any(self._heaps[i].dangling for i in threads):
+            self._check_global_shape(conf, threads)
         for i in threads:
             th, env = conf.threads[i], self.envs[i]
             self._check_heap_agreement(i, th, env, chans)
@@ -940,10 +961,13 @@ class Monitor:
         """Move the heap summaries, the owner map and the endpoint sets of
         the given threads to `conf`, every thread's rebuilt from scratch when
         None, and note the objects new to their heaps. True when an object
-        or endpoint new to a thread may be held by another one too."""
+        or endpoint new to a thread may be held by another one too. A
+        thread's endpoint set is rebuilt only when one of its parts may have
+        changed: its expression's is another set, or an endpoint count of
+        its heap moved."""
         if threads is None:
             self._heaps, self._owner, self._eps = {}, {}, {}
-            self._contexts, self._values = {}, {}
+            self._contexts, self._values, self._expr_eps = {}, {}, {}
             threads = range(len(conf.threads))
         entered = []
         for i in threads:  # every removal first, so a moved id has no owner
@@ -961,8 +985,12 @@ class Monitor:
         self._entered += entered
         added = []
         for i in threads:
-            eps = self._keep_context(i, conf.threads[i]).union(self._heaps[i].eps)
-            added += [(i, e) for e in eps - self._eps.get(i, frozenset())]
+            expr, s = self._keep_context(i, conf.threads[i]), self._heaps[i]
+            if expr is self._expr_eps.get(i) and not s.eps_moved:
+                continue  # the same endpoints as at its last check
+            self._expr_eps[i] = expr
+            eps = expr.union(s.eps)
+            added += [(i, e) for e in eps - self._eps.get(i, _NO_ENDPOINTS)]
             self._eps[i] = eps
         for i, e in added:
             clash = clash or any(e in eps for k, eps in self._eps.items() if k != i)
@@ -989,16 +1017,17 @@ class Monitor:
             inner = table[id(cell)] = KeptFrame(cell, inner, keys)
         self._contexts[i] = (table, inner)
         eps = keys.endpoints(x)
-        return eps | inner.eps if inner is not None and inner.eps else eps
+        if inner is None or not inner.eps:
+            return eps
+        return eps | inner.eps if eps else inner.eps
 
-    def _check_global_shape(self, conf, threads, scan):
+    def _check_global_shape(self, conf, threads):
         """An incomplete heap among the given threads, an object in two
-        threads, an endpoint in two threads. The summaries and the clash
-        noted by `_keep_shape` show whether any of these can be; only then,
-        or when `scan` asks, are they looked for, in thread and heap order,
-        so the one reported is the first in that order."""
-        if not scan and not any(self._heaps[i].dangling for i in threads):
-            return
+        threads, an endpoint in two threads, looked for in thread and heap
+        order, so the one reported is the first in that order. The
+        summaries and the clash that `_keep_shape` notes show whether any of
+        these can be; `check_state` calls this only then, or when every
+        thread is checked."""
         seen = set()
         for i in range(len(conf.threads)):
             s = self._heaps[i]
@@ -1265,10 +1294,16 @@ class Monitor:
         at an earlier step and have not become empty since: a call or label
         that none of them can fire faults as it is tracked (`_advance`), and
         every other change of reached states is to an object that enters a
-        heap at that step (New, Spawn, object transfer)."""
+        heap at that step (New, Spawn, object transfer). A root entry's
+        conformance is kept with the (type, reached state) it was proved at,
+        and proved again only when one of the two is another object: both
+        are values, replaced and never changed in place. The given threads'
+        entries are still looked at in order, so the first to fail is the
+        one a full check reports."""
         scan = threads is None
         if scan:
             threads = range(len(conf.threads))
+            self._conformed = {}
         else:
             try:
                 for _, oid in self._entered:
@@ -1285,12 +1320,18 @@ class Monitor:
         # consistency with the tracked environments: a session-typed root's
         # trace must lead to (a subtype of) its tracked state
         for i in threads:
-            th, env = conf.threads[i], self.envs[i]
-            for key, t in env.gamma.items():
-                if key[0] != "obj" or not isinstance(t, SessionType):
+            th, gamma = conf.threads[i], self.envs[i].gamma
+            conformed = self._conformed.setdefault(i, {})
+            for key, t in gamma.items():
+                if key[0] != "obj":
                     continue
-                tu = unfold(t)
-                if isinstance(tu, VariantS):
+                reached = self._reached.get(key[1])
+                was = conformed.get(key)
+                if was is not None and was[0] is t and was[1] is reached:
+                    continue  # as it conformed at an earlier step
+                if not isinstance(t, SessionType):
+                    continue
+                if isinstance(unfold(t), VariantS):
                     continue  # resolved through the tag holder, checked elsewhere
                 if not th.heap.has(key[1]):
                     continue  # cross-thread shape errors are reported by check_state
@@ -1302,3 +1343,6 @@ class Monitor:
                     self.fault(
                         TRACE_INVALID, i, f"trace of {key[1]} does not reach {render_type(t)}"
                     )
+                conformed[key] = (t, reached)
+            if len(conformed) > len(gamma):  # entries that left the environment
+                self._conformed[i] = {key: was for key, was in conformed.items() if key in gamma}

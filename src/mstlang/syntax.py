@@ -10,6 +10,10 @@ parameter type) and variants as label-keyed maps. Callers compare types
 with `==` and key tables by the type itself; the identities behind that
 (`Type.canon`) are computed once per strongly connected component.
 All values here are immutable, but for a state's body, which is set once.
+Types are not frozen dataclasses, since the monitor builds some on every
+step and a plain slot store is cheaper than a frozen one; no field of a type
+is assigned after it is built, only the identity, hash and memo slots
+that `Type` fills on first use.
 A pure function of a type (duality, translation, subtyping) keeps
 its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
@@ -76,7 +80,7 @@ class Type:
                 c = self._canon
             else:  # no cycle passes through a value type or a field typing
                 c = self._level(Type.canon)
-                object.__setattr__(self, "_canon", c)
+                self._canon = c
         return c
 
     def memo(self) -> dict:
@@ -84,7 +88,7 @@ class Type:
         m = getattr(self, "_memo", None)
         if m is None:
             m = {}
-            object.__setattr__(self, "_memo", m)
+            self._memo = m
         return m
 
     def _level(self, val):
@@ -106,7 +110,7 @@ class Type:
                 h = hash(unfold(self)._level(lambda c: unfold(c)._level(_no_child)))
             else:
                 h = hash(self._level(hash))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __repr__(self):
@@ -185,7 +189,7 @@ class Labelled:
         raise KeyError(label)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class NullType(ValueType):
     __slots__ = ()
 
@@ -196,7 +200,7 @@ class NullType(ValueType):
 NULL_T = NullType()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class EnumType(ValueType):
     labels: frozenset
 
@@ -205,7 +209,7 @@ class EnumType(ValueType):
     def __post_init__(self):
         if not self.labels:
             raise ValueError("enumerated types have at least one label")
-        object.__setattr__(self, "labels", frozenset(self.labels))
+        self.labels = frozenset(self.labels)
 
     def _level(self, val):
         return ("enum", tuple(sorted(self.labels)))
@@ -218,7 +222,7 @@ class EnumType(ValueType):
     __hash__ = Type.__hash__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class LinkThis(ValueType):
     __slots__ = ()
 
@@ -229,7 +233,7 @@ class LinkThis(ValueType):
 LINK_THIS = LinkThis()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class LinkField(ValueType):
     """Internal type ``link f``: a tag tied to the variant type of field f."""
 
@@ -251,14 +255,14 @@ class MethodSig:
     cont: SessionType
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class Branch(SessionType):
     entries: tuple
 
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        self.entries = tuple(self.entries)
 
     def _level(self, val):
         return ("branch", tuple(sorted(
@@ -284,13 +288,13 @@ class _Cases(Labelled):
         labels = [l for l, _ in cases]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate label in {labels}")
-        object.__setattr__(self, "cases", cases)
+        self.cases = cases
 
     def _level(self, val):
         return (self.tag, tuple(sorted([(l, val(c)) for l, c in self.cases])))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class VariantS(_Cases, SessionType):
     cases: tuple  # ordered (label, SessionType) pairs, labels distinct
 
@@ -301,7 +305,7 @@ class VariantS(_Cases, SessionType):
 # Channel session types ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ChanEnd(ChannelType):
     __slots__ = ()
 
@@ -312,7 +316,7 @@ class ChanEnd(ChannelType):
 CHAN_END = ChanEnd()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ChanRecv(ChannelType):
     payload: Type  # ValueType or ChannelType
     cont: ChannelType
@@ -323,7 +327,7 @@ class ChanRecv(ChannelType):
         return ("recv", val(self.payload), val(self.cont))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ChanSend(ChannelType):
     payload: Type
     cont: ChannelType
@@ -334,7 +338,7 @@ class ChanSend(ChannelType):
         return ("send", val(self.payload), val(self.cont))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ChanOffer(_Cases, ChannelType):
     cases: tuple  # (label, ChannelType)
 
@@ -342,7 +346,7 @@ class ChanOffer(_Cases, ChannelType):
     tag, empty = "offer", "offer types have at least one label"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ChanSelect(_Cases, ChannelType):
     cases: tuple
 
@@ -358,7 +362,7 @@ class FieldTyping(Type):
     recursive = False
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class RecordF(FieldTyping):
     """Record field typing: one type per declared field, in declaration order."""
 
@@ -367,7 +371,7 @@ class RecordF(FieldTyping):
     __slots__ = ("items",)
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        self.items = tuple(self.items)
 
     def get(self, f):
         for name, t in self.items:
@@ -409,7 +413,7 @@ class RecordF(FieldTyping):
     __hash__ = Type.__hash__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class VariantF(_Cases, FieldTyping):
     """Variant field typing: record per label. Nested variants are not allowed."""
 
@@ -425,10 +429,10 @@ class VariantF(_Cases, FieldTyping):
         for _, f in cases:
             if isinstance(f, VariantF):
                 raise ValueError("nested variant field typings are not permitted")
-        object.__setattr__(self, "cases", cases)
+        self.cases = cases
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class ObjectInternal(Type):
     """Internal object type C[F]: the view of an object from within its class."""
 
@@ -529,7 +533,7 @@ def _identify(t):
                         _compose(v, kids[id(v)])
                     else:
                         _refine(comp, kids)
-    object.__setattr__(t, "_canon", root._canon)
+    t._canon = root._canon
 
 
 def _compose(v, kids):
@@ -548,7 +552,7 @@ def _compose(v, kids):
             if i is not None:
                 ident = ("rec", cycle, i)
                 break
-    object.__setattr__(v, "_canon", ident)
+    v._canon = ident
 
 
 def _refine(comp, kids):
@@ -606,7 +610,7 @@ def _refine(comp, kids):
         cycle = _Cycle(tuple(v._level(ident) for v in nodes), nodes)
         known.update((r, ("rec", cycle, i)) for r, i in local.items())
     for r, v in zip(rank, comp):
-        object.__setattr__(v, "_canon", known[r])
+        v._canon = known[r]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ witness when a method call opens an object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import syntax as sx
 from .channels import translate_access
@@ -209,7 +209,7 @@ def _same_results(ts):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RuntimeEnv:
     """The value environment of a runtime expression, where a source
     expression has its parameter binding.
@@ -223,13 +223,15 @@ class RuntimeEnv:
     when given, keeps the judgements made under environments that share
     this `consistent` (`Judgements`). A runtime environment widens loop
     entries: a tracked typing can be finer than a loop's recurrent one,
-    since actual values narrow enumerations.
+    since actual values narrow enumerations. An environment is rebuilt, not
+    changed: no field is assigned after construction but its key (`key`).
     """
 
     values: dict
     frames: tuple = ()
     consistent: object = field(default=None, compare=False)
     memo: object = field(default=None, compare=False)
+    _key: tuple = field(default=None, init=False, compare=False, repr=False)
 
     loop_widenings = 4
 
@@ -239,7 +241,7 @@ class RuntimeEnv:
             raise CheckError(INTERNAL_FORM, f"unknown runtime value {key[1:]}")
         rest = dict(self.values)
         del rest[key]
-        return t, replace(self, values=rest)
+        return t, RuntimeEnv(rest, self.frames, self.consistent, self.memo)
 
     def key(self) -> int:
         """What a judgement can read of this environment, interned in the
@@ -247,11 +249,10 @@ class RuntimeEnv:
         class and continuation. Computed once per environment and table, so
         an environment kept past the table's restart is keyed again."""
         keys = self.memo.keys
-        k = self.__dict__.get("_key")
+        k = self._key
         if k is None or k[0] != keys.serial:
             frames = tuple([(fr.field, fr.cls, fr.cont) for fr in self.frames])
-            k = (keys.serial, keys.intern((frozenset(self.values.items()), frames)))
-            object.__setattr__(self, "_key", k)
+            k = self._key = (keys.serial, keys.intern((frozenset(self.values.items()), frames)))
         return k[1]
 
 
@@ -328,8 +329,7 @@ class _ResolvedLink(LinkField):
 
     def __init__(self, field, label, variant):
         super().__init__(field)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "variant", variant)
+        self.label, self.variant = label, variant
 
 
 def infer_expr(ctx: CheckContext, cls: sx.ClassDecl, e: sx.Expr, F, V):

@@ -24,6 +24,7 @@ from mstlang.syntax import (
     EMPTY_BRANCH,
     Branch,
     ChanEnd,
+    ChanOffer,
     EndpointE,
     EnumType,
     LabelE,
@@ -537,6 +538,33 @@ def test_delta_recheck_matches_full_recheck_on_corpus():
     assert assert_same_outcomes(prog, ctx, 400) == [("limit", 400)] * 9
 
 
+def test_receives_on_one_offer_state_park_one_variant():
+    # the server of remote1 receives on the same offer states again and
+    # again: each parks the variant that the state's translation returns into
+    prog, _, ctx = load_checked("remote1.mst")
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    parked = {}
+
+    def observer(step_no, before, ev, after):
+        offer = None
+        if ev.rule == "ComBase":
+            th = before.threads[ev.threads[1]]
+            end = th.heap.resolve(th.path).get(th.focus[0].field)
+            offer = unfold(mon.theta[(end.chan, end.polarity)])
+        mon.on_step(step_no, before, ev, after)
+        if isinstance(offer, ChanOffer):
+            variant = mon.envs[ev.threads[1]].active_link.variant
+            parked.setdefault(id(offer), (offer, []))[1].append(variant)
+
+    mon.start(interp.initial_config())
+    outcome, _, _ = interp.run(1000, observer=observer)
+    assert outcome.kind == "limit" and max(len(v) for _, v in parked.values()) > 2
+    for offer, variants in parked.values():
+        assert all(v is variants[0] for v in variants)
+        assert variants[0] == VariantS(tuple((l, translate_channel(c)) for l, c in offer.cases))
+
+
 def test_heap_summaries_match_a_rebuild():
     # after every step, what the monitor keeps of each heap equals what a
     # rebuild from scratch reads off the configuration
@@ -889,15 +917,16 @@ def test_wrong_caller_typing_found_as_by_a_full_recheck():
     assert sum(delta is not None for delta, _ in found) >= 10
 
 
-def planted_before_step(prog, ctx, at, plant, full, limit=1200):
+def planted_before_step(prog, ctx, at, plant, full, limit=1200, states=True):
     """The violation, as (kind, step, thread, detail), of a monitored run
     whose configuration or tracked environment `plant(monitor, conf)`
     changes at step `at`, before the monitor takes that step; the run goes
     on from the configuration it returns. With `full`, the steps from `at`
-    on are re-checked in full, as `FullRecheckMonitor` does. None when the
-    run ends without one."""
+    on are re-checked in full, as `FullRecheckMonitor` does. Traces are
+    verified, and states too unless `states` is false. None when the run
+    ends without one."""
     interp = Interpreter(prog)
-    mon = Monitor(prog, ctx)
+    mon = Monitor(prog, ctx, verify_states=states)
     conf = interp.initial_config()
     mon.start(conf)
     try:
@@ -913,6 +942,20 @@ def planted_before_step(prog, ctx, at, plant, full, limit=1200):
     except MonitorViolation as v:
         return (v.kind, v.step, v.thread, v.detail)
     return None
+
+
+def _first_step(prog, stop):
+    """The number and event of the first step of a deterministic run that
+    `stop` selects, given the configurations before and after it and its
+    event."""
+    interp = Interpreter(prog)
+    conf, at = interp.initial_config(), 0
+    while True:
+        before = conf
+        conf, ev = interp.step(conf)
+        at += 1
+        if stop(before, ev, conf):
+            return at, ev
 
 
 def _null_caller_field(depth):
@@ -989,13 +1032,7 @@ def test_parked_tag_changed_under_its_variant_found_as_by_a_full_recheck():
     # faulty heap turns it into YES while another field is assigned: f
     # keeps its value and type, and is found to disagree all the same
     prog, _, ctx = load_checked("progs/p06_park.mst")
-    interp = Interpreter(prog)
-    conf, at = interp.initial_config(), 0
-    while True:
-        conf, ev = interp.step(conf)
-        at += 1
-        if ev.rule == "Swap" and ev.field == "other":
-            break
+    at, _ = _first_step(prog, lambda before, ev, after: ev.rule == "Swap" and ev.field == "other")
 
     def plant(mon, conf):
         th = conf.threads[0]
@@ -1024,15 +1061,8 @@ def test_in_flight_object_held_by_a_record_found_as_by_a_full_recheck():
     prog = parse_program(IN_FLIGHT_ARGUMENT)
     report, ctx = check_program(prog)
     assert report.ok, report.lines()
-    interp = Interpreter(prog)
-    conf, at = interp.initial_config(), 0
-    while True:
-        conf, ev = interp.step(conf)
-        at += 1
-        if ev.rule == "Call":
-            arg = ev.arg.oid
-            break
-    at += 1  # the callee's first step, a `Seq`
+    at, ev = _first_step(prog, lambda before, ev, after: ev.rule == "Call")
+    arg, at = ev.arg.oid, at + 1  # the callee's first step, a `Seq`
 
     def plant(mon, conf):
         th = conf.threads[0]
@@ -1073,6 +1103,109 @@ def test_channel_end_held_twice_found_as_by_a_full_recheck():
 
     found = [planted_before_step(prog, ctx, at - 1, plant, full) for full in (False, True)]
     assert found[0] == found[1] == ("StateIllTyped", at, j, f"open object {caller} disagrees with its typing")
+
+
+@pytest.mark.parametrize("plant", ["reached", "type"])
+def test_reused_trace_conformance_found_as_by_a_full_recheck(plant):
+    # the in-flight argument of `put` conformed at the call; at the callee's
+    # first step, a `Seq` that keeps the heap, its reached state or its
+    # tracked type is replaced by one it does not conform to: conformance is
+    # proved again, since one of the two is not the object it was proved at
+    prog = parse_program(IN_FLIGHT_ARGUMENT)
+    _, ctx = check_program(prog)
+    at, ev = _first_step(prog, lambda before, ev, after: ev.rule == "Call")
+    arg, at = ev.arg.oid, at + 1
+    wider = pt("{Null use(Null): {Null use(Null): {}}}")
+
+    def planted(mon, conf):
+        if plant == "reached":
+            mon._reached[arg] = EMPTY_BRANCH
+        else:
+            mon.envs[0].gamma[("obj", arg)] = wider
+        return conf
+
+    found = [
+        planted_before_step(prog, ctx, at, planted, full, states=False) for full in (False, True)
+    ]
+    want = "{Null use(Null): {Null use(Null): {}}}" if plant == "type" else "{Null use(Null): {}}"
+    assert found[0] == found[1] == ("TraceInvalid", at, 0, f"trace of {arg} does not reach {want}")
+
+
+def test_reused_endpoint_set_found_as_by_a_full_recheck():
+    # a thread that holds no end of a channel takes a step that keeps its
+    # heap, and a faulty expression now holds the end another thread holds:
+    # the thread's endpoint set is rebuilt, since its expression's is another
+    # set, and the end is found twice
+    prog, _, ctx = load_checked("progs/p09_two_pairs.mst")
+    init = {}
+
+    def stop(before, ev, after):
+        if ev.rule == "Init" and not init:
+            init.update(chan=ev.chan, holders=ev.threads)  # the requester holds chan-
+            return False
+        i = ev.threads[0]
+        return bool(init) and i not in init["holders"] and after.threads[i].heap is before.threads[i].heap
+
+    at, ev = _first_step(prog, stop)
+    i, chan = ev.threads[0], init["chan"]
+
+    def planted(mon, conf):
+        th = conf.threads[i]
+        cell, x = th.made_from
+        expr = syntax.SeqE(EndpointE(chan, "-"), x)
+        return conf.with_thread(i, Thread.plugged(th.heap, th.path, cell, expr))
+
+    found = [planted_before_step(prog, ctx, at, planted, full) for full in (False, True)]
+    assert found[0] == found[1] == (
+        "LinearityViolation", at, max(i, init["holders"][1]), f"endpoint {chan}- occurs twice"
+    )
+
+
+def test_reused_heap_summary_found_as_by_a_full_recheck():
+    # the callee's first step, a `Seq`, keeps the heap, and a faulty heap
+    # names an object it does not hold: the summary moves to that heap, since
+    # it is not the very heap it saw last, and finds the dangling id
+    prog = parse_program(IN_FLIGHT_ARGUMENT)
+    _, ctx = check_program(prog)
+    at, _ = _first_step(prog, lambda before, ev, after: ev.rule == "Call")
+    at += 1
+
+    def planted(mon, conf):
+        th = conf.threads[0]
+        rec = th.heap.record("top")
+        heap = th.heap.replace("top", rec.set(rec.field_names[0], ObjIdE("gone")))
+        return conf.with_thread(0, Thread.plugged(heap, th.path, *th.made_from))
+
+    found = [planted_before_step(prog, ctx, at, planted, full) for full in (False, True)]
+    assert found[0] == found[1] == ("StateIllTyped", at, 0, "incomplete heap")
+
+
+# `g` is read only by the statement after the one that swaps `h` and `f`
+HOLE_READS_AFTER = (
+    "class K { session {Null m(Null): {}} m(x) { null } }\n"
+    "class Main { session {Null go(Null): {}} f; g; h;\n"
+    "  go(x) { g = new K(); f = h <-> null; g.m(null) } }\n"
+    "main Main.go;\n"
+)
+
+
+def test_reused_hole_judgement_found_as_by_a_full_recheck():
+    # the swap of h judges the frames around it; then g's tracked type
+    # becomes {}. The next redex, the assignment to f, types as before but
+    # for g, so the judgement of the hole of the statement around it changed,
+    # and the walk out of that kept frame goes on to the call on g, which
+    # fails at that step
+    prog = parse_program(HOLE_READS_AFTER)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    at, _ = _first_step(prog, lambda before, ev, after: ev.rule == "Swap" and ev.field == "f")
+
+    def plant(mon, conf, ev):
+        root = mon.envs[0].opened[0].type
+        mon.envs[0].retype(root.typing.set("g", EMPTY_BRANCH), 0)
+
+    found = [planted_outcome(m, prog, ctx, at - 1, plant) for m in (Monitor, FullRecheckMonitor)]
+    assert found[0] == found[1] and found[0][:3] == ("StateIllTyped", at, 0), found
 
 
 # `while (c.more(null)) { t = new Junk(); t <-> null; null }` forever: every
@@ -1322,6 +1455,70 @@ def test_step_cost_independent_of_call_depth(monkeypatch, monitored):
     shallow = busiest_call_step(monkeypatch, 100, monitored)
     monkeypatch.undo()
     assert busiest_call_step(monkeypatch, 5000, monitored) == shallow
+
+
+# t0 holds a channel end in a field and an in-flight argument while its
+# callee loops for ever; the server waits on the other end
+LOOP_HOLDING_AN_END = (
+    "access <?{PING}.End> ap;\n"
+    "class Loop { session L where L = {{TRUE, FALSE} more(Null): <TRUE: L, FALSE: {}>}"
+    " more(x) { TRUE } }\n"
+    "class C { session {Null use(Null): {}} use(x) { null } }\n"
+    "class K { session {Null hold({Null use(Null): {}}): {}} c; d;\n"
+    "  hold(x) { c = new Loop(); while (c.more(null)) { null; null }; d = x } }\n"
+    "class Server { session {Null go(Null): {}} f; c;\n"
+    "  go(x) { f = ap; c = f.accept(null); c.receive(null); null } }\n"
+    "class Main { session {Null go(Null): {}} f; c; k;\n"
+    "  go(x) { spawn Server.go(null); f = ap; c = f.request(null); k = new K();"
+    " k.hold(new C()); c.send(PING) } }\n"
+    "main Main.go;\n"
+)
+
+
+def test_step_that_keeps_its_heap_reuses_conformance_and_endpoint_sets(monkeypatch):
+    # a `Seq` or `While` step that keeps its thread's heap changes neither
+    # a tracked type nor a reached state nor an endpoint: it proves no trace
+    # conformance, moves no heap summary and builds no endpoint set
+    prog = parse_program(LOOP_HOLDING_AN_END)
+    report, ctx = check_program(prog)
+    assert report.ok, report.lines()
+    counts, tracing = [0, 0], [False]
+    subtype, traces, changes = monitor.subtype_session, Monitor.check_traces, syntax.Heap.changes
+
+    def counted_subtype(a, b):
+        counts[0] += tracing[0]
+        return subtype(a, b)
+
+    def counted_traces(self, *args):
+        tracing[0] = True
+        try:
+            return traces(self, *args)
+        finally:
+            tracing[0] = False
+
+    def counted_changes(self, *args):
+        counts[1] += 1
+        return changes(self, *args)
+
+    monkeypatch.setattr(monitor, "subtype_session", counted_subtype)
+    monkeypatch.setattr(Monitor, "check_traces", counted_traces)
+    monkeypatch.setattr(syntax.Heap, "changes", counted_changes)
+    interp = Interpreter(prog)
+    mon = Monitor(prog, ctx)
+    conf = interp.initial_config()
+    mon.start(conf)
+    kept, proved = [], 0
+    for step_no in range(1, 400):
+        before, seen = conf, list(counts)
+        conf, ev = interp.step(conf)
+        i = ev.threads[0]
+        eps = mon._eps.get(i)
+        mon.on_step(step_no, before, ev, conf)
+        proved += counts[0] - seen[0]
+        if ev.rule in ("Seq", "While") and before.threads[i].heap is conf.threads[i].heap:
+            kept.append((counts[0] - seen[0], counts[1] - seen[1], mon._eps[i] is eps, bool(eps)))
+    assert proved > 0 and len(kept) > 100 and any(held for *_, held in kept)
+    assert {k[:3] for k in kept} == {(0, 0, True)}
 
 
 def test_rebuilt_nodes_read_once_per_step(monkeypatch):
