@@ -113,8 +113,6 @@ possible extension, not attempted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax as sx
 from .channels import dual, subtype_channel, translate_access, translate_channel
 from .interpreter import RuntimeFault, StepEvent
@@ -170,20 +168,22 @@ DUALITY = "DualityViolation"
 # ---------------------------------------------------------------------------
 
 
-# Trace elements compare and hash by their fields, as frozen ones would; a
-# plain slot store builds them faster, and no field is assigned after that.
-@dataclass(slots=True, unsafe_hash=True)
-class TraceCall:
-    method: str
-    param: object = None  # the parameter type of the entry the call resolved to, if known
+class TraceCall(sx.Struct):
+    __slots__ = ("method", "param")
+
+    def __init__(self, method: str, param=None):
+        self.method = method
+        self.param = param  # the parameter type of the entry the call resolved to, if known
 
     def __str__(self):
         return self.method
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TraceLabel:
-    label: str
+class TraceLabel(sx.Struct):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
 
     def __str__(self):
         return self.label
@@ -267,20 +267,24 @@ def parse_trace(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Frame:
-    field: str
-    cls: str
-    cont: SessionType  # continuation recorded at the call
+class Frame(sx.Struct):
+    __slots__ = ("field", "cls", "cont")
+    __hash__ = None
+
+    def __init__(self, field: str, cls: str, cont: SessionType):
+        self.field, self.cls = field, cls
+        self.cont = cont  # continuation recorded at the call
 
 
-@dataclass
-class ActiveLink:
+class ActiveLink(sx.Struct):
     """An in-flight label that is the tag of a field's variant type."""
 
-    path: Path
-    field: str
-    variant: SessionType  # the full variant, for re-widening on park
+    __slots__ = ("path", "field", "variant")
+    __hash__ = None
+
+    def __init__(self, path: Path, field: str, variant: SessionType):
+        self.path, self.field = path, field
+        self.variant = variant  # the full variant, for re-widening on park
 
 
 class OpenObject:
@@ -503,7 +507,7 @@ class Monitor:
         self._entered = []  # (thread, oid) for each object new to a heap at this step
         self._contexts = {}  # thread -> (KeptFrame by cell id, innermost KeptFrame), likewise
         self._values = {}  # thread -> its in-flight values, pending calls and RuntimeEnvs, likewise
-        self._agreed = {}  # thread -> environment entry -> the type it last agreed at
+        self._agreed = {}  # thread -> environment entry -> (type, reached state) it agreed at
         self._conformed = {}  # thread -> root entry -> (type, reached state) it last conformed at
         self._expr_eps = {}  # thread -> the endpoints of its expression, as of its last step
         self.outward_walks = 0  # steps whose re-check re-typed a kept frame
@@ -1053,16 +1057,22 @@ class Monitor:
         of a step's channel elsewhere than in the current object, which only
         a faulty heap can. Else only what the step can have changed: the
         open objects of `_changed_open`, and of the other entries those
-        whose type is not the very one they last agreed at, those whose
-        object's record or holders the step changed, and the endpoints of
-        the step's channels. Types are values, so tracking replaces a type
-        it changes; no two are compared level by level."""
+        whose type or, for an object, reached state is not the very one
+        they last agreed at, those whose object's record or holders the step
+        changed, and the endpoints of the step's channels. Types and states
+        are values, so tracking replaces one it changes; no two are
+        compared level by level."""
         summary, heap = self._heaps[i], th.heap
         touched = summary.touched
         full = chans is None or self._held_elsewhere(env, summary, heap, chans)
         chans = chans or ()
         last = {} if full else self._agreed.get(i, {})
-        if not (full or chans or touched) and env.changed >= len(env.opened) and env.gamma == last:
+        reached = self._reached
+        now = {
+            key: (t, reached.get(key[1]) if key[0] == "obj" else None)
+            for key, t in env.gamma.items()
+        }
+        if not (full or chans or touched) and env.changed >= len(env.opened) and now == last:
             return  # nothing any entry reads changed
         root = env.opened[0].oid
         if (full or root in touched) and not summary.is_root(root):
@@ -1070,18 +1080,19 @@ class Monitor:
         for d in range(len(env.opened)) if full else self._changed_open(env, touched):
             if not self._open_agrees(env, d, heap, not full):
                 self.fault(STATE_ILL_TYPED, i, f"open object {root} disagrees with its typing")
-        for key, t in env.gamma.items():
+        for key, (t, state) in now.items():
             was = last.get(key)
+            same = was is not None and was[0] is t and was[1] is state
             if key[0] != "obj":
                 c, p = key[1], key[2]
-                if c not in chans and was is t:
+                if c not in chans and same:
                     continue
                 sigma = self.theta.get((c, p))
                 if sigma is None or not equivalent(translate_channel(sigma), t):
                     self.fault(STATE_ILL_TYPED, i, f"endpoint {c}{p} disagrees with its channel type")
                 continue
             oid = key[1]
-            if was is t and oid not in touched:
+            if same and oid not in touched:
                 continue
             if not summary.is_root(oid):
                 self.fault(STATE_ILL_TYPED, i, f"environment names {oid} which is not a root")
@@ -1092,8 +1103,8 @@ class Monitor:
                     self.fault(STATE_ILL_TYPED, i, f"object {oid} does not inhabit {render_type(t)}")
             else:
                 self.fault(STATE_ILL_TYPED, i, f"environment entry {oid} has value type {t!r}")
-        if last != env.gamma:
-            self._agreed[i] = dict(env.gamma)
+        if last != now:
+            self._agreed[i] = now
 
     @staticmethod
     def _held_elsewhere(env: ThreadEnv, summary, heap, chans) -> bool:

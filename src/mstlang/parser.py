@@ -29,7 +29,6 @@ from __future__ import annotations
 import errno
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 
@@ -591,14 +590,15 @@ class _Equations:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RawClass:
-    name: str
-    session: tuple
-    states: dict
-    fields: list
-    methods: list  # (annot raw or None, name, param name, body, where)
-    where: tuple  # (file, text, index) of the declaration's first token
+class _RawClass(sx.Struct):
+    __slots__ = ("name", "session", "states", "fields", "methods", "where")
+    __hash__ = None
+
+    def __init__(self, name: str, session: tuple, states: dict, fields: list, methods: list,
+                 where: tuple):
+        self.name, self.session, self.states, self.fields = name, session, states, fields
+        self.methods = methods  # (annot raw or None, name, param name, body, where)
+        self.where = where  # (file, text, index) of the declaration's first token
 
 
 @contextmanager

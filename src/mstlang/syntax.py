@@ -9,11 +9,11 @@ unfold to are, branch entries compared as sets keyed by (method name,
 parameter type) and variants as label-keyed maps. Callers compare types
 with `==` and key tables by the type itself; the identities behind that
 (`Type.canon`) are computed once per strongly connected component.
-All values here are immutable, but for a state's body, which is set once.
-Types are not frozen dataclasses, since the monitor builds some on every
-step and a plain slot store is cheaper than a frozen one; no field of a type
-is assigned after it is built, only the identity, hash and memo slots
-that `Type` fills on first use.
+All values here are immutable by convention, but for a state's body, which
+is set once. They are plain slotted classes, not frozen dataclasses: the
+monitor builds types and expressions on every step, a plain slot store is
+cheaper than a frozen one, and a plain class costs no generated code at
+import. Expressions and declarations compare by their fields (`Struct`).
 A pure function of a type (duality, translation, subtyping) keeps
 its result on the node it was applied to (`Type.memo()`), so a result depends
 only on its arguments, never on what the process computed before.
@@ -28,7 +28,7 @@ frames (`focus`, `plug`), and heaps share their records between versions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -61,13 +61,39 @@ class HeapConflict(CoreError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Struct:
+    """Base of the plain records: a record compares and hashes by its class
+    and the fields its class lists in `__slots__`, as a dataclass does. No
+    field is assigned after a record is built, by convention. A record that
+    is not to be hashed sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return self is other or [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, n) for n in self.__slots__]))
+
+
+# ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 class Type:
     """Base class for all type forms. Equal types share an identity
     (`canon`), computed once per node, and a hash; types whose hashes
-    differ compare unequal without computing identities."""
+    differ compare unequal without computing identities. A type is
+    immutable by convention: no field is assigned after it is built, but a
+    state's body, set once, and the identity, hash and memo slots filled
+    on first use."""
 
     __slots__ = ("_canon", "_memo", "_hash")
     recursive = True  # a session or channel form, through which a cycle can pass
@@ -189,7 +215,6 @@ class Labelled:
         raise KeyError(label)
 
 
-@dataclass(eq=False, repr=False)
 class NullType(ValueType):
     __slots__ = ()
 
@@ -200,16 +225,13 @@ class NullType(ValueType):
 NULL_T = NullType()
 
 
-@dataclass(eq=False, repr=False)
 class EnumType(ValueType):
-    labels: frozenset
-
     __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels):
+        if not labels:
             raise ValueError("enumerated types have at least one label")
-        self.labels = frozenset(self.labels)
+        self.labels = frozenset(labels)
 
     def _level(self, val):
         return ("enum", tuple(sorted(self.labels)))
@@ -222,7 +244,6 @@ class EnumType(ValueType):
     __hash__ = Type.__hash__
 
 
-@dataclass(eq=False, repr=False)
 class LinkThis(ValueType):
     __slots__ = ()
 
@@ -233,36 +254,33 @@ class LinkThis(ValueType):
 LINK_THIS = LinkThis()
 
 
-@dataclass(eq=False, repr=False)
 class LinkField(ValueType):
     """Internal type ``link f``: a tag tied to the variant type of field f."""
 
-    field: str
-
     __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
 
     def _level(self, val):
         return ("link", self.field)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class MethodSig:
-    """One branch entry: ``result name(param): cont``."""
+    """One branch entry: ``result name(param): cont``. An entry compares by
+    identity; branches compare their entries' names and types."""
 
-    name: str
-    param: ValueType
-    result: ValueType
-    cont: SessionType
+    __slots__ = ("name", "param", "result", "cont")
+
+    def __init__(self, name, param, result, cont):
+        self.name, self.param, self.result, self.cont = name, param, result, cont
 
 
-@dataclass(eq=False, repr=False)
 class Branch(SessionType):
-    entries: tuple
-
     __slots__ = ("entries",)
 
-    def __post_init__(self):
-        self.entries = tuple(self.entries)
+    def __init__(self, entries):
+        self.entries = tuple(entries)
 
     def _level(self, val):
         return ("branch", tuple(sorted(
@@ -281,8 +299,8 @@ class _Cases(Labelled):
 
     __slots__ = ()
 
-    def __post_init__(self):
-        cases = tuple(self.cases)
+    def __init__(self, cases):
+        cases = tuple(cases)
         if not cases:
             raise ValueError(self.empty)
         labels = [l for l, _ in cases]
@@ -294,18 +312,14 @@ class _Cases(Labelled):
         return (self.tag, tuple(sorted([(l, val(c)) for l, c in self.cases])))
 
 
-@dataclass(eq=False, repr=False)
 class VariantS(_Cases, SessionType):
-    cases: tuple  # ordered (label, SessionType) pairs, labels distinct
-
-    __slots__ = ("cases",)
+    __slots__ = ("cases",)  # ordered (label, SessionType) pairs, labels distinct
     tag, empty = "variant", "variant types have at least one case"
 
 
 # Channel session types ------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
 class ChanEnd(ChannelType):
     __slots__ = ()
 
@@ -316,40 +330,32 @@ class ChanEnd(ChannelType):
 CHAN_END = ChanEnd()
 
 
-@dataclass(eq=False, repr=False)
 class ChanRecv(ChannelType):
-    payload: Type  # ValueType or ChannelType
-    cont: ChannelType
+    __slots__ = ("payload", "cont")  # payload: a ValueType or ChannelType
 
-    __slots__ = ("payload", "cont")
+    def __init__(self, payload, cont):
+        self.payload, self.cont = payload, cont
 
     def _level(self, val):
         return ("recv", val(self.payload), val(self.cont))
 
 
-@dataclass(eq=False, repr=False)
 class ChanSend(ChannelType):
-    payload: Type
-    cont: ChannelType
-
     __slots__ = ("payload", "cont")
+
+    def __init__(self, payload, cont):
+        self.payload, self.cont = payload, cont
 
     def _level(self, val):
         return ("send", val(self.payload), val(self.cont))
 
 
-@dataclass(eq=False, repr=False)
 class ChanOffer(_Cases, ChannelType):
-    cases: tuple  # (label, ChannelType)
-
-    __slots__ = ("cases",)
+    __slots__ = ("cases",)  # (label, ChannelType)
     tag, empty = "offer", "offer types have at least one label"
 
 
-@dataclass(eq=False, repr=False)
 class ChanSelect(_Cases, ChannelType):
-    cases: tuple
-
     __slots__ = ("cases",)
     tag, empty = "select", "select types have at least one label"
 
@@ -362,16 +368,13 @@ class FieldTyping(Type):
     recursive = False
 
 
-@dataclass(eq=False, repr=False)
 class RecordF(FieldTyping):
     """Record field typing: one type per declared field, in declaration order."""
 
-    items: tuple  # (field name, ValueType or ObjectInternal)
+    __slots__ = ("items",)  # (field name, ValueType or ObjectInternal)
 
-    __slots__ = ("items",)
-
-    def __post_init__(self):
-        self.items = tuple(self.items)
+    def __init__(self, items):
+        self.items = tuple(items)
 
     def get(self, f):
         for name, t in self.items:
@@ -413,17 +416,14 @@ class RecordF(FieldTyping):
     __hash__ = Type.__hash__
 
 
-@dataclass(eq=False, repr=False)
 class VariantF(_Cases, FieldTyping):
     """Variant field typing: record per label. Nested variants are not allowed."""
 
-    cases: tuple  # (label, RecordF)
-
-    __slots__ = ("cases",)
+    __slots__ = ("cases",)  # (label, RecordF)
     tag = "variantf"
 
-    def __post_init__(self):
-        cases = tuple(self.cases)
+    def __init__(self, cases):
+        cases = tuple(cases)
         if not cases:
             raise ValueError("variant field typings have at least one case")
         for _, f in cases:
@@ -432,15 +432,14 @@ class VariantF(_Cases, FieldTyping):
         self.cases = cases
 
 
-@dataclass(eq=False, repr=False)
 class ObjectInternal(Type):
     """Internal object type C[F]: the view of an object from within its class."""
 
-    cls: str
-    typing: FieldTyping
-
-    __slots__ = ("cls", "typing")
+    __slots__ = ("cls", "typing")  # typing: a FieldTyping
     recursive = False
+
+    def __init__(self, cls, typing):
+        self.cls, self.typing = cls, typing
 
     def _level(self, val):
         return ("object", self.cls, val(self.typing))
@@ -618,11 +617,13 @@ def _refine(comp, kids):
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Base class for expressions. A node can store its key in a
-    hash-consing table (`ExprKeys`), built on first use from its children's
-    stored keys; what depends only on its structure, such as its endpoint
-    set, the table keeps under that key."""
+class Expr(Struct):
+    """Base class for expressions. Nodes are records (`Struct`): equal when
+    of one class with equal fields, and not changed after they are built. A
+    node can store its key in a hash-consing table (`ExprKeys`), built on
+    first use from its children's stored keys; what depends only on its
+    structure, such as its endpoint set, the table keeps under that key.
+    The key slots are not fields."""
 
     __slots__ = ("_key", "_keyed_by")
 
@@ -632,7 +633,6 @@ class Expr:
         return render_expr(self)
 
 
-@dataclass(frozen=True, repr=False)
 class NullE(Expr):
     __slots__ = ()
 
@@ -640,106 +640,110 @@ class NullE(Expr):
 NULL_E = NullE()
 
 
-@dataclass(frozen=True, repr=False)
 class LabelE(Expr):
-    label: str
     __slots__ = ("label",)
 
+    def __init__(self, label):
+        self.label = label
 
-@dataclass(frozen=True, repr=False)
+
 class VarE(Expr):
-    name: str
     __slots__ = ("name",)
 
+    def __init__(self, name):
+        self.name = name
 
-@dataclass(frozen=True, repr=False)
+
 class NewE(Expr):
-    cls: str
     __slots__ = ("cls",)
 
+    def __init__(self, cls):
+        self.cls = cls
 
-@dataclass(frozen=True, repr=False)
+
 class SwapE(Expr):
-    field: str
-    expr: Expr
     __slots__ = ("field", "expr")
 
+    def __init__(self, field, expr):
+        self.field, self.expr = field, expr
 
-@dataclass(frozen=True, repr=False)
+
 class CallE(Expr):
-    field: str
-    method: str
-    arg: Expr
     __slots__ = ("field", "method", "arg")
 
+    def __init__(self, field, method, arg):
+        self.field, self.method, self.arg = field, method, arg
 
-@dataclass(frozen=True, repr=False)
+
 class SelfCallE(Expr):
-    method: str
-    arg: Expr
     __slots__ = ("method", "arg")
 
+    def __init__(self, method, arg):
+        self.method, self.arg = method, arg
 
-@dataclass(frozen=True, repr=False)
+
 class SeqE(Expr):
-    first: Expr
-    second: Expr
     __slots__ = ("first", "second")
 
+    def __init__(self, first, second):
+        self.first, self.second = first, second
 
-@dataclass(frozen=True, repr=False)
+
 class SwitchE(Labelled, Expr):
-    subject: Expr
-    cases: tuple  # (label, Expr)
-    __slots__ = ("subject", "cases")
+    __slots__ = ("subject", "cases")  # cases: (label, Expr) pairs
+
+    def __init__(self, subject, cases):
+        self.subject, self.cases = subject, cases
 
 
-@dataclass(frozen=True, repr=False)
 class WhileE(Expr):
-    cond: Expr
-    body: Expr
     __slots__ = ("cond", "body")
 
+    def __init__(self, cond, body):
+        self.cond, self.body = cond, body
 
-@dataclass(frozen=True, repr=False)
+
 class SpawnE(Expr):
-    cls: str
-    method: str
-    arg: Expr
     __slots__ = ("cls", "method", "arg")
 
+    def __init__(self, cls, method, arg):
+        self.cls, self.method, self.arg = cls, method, arg
 
-@dataclass(frozen=True, repr=False)
+
 class ReturnE(Expr):
     """Internal: an ongoing method call whose body is being reduced."""
 
-    expr: Expr
     __slots__ = ("expr",)
 
+    def __init__(self, expr):
+        self.expr = expr
 
-@dataclass(frozen=True, repr=False)
+
 class ObjIdE(Expr):
     """Internal: a heap object identifier used as a value."""
 
-    oid: str
     __slots__ = ("oid",)
 
+    def __init__(self, oid):
+        self.oid = oid
 
-@dataclass(frozen=True, repr=False)
+
 class EndpointE(Expr):
     """Internal: channel endpoint c with polarity '+' or '-'."""
 
-    chan: str
-    polarity: str
     __slots__ = ("chan", "polarity")
 
+    def __init__(self, chan, polarity):
+        self.chan, self.polarity = chan, polarity
 
-@dataclass(frozen=True, repr=False)
+
 class AccessE(Expr):
     """A global access point name used as a value."""
 
-    name: str
     __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
 def is_value(e: Expr) -> bool:
@@ -903,8 +907,8 @@ class ExprKeys:
                         if sub:
                             out = out | sub if out else sub
                 eps[k] = out
-            object.__setattr__(x, "_key", k)
-            object.__setattr__(x, "_keyed_by", serial)
+            x._key = k
+            x._keyed_by = serial
         return e._key
 
     def endpoints(self, e: Expr) -> frozenset:
@@ -992,29 +996,29 @@ def plug(frames, x: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodAnnotation:
-    req: RecordF
-    ens: RecordF
-    result: ValueType
-    param_type: ValueType
+class MethodAnnotation(Struct):
+    __slots__ = ("req", "ens", "result", "param_type")
+
+    def __init__(self, req: RecordF, ens: RecordF, result: ValueType, param_type: ValueType):
+        self.req, self.ens, self.result, self.param_type = req, ens, result, param_type
 
 
-@dataclass(frozen=True)
-class MethodDef:
-    name: str
-    param: str
-    body: Expr
-    annotation: Optional[MethodAnnotation] = None
+class MethodDef(Struct):
+    __slots__ = ("name", "param", "body", "annotation")
+
+    def __init__(self, name: str, param: str, body: Expr,
+                 annotation: Optional[MethodAnnotation] = None):
+        self.name, self.param, self.body, self.annotation = name, param, body, annotation
 
 
-@dataclass(frozen=True)
-class ClassDecl:
-    name: str
-    session: SessionType
-    fields: tuple
-    methods: dict  # name -> MethodDef
-    states: dict = field(default_factory=dict)  # declared state name -> SessionType
+class ClassDecl(Struct):
+    __slots__ = ("name", "session", "fields", "methods", "states")
+
+    def __init__(self, name: str, session: SessionType, fields: tuple, methods: dict,
+                 states: Optional[dict] = None):
+        self.name, self.session, self.fields = name, session, fields
+        self.methods = methods  # name -> MethodDef
+        self.states = {} if states is None else states  # declared state name -> SessionType
 
     def method(self, name) -> Optional[MethodDef]:
         return self.methods.get(name)
@@ -1023,13 +1027,17 @@ class ClassDecl:
         return null_record(self.fields)
 
 
-@dataclass(frozen=True)
-class Program:
-    classes: dict  # name -> ClassDecl
-    access_points: dict = field(default_factory=dict)  # name -> ChannelType
-    session_aliases: dict = field(default_factory=dict)  # name -> SessionType
-    channel_aliases: dict = field(default_factory=dict)  # name -> ChannelType
-    main: Optional[tuple] = None  # (class name, method name)
+class Program(Struct):
+    __slots__ = ("classes", "access_points", "session_aliases", "channel_aliases", "main")
+
+    def __init__(self, classes: dict, access_points: Optional[dict] = None,
+                 session_aliases: Optional[dict] = None, channel_aliases: Optional[dict] = None,
+                 main: Optional[tuple] = None):
+        self.classes = classes  # name -> ClassDecl
+        self.access_points = {} if access_points is None else access_points  # -> ChannelType
+        self.session_aliases = {} if session_aliases is None else session_aliases  # -> SessionType
+        self.channel_aliases = {} if channel_aliases is None else channel_aliases  # -> ChannelType
+        self.main = main  # (class name, method name)
 
     def cls(self, name) -> ClassDecl:
         try:
@@ -1043,10 +1051,15 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
-    cls: str
-    fields: tuple  # (field name, value Expr) in declaration order
+class ObjectRecord(Struct):
+    __slots__ = ("cls", "fields")
+
+    def __init__(self, cls: str, fields: tuple):
+        self.cls = cls
+        self.fields = fields  # (field name, value Expr) in declaration order
+
+    def __repr__(self):
+        return f"ObjectRecord(cls={self.cls!r}, fields={self.fields!r})"
 
     def get(self, f) -> Expr:
         for name, v in self.fields:

@@ -21,8 +21,6 @@ witness when a method call opens an object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import syntax as sx
 from .channels import translate_access
 from .subtyping import (
@@ -88,13 +86,12 @@ class CheckError(Exception):
         self.method = method
 
 
-@dataclass
-class ClassVerdict:
-    name: str
-    ok: bool
-    code: str = ""
-    detail: str = ""
-    method: str = ""
+class ClassVerdict(sx.Struct):
+    __slots__ = ("name", "ok", "code", "detail", "method")
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, code: str = "", detail: str = "", method: str = ""):
+        self.name, self.ok, self.code, self.detail, self.method = name, ok, code, detail, method
 
     def line(self) -> str:
         if self.ok:
@@ -103,10 +100,13 @@ class ClassVerdict:
         return f"CLASS {self.name} ERR {self.code}{where}: {self.detail}"
 
 
-@dataclass
-class CheckReport:
-    classes: list = field(default_factory=list)
-    program_errors: list = field(default_factory=list)
+class CheckReport(sx.Struct):
+    __slots__ = ("classes", "program_errors")
+    __hash__ = None
+
+    def __init__(self, classes: list | None = None, program_errors: list | None = None):
+        self.classes = [] if classes is None else classes
+        self.program_errors = [] if program_errors is None else program_errors
 
     @property
     def ok(self) -> bool:
@@ -124,17 +124,34 @@ class CheckReport:
         raise KeyError(cls_name)
 
 
-@dataclass
 class CheckContext:
-    program: sx.Program
-    # (class name, branch session) -> list of (session, field typing), the
-    # distinct field typings the branch was established consistent under
-    witnesses: dict = field(default_factory=dict)
+    """The program being checked and its witness table: (class name, branch
+    session) -> list of (session, field typing), the distinct field typings
+    the branch was established consistent under, in the order recorded.
+    Beside the table, the set of its (class name, session, field typing)
+    triples makes recording a witness one lookup. Contexts compare by
+    program and table."""
+
+    __slots__ = ("program", "witnesses", "_recorded")
+
+    def __init__(self, program: sx.Program, witnesses: dict | None = None):
+        self.program = program
+        self.witnesses = {} if witnesses is None else witnesses
+        self._recorded = {
+            (cls_name, session, f) for (cls_name, session), bucket in self.witnesses.items()
+            for _, f in bucket
+        }
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.program, self.witnesses) == (other.program, other.witnesses)
 
     def record_witness(self, cls_name, session, ftyping):
-        bucket = self.witnesses.setdefault((cls_name, session), [])
-        if all(f != ftyping for _, f in bucket):
-            bucket.append((session, ftyping))
+        triple = (cls_name, session, ftyping)
+        if triple not in self._recorded:
+            self._recorded.add(triple)
+            self.witnesses.setdefault((cls_name, session), []).append((session, ftyping))
 
     def witnesses_for(self, cls_name, session):
         return self.witnesses.get((cls_name, session), [])
@@ -209,7 +226,6 @@ def _same_results(ts):
     )
 
 
-@dataclass(slots=True)
 class RuntimeEnv:
     """The value environment of a runtime expression, where a source
     expression has its parameter binding.
@@ -225,15 +241,20 @@ class RuntimeEnv:
     entries: a tracked typing can be finer than a loop's recurrent one,
     since actual values narrow enumerations. An environment is rebuilt, not
     changed: no field is assigned after construction but its key (`key`).
+    Environments compare by values and pending calls.
     """
 
-    values: dict
-    frames: tuple = ()
-    consistent: object = field(default=None, compare=False)
-    memo: object = field(default=None, compare=False)
-    _key: tuple = field(default=None, init=False, compare=False, repr=False)
-
+    __slots__ = ("values", "frames", "consistent", "memo", "_key")
     loop_widenings = 4
+
+    def __init__(self, values: dict, frames: tuple = (), consistent=None, memo=None):
+        self.values, self.frames, self.consistent, self.memo = values, frames, consistent, memo
+        self._key = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.frames) == (other.values, other.frames)
 
     def take(self, key):
         t = self.values.get(key)

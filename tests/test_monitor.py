@@ -1,6 +1,5 @@
 import inspect
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -37,7 +36,7 @@ from mstlang.syntax import (
     unfold,
 )
 from mstlang import monitor, syntax, typechecker
-from mstlang.typechecker import Judgements, check_program
+from mstlang.typechecker import CheckContext, Judgements, check_program
 from gen import CALL_DESCENT, call_chain, rejoining_class, self_recursion
 from progen import generate
 
@@ -500,7 +499,7 @@ class FullRecheckMonitor(Monitor):
 def run_outcome(monitor_cls, prog, ctx, seed, limit, states, traces):
     # a copy of the checker's witness table per run: the monitor's
     # consistency checks add to it, and that can change a later run's verdict
-    ctx = replace(ctx, witnesses={k: list(v) for k, v in ctx.witnesses.items()})
+    ctx = CheckContext(ctx.program, {k: list(v) for k, v in ctx.witnesses.items()})
     interp = Interpreter(prog)
     mon = monitor_cls(prog, ctx, verify_states=states, verify_traces=traces)
     try:
@@ -851,7 +850,7 @@ def planted_outcome(monitor_cls, prog, ctx, at, plant, limit=400):
     """The violation, as (kind, step, thread, detail), of a monitored run
     whose tracked environment `plant(monitor, conf, event)` changes after
     step `at`; None when the run ends without one."""
-    ctx = replace(ctx, witnesses={k: list(v) for k, v in ctx.witnesses.items()})
+    ctx = CheckContext(ctx.program, {k: list(v) for k, v in ctx.witnesses.items()})
     interp = Interpreter(prog)
     mon = monitor_cls(prog, ctx)
     conf = interp.initial_config()
@@ -1107,10 +1106,11 @@ def test_channel_end_held_twice_found_as_by_a_full_recheck():
 
 @pytest.mark.parametrize("plant", ["reached", "type"])
 def test_reused_trace_conformance_found_as_by_a_full_recheck(plant):
-    # the in-flight argument of `put` conformed at the call; at the callee's
-    # first step, a `Seq` that keeps the heap, its reached state or its
-    # tracked type is replaced by one it does not conform to: conformance is
-    # proved again, since one of the two is not the object it was proved at
+    # the in-flight argument of `put` conformed and agreed at the call; at
+    # the callee's first step, a `Seq` that keeps the heap, its reached state
+    # or its tracked type is replaced by one it does not conform to: its
+    # conformance is proved again, and its agreement with the heap checked
+    # again, since one of the two is not the object it was proved at
     prog = parse_program(IN_FLIGHT_ARGUMENT)
     _, ctx = check_program(prog)
     at, ev = _first_step(prog, lambda before, ev, after: ev.rule == "Call")
@@ -1124,11 +1124,15 @@ def test_reused_trace_conformance_found_as_by_a_full_recheck(plant):
             mon.envs[0].gamma[("obj", arg)] = wider
         return conf
 
-    found = [
-        planted_before_step(prog, ctx, at, planted, full, states=False) for full in (False, True)
-    ]
     want = "{Null use(Null): {Null use(Null): {}}}" if plant == "type" else "{Null use(Null): {}}"
-    assert found[0] == found[1] == ("TraceInvalid", at, 0, f"trace of {arg} does not reach {want}")
+    for states, fault in [
+        (False, ("TraceInvalid", at, 0, f"trace of {arg} does not reach {want}")),
+        (True, ("StateIllTyped", at, 0, f"object {arg} does not inhabit {want}")),
+    ]:
+        found = [
+            planted_before_step(prog, ctx, at, planted, full, states=states) for full in (False, True)
+        ]
+        assert found[0] == found[1] == fault, states
 
 
 def test_reused_endpoint_set_found_as_by_a_full_recheck():

@@ -453,6 +453,33 @@ def test_check_error_code(code):
     assert report.verdict("K").line() == f"CLASS K ERR {error}"
 
 
+def test_witness_recorded_in_constant_equality_tests(monkeypatch):
+    # the 2^10 field typings of one branch enter one bucket of the witness
+    # table; recording each takes a lookup, not a test against every typing
+    # recorded before it
+    tests, recording = [0], [False]
+    eq, record = RecordF.__eq__, CheckContext.record_witness
+
+    def counted_eq(self, other):
+        tests[0] += recording[0]
+        return eq(self, other)
+
+    def counted_record(self, *args):
+        recording[0] = True
+        try:
+            return record(self, *args)
+        finally:
+            recording[0] = False
+
+    monkeypatch.setattr(RecordF, "__eq__", counted_eq)
+    monkeypatch.setattr(CheckContext, "record_witness", counted_record)
+    report, ctx = check_program(parse_program(_field_powerset(10)))
+    assert report.verdict("K").ok, report.lines()
+    (bucket,) = ctx.witnesses.values()
+    assert len(bucket) == 2**10
+    assert tests[0] <= len(bucket)
+
+
 def test_loop_on_a_label_with_a_label_body():
     # a label condition is a one-case variant typing, joined for the body and
     # the exit; a body that ends in a label is joined back likewise
