@@ -19,8 +19,6 @@ import sys
 
 from . import parser as psr
 from .channels import dual, translate_channel
-from .interpreter import Interpreter, MainMissing, RuntimeFault, format_event
-from .monitor import Monitor, MonitorViolation, TypeErrorTransition, parse_trace, replay_trace
 from .render import render_type
 from .subtyping import equivalent, subtype_session
 from .syntax import CoreError
@@ -124,6 +122,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # The run-time layers load here, so the other subcommands never load them.
+    from .interpreter import Interpreter, MainMissing, RuntimeFault, format_event
+    from .monitor import Monitor, MonitorViolation
+
     program = _load(args.files)
     ctx = None
     if not args.unchecked or args.verify_states or args.verify_traces:
@@ -180,6 +182,8 @@ def cmd_dual(args, translate=False) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .monitor import TypeErrorTransition, parse_trace, replay_trace
+
     program = _load([args.file])
     decl = program.classes.get(args.cls)
     if decl is None:

@@ -36,7 +36,6 @@ from typing import Optional
 from . import syntax as sx
 from .render import render_expr
 from .syntax import (
-    Configuration,
     Heap,
     ObjectRecord,
     Path,
@@ -52,6 +51,27 @@ class RuntimeFault(Exception):
 
 class MainMissing(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """The threads of a run and the counters that name its next fresh
+    object and channel."""
+
+    threads: tuple
+    next_obj: int = 0
+    next_chan: int = 0
+
+    def fresh_obj(self):
+        return f"o{self.next_obj}", Configuration(self.threads, self.next_obj + 1, self.next_chan)
+
+    def fresh_chan(self):
+        return f"c{self.next_chan}", Configuration(self.threads, self.next_obj, self.next_chan + 1)
+
+    def with_thread(self, i, thread: Thread) -> "Configuration":
+        ts = list(self.threads)
+        ts[i] = thread
+        return Configuration(tuple(ts), self.next_obj, self.next_chan)
 
 
 @dataclass(frozen=True)

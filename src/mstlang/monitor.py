@@ -574,13 +574,16 @@ class Monitor:
         demands an exact recurrence). Soundness of subtyping for fields says
         a refinement of a consistent typing is consistent, so accept through
         any recorded witness the runtime typing refines, and only otherwise
-        run the algorithm directly.
+        run the algorithm directly. A typing that is itself a witness is
+        found by one lookup before any scan (subtyping is reflexive).
         """
         key = (cls_name, session, ftyping)
         hit = self._consistency_cache.get(key)
         if hit is None:
-            witnesses = self.ctx.witnesses_for(cls_name, unfold(session))
-            if any(subtype_any(ftyping, w) for _, w in witnesses):
+            branch = unfold(session)
+            if self.ctx.has_witness(cls_name, branch, ftyping) or any(
+                subtype_any(ftyping, w) for _, w in self.ctx.witnesses_for(cls_name, branch)
+            ):
                 hit = True
             else:
                 try:

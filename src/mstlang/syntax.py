@@ -1,6 +1,6 @@
 """Core abstract syntax: class session types, channel session types, value
 types, field typings, expressions, declarations, heaps, paths and
-configurations, together with the pure structural operations on them
+threads, together with the pure structural operations on them
 (unfolding, path resolution, heap separation, renaming).
 
 A recursive type is a finite graph whose cycles pass through named states
@@ -28,7 +28,6 @@ frames (`focus`, `plug`), and heaps share their records between versions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -1420,21 +1419,3 @@ class Thread:
 
     def __repr__(self):
         return f"Thread(heap={self.heap!r}, path={self.path!r}, expr={self.expr!r})"
-
-
-@dataclass(frozen=True)
-class Configuration:
-    threads: tuple
-    next_obj: int = 0
-    next_chan: int = 0
-
-    def fresh_obj(self):
-        return f"o{self.next_obj}", Configuration(self.threads, self.next_obj + 1, self.next_chan)
-
-    def fresh_chan(self):
-        return f"c{self.next_chan}", Configuration(self.threads, self.next_obj, self.next_chan + 1)
-
-    def with_thread(self, i, thread: Thread) -> "Configuration":
-        ts = list(self.threads)
-        ts[i] = thread
-        return Configuration(tuple(ts), self.next_obj, self.next_chan)

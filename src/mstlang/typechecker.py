@@ -21,6 +21,7 @@ witness when a method call opens an object.
 
 from __future__ import annotations
 
+from . import render  # noqa: F401 -- messages render types (`{t!r}`); loaded here, not in a verdict
 from . import syntax as sx
 from .channels import translate_access
 from .subtyping import (
@@ -129,8 +130,8 @@ class CheckContext:
     session) -> list of (session, field typing), the distinct field typings
     the branch was established consistent under, in the order recorded.
     Beside the table, the set of its (class name, session, field typing)
-    triples makes recording a witness one lookup. Contexts compare by
-    program and table."""
+    triples makes recording a witness, and asking whether a field typing is
+    one, a single lookup. Contexts compare by program and table."""
 
     __slots__ = ("program", "witnesses", "_recorded")
 
@@ -152,6 +153,9 @@ class CheckContext:
         if triple not in self._recorded:
             self._recorded.add(triple)
             self.witnesses.setdefault((cls_name, session), []).append((session, ftyping))
+
+    def has_witness(self, cls_name, session, ftyping):
+        return (cls_name, session, ftyping) in self._recorded
 
     def witnesses_for(self, cls_name, session):
         return self.witnesses.get((cls_name, session), [])

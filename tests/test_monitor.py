@@ -135,7 +135,8 @@ def test_reached_state_clauses():
 
 def test_check_traces_reports_object_without_record():
     prog, report, ctx = load_checked("file.mst")
-    from mstlang.syntax import Configuration, Heap, ObjectRecord, Path, Thread, NULL_E
+    from mstlang.interpreter import Configuration
+    from mstlang.syntax import Heap, ObjectRecord, Path, Thread, NULL_E
 
     heap = Heap().add("o", ObjectRecord("File", (("state", NULL_E),)))
     conf = Configuration(threads=(Thread(heap, Path("o"), NULL_E),))
@@ -1523,6 +1524,34 @@ def test_step_that_keeps_its_heap_reuses_conformance_and_endpoint_sets(monkeypat
             kept.append((counts[0] - seen[0], counts[1] - seen[1], mon._eps[i] is eps, bool(eps)))
     assert proved > 0 and len(kept) > 100 and any(held for *_, held in kept)
     assert {k[:3] for k in kept} == {(0, 0, True)}
+
+
+def test_a_recorded_witness_is_found_without_a_scan(monkeypatch):
+    # every field typing remote1's monitored run asks about is a witness the
+    # checker recorded, so each is found by one lookup and the witnesses are
+    # never scanned with subtype_any; a typing that is only a refinement of
+    # a witness still takes the scan, and the verdicts stay the same
+    inside, scans, misses = [False], [0], [0]
+    holds, subtype = Monitor._consistency_holds, monitor.subtype_any
+
+    def counted_holds(self, cls_name, session, ftyping):
+        misses[0] += (cls_name, session, ftyping) not in self._consistency_cache
+        inside[0] = True
+        try:
+            return holds(self, cls_name, session, ftyping)
+        finally:
+            inside[0] = False
+
+    def counted_subtype(a, b):
+        scans[0] += inside[0]
+        return subtype(a, b)
+
+    monkeypatch.setattr(Monitor, "_consistency_holds", counted_holds)
+    monkeypatch.setattr(monitor, "subtype_any", counted_subtype)
+    monitored_run("remote1.mst")
+    assert misses[0] > 0 and scans[0] == 0
+    monitored_run("progs/p08_enum_store.mst")
+    assert scans[0] > 0
 
 
 def test_rebuilt_nodes_read_once_per_step(monkeypatch):

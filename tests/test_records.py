@@ -219,4 +219,4 @@ def test_only_the_interpreter_records_are_dataclasses():
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and dataclasses.is_dataclass(obj)
         }
-    assert found == {"interpreter.StepEvent", "interpreter.Outcome", "syntax.Configuration"}
+    assert found == {"interpreter.StepEvent", "interpreter.Outcome", "interpreter.Configuration"}
